@@ -5,8 +5,9 @@
 //
 //   tail                one file  -> LogTailer + ReplayEngine
 //   tail_multi4         four vhost-style files (split by /24, the detector
-//                       state key) -> MultiTailer merge -> ReplayEngine
-//   tail_multi4_sharded same four files -> MultiTailer -> ShardedPipeline
+//                       state key) -> TailSession (MultiTailer merge) ->
+//                       ReplayEngine, as `divscrape tail` runs them
+//   tail_multi4_sharded same four files -> TailSession -> ShardedPipeline
 //                       at 2 shards
 //   batch_replay        one-shot replay of the single-file log
 //
@@ -28,12 +29,10 @@
 #include "detectors/registry.hpp"
 #include "httplog/ip.hpp"
 #include "pipeline/checkpoint.hpp"
-#include "pipeline/multi_tailer.hpp"
 #include "pipeline/replay.hpp"
-#include "pipeline/sharded.hpp"
+#include "pipeline/tail_session.hpp"
 #include "pipeline/tailer.hpp"
 #include "traffic/stream_writer.hpp"
-#include "util/interner.hpp"
 #include "util/state.hpp"
 
 namespace {
@@ -79,25 +78,21 @@ struct MultiLogs {
 };
 
 /// Generates the scenario, routing each record to its file while polling
-/// the tailer every batch. Returns wall seconds for the whole live loop.
-double pump_multi(MultiLogs& logs, pipeline::MultiTailer& tailer,
-                  double scale) {
+/// the session every batch.
+void pump_multi(MultiLogs& logs, pipeline::TailSession& session,
+                double scale) {
   traffic::Scenario scenario(traffic::amadeus_like(scale));
-  const auto t0 = std::chrono::steady_clock::now();
   httplog::LogRecord record;
   std::size_t pumped = 0;
   while (scenario.next(record)) {
     logs.writers[route(record)]->write(record);
     if (++pumped % 4096 == 0) {
       for (auto& w : logs.writers) w->flush();  // poll sees a byte boundary
-      (void)tailer.poll();
+      (void)session.poll();
     }
   }
   for (auto& w : logs.writers) w->flush();
-  (void)tailer.poll();
-  (void)tailer.flush();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+  (void)session.poll();
 }
 
 bool check_live_counts(const char* mode, const MultiLogs& logs,
@@ -243,48 +238,27 @@ int main(int argc, char** argv) {
     std::remove(warm_log.c_str());
   }
 
-  // Four files, merged, sequential consumption.
-  {
-    MultiLogs logs(log_path + ".multi");
-    const auto pool = detectors::make_paper_pair();
-    pipeline::ReplayEngine engine(pool);
-    pipeline::MultiTailer tailer(
-        logs.paths,
-        [&engine](httplog::LogRecord&& record) {
-          engine.process_record(std::move(record));
-        });
-    const double wall = pump_multi(logs, tailer, scale);
-    if (!check_live_counts("tail_multi4", logs, tailer)) return 1;
-    runs.push_back({"tail_multi4", 0, tailer.stats().parsed, wall});
-    if (!check_identity("tail_multi4", core::to_json(engine.results()),
-                        batch_results))
-      return 1;
-  }
-
-  // Four files, merged, sharded consumption (2 worker threads).
-  {
-    MultiLogs logs(log_path + ".sharded");
-    pipeline::ShardedPipeline pipeline(
-        [] { return detectors::make_paper_pair(); }, kShards);
-    util::StringInterner ua_tokens;
-    pipeline::MultiTailer tailer(
-        logs.paths, [&](httplog::LogRecord&& record) {
-          record.ua_token = ua_tokens.intern(record.user_agent);
-          pipeline.process(std::move(record));
-        });
+  // Four files, merged: sequential consumption, then sharded (2 worker
+  // threads). Wall covers finish(), i.e. the sharded join too.
+  for (const std::size_t shards : {std::size_t{1}, kShards}) {
+    const std::string mode = shards > 1 ? "tail_multi4_sharded" : "tail_multi4";
+    MultiLogs logs(log_path + (shards > 1 ? ".sharded" : ".multi"));
+    pipeline::TailSessionConfig config;
+    config.paths = logs.paths;
+    config.factory = [] { return detectors::make_paper_pair(); };
+    config.shards = shards;
+    pipeline::TailSession session(std::move(config));
     const auto t0 = std::chrono::steady_clock::now();
-    const double pump_wall = pump_multi(logs, tailer, scale);
-    const auto results = pipeline.finish();  // wall covers the join too
+    pump_multi(logs, session, scale);
+    const auto results = session.finish();
     const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    (void)pump_wall;
-    if (!check_live_counts("tail_multi4_sharded", logs, tailer)) return 1;
-    runs.push_back(
-        {"tail_multi4_sharded", kShards, tailer.stats().parsed, wall});
-    if (!check_identity("tail_multi4_sharded", core::to_json(results),
-                        batch_results))
+    if (!check_live_counts(mode.c_str(), logs, session.tailer())) return 1;
+    runs.push_back({mode, shards > 1 ? kShards : 0,
+                    session.tailer().stats().parsed, wall, 0,
+                    pipeline::TailSession::kBatchRecords});
+    if (!check_identity(mode.c_str(), core::to_json(results), batch_results))
       return 1;
   }
 

@@ -21,15 +21,13 @@
 #include "httplog/clf.hpp"
 #include "httplog/record.hpp"
 #include "httplog/timestamp.hpp"
-#include "pipeline/checkpoint.hpp"
 #include "pipeline/decoder.hpp"
-#include "pipeline/multi_tailer.hpp"
 #include "pipeline/replay.hpp"
+#include "pipeline/tail_session.hpp"
 #include "stats/rng.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/atomic_file.hpp"
 #include "util/rss.hpp"
-#include "util/state.hpp"
 #include "workload/engine.hpp"
 
 namespace divscrape::pipeline {
@@ -101,25 +99,6 @@ const char* to_string(FaultKind kind) {
   return "?";
 }
 
-/// The ingest side as one unit of lifetime: what a SIGKILL takes down
-/// together and a restart rebuilds together. Member order matters — the
-/// tailer's sink references the engine, the engine's joiner references the
-/// pool — so destruction (reverse order) tears the consumer down first.
-struct LiveIngest {
-  std::vector<std::unique_ptr<detectors::Detector>> pool;
-  std::unique_ptr<ReplayEngine> engine;
-  std::unique_ptr<MultiTailer> tailer;
-};
-
-/// Exact-merge ingest config: no reorder forcing, so emission order is a
-/// pure function of the merge key and the live/batch equivalence argument
-/// holds with no caveats.
-MultiTailConfig exact_merge_config() {
-  MultiTailConfig config;
-  config.reorder_window_us = 0;
-  return config;
-}
-
 /// Lazily decodes one shadow log into records, one bounded chunk at a
 /// time — the per-file leg of the reference merge. (MultiTailer is the
 /// wrong tool for a batch reference: its poll drains a whole file before
@@ -156,20 +135,6 @@ class ShadowSource {
   LineDecoder decoder_;
 };
 
-std::unique_ptr<LiveIngest> make_live(const std::vector<std::string>& paths) {
-  auto live = std::make_unique<LiveIngest>();
-  live->pool = detectors::make_paper_pair();
-  live->engine = std::make_unique<ReplayEngine>(live->pool);
-  ReplayEngine* engine = live->engine.get();
-  live->tailer = std::make_unique<MultiTailer>(
-      paths,
-      [engine](httplog::LogRecord&& record) {
-        engine->process_record(std::move(record));
-      },
-      exact_merge_config());
-  return live;
-}
-
 /// The whole closed loop as one object so the fault handlers can reach
 /// every piece (writers, ingest, checkpoints, counters) without threading
 /// a dozen parameters around.
@@ -185,7 +150,7 @@ class SoakRun {
   void open_writers();
   void schedule_epochs();
 
-  // -- the live side (mirrors `divscrape tail --checkpoint-dir`) -----------
+  // -- the live side: a TailSession, as `tail --checkpoint-dir` runs it --
   void boot_live(bool expect_resume);
   void persist();
   void drain_live();
@@ -200,18 +165,13 @@ class SoakRun {
 
   void finish(double wall_seconds);
 
-  std::string checkpoint_path(std::size_t file) const {
-    return config_.work_dir + "/cp/log" + std::to_string(file) + ".cp.json";
-  }
-
   const ChaosConfig& config_;
   ChaosReport report_;
 
   std::vector<std::string> live_paths_;
   std::vector<std::unique_ptr<traffic::StreamWriter>> live_writers_;
   std::vector<std::unique_ptr<traffic::StreamWriter>> shadow_writers_;
-  std::string session_path_;
-  std::unique_ptr<LiveIngest> live_;
+  std::unique_ptr<TailSession> live_;
 
   /// (fire time, target vhost) per scripted epoch, in time order.
   struct Epoch {
@@ -251,7 +211,6 @@ void SoakRun::open_writers() {
         config_.work_dir + "/shadow/" + base,
         traffic::StreamWriter::FaultPlan(), 4096));
   }
-  session_path_ = config_.work_dir + "/cp/tail_session.state.json";
 }
 
 void SoakRun::schedule_epochs() {
@@ -270,80 +229,32 @@ void SoakRun::schedule_epochs() {
   }
 }
 
-/// Builds (or rebuilds, after a kill) the ingest side, mirroring the CLI's
-/// warm-resume discipline exactly: honor the offsets embedded in the
-/// session file — never the per-log files, which may describe a newer cut
-/// — and restore the detection blob only behind fully-honored offsets.
+/// Builds (or rebuilds, after a kill) the ingest side: an exact-merge
+/// TailSession (reorder window 0, so emission order is a pure function of
+/// the merge key) over the live logs, checkpointing under <work_dir>/cp.
+/// A kill is simply destroying it; a restart resumes from whatever the
+/// last persist left on disk.
 void SoakRun::boot_live(bool expect_resume) {
-  live_ = make_live(live_paths_);
-  bool warm = false;
-  if (const auto session = TailSessionState::load(session_path_)) {
-    const auto embedded = [&](const std::string& path) {
-      for (const auto& [p, cp] : session->logs)
-        if (p == path) return &cp;
-      return static_cast<const Checkpoint*>(nullptr);
-    };
-    bool paths_match = session->logs.size() == live_->tailer->files();
-    for (std::size_t i = 0; paths_match && i < live_->tailer->files(); ++i) {
-      paths_match = embedded(live_->tailer->path(i)) != nullptr;
-    }
-    if (paths_match && !session->state.empty()) {
-      bool all_honored = true;
-      for (std::size_t i = 0; i < live_->tailer->files(); ++i) {
-        all_honored &=
-            live_->tailer->resume(i, *embedded(live_->tailer->path(i)));
-      }
-      if (all_honored) {
-        util::StateReader r(session->state);
-        const std::uint8_t mode = r.u8();
-        warm = r.ok() && mode == 0 && live_->engine->load_state(r) &&
-               r.at_end();
-      }
-    }
-  }
-  if (expect_resume) {
-    if (warm) {
-      ++report_.warm_resumes;
-    } else {
-      // A cold restart after a kill re-scores records the lost blob had
-      // already counted — the failure mode the soak exists to catch.
-      ++report_.cold_resumes;
-      live_ = make_live(live_paths_);  // discard any half-restored state
-    }
-  }
+  TailSessionConfig session;
+  session.paths = live_paths_;
+  session.checkpoint_dir = config_.work_dir + "/cp";
+  session.factory = detectors::make_paper_pair;
+  session.reorder_window_us = 0;
+  live_ = std::make_unique<TailSession>(std::move(session));
+  if (!expect_resume) return;
+  // A cold restart after a kill re-scores records the lost blob had
+  // already counted — the failure mode the soak exists to catch.
+  ++(live_->resume().warm() ? report_.warm_resumes : report_.cold_resumes);
 }
 
-/// Warm checkpoint at a quiescent cut: heap flushed first so the offsets
-/// cover every record the blob scored, per-log files first, session file
-/// last (older-but-consistent on a crash in between).
 void SoakRun::persist() {
-  (void)live_->tailer->flush();
-  for (std::size_t i = 0; i < live_->tailer->files(); ++i) {
-    if (!live_->tailer->checkpoint(i).save(checkpoint_path(i))) {
-      std::fprintf(stderr, "soak: cannot save checkpoint %s\n",
-                   checkpoint_path(i).c_str());
-    }
-  }
-  util::StateWriter w;
-  w.u8(0);  // blob mode byte: sequential engine
-  if (live_->engine->save_state(w)) {
-    TailSessionState session;
-    for (std::size_t i = 0; i < live_->tailer->files(); ++i) {
-      session.logs.emplace_back(live_->tailer->path(i),
-                                live_->tailer->checkpoint(i));
-    }
-    session.state = w.take();
-    if (!session.save(session_path_)) {
-      std::fprintf(stderr, "soak: cannot save session state %s\n",
-                   session_path_.c_str());
-    }
-  }
+  live_->persist();
   ++report_.checkpoints_persisted;
-  last_persist_parsed_ = live_->tailer->stats().parsed;
+  last_persist_parsed_ = live_->tailer().stats().parsed;
 }
 
 void SoakRun::drain_live() {
-  while (live_->tailer->poll() > 0) {
+  while (live_->poll() > 0) {
   }
 }
 
@@ -374,12 +285,12 @@ void SoakRun::on_second_boundary(std::int64_t sec) {
     fire_epoch(next_epoch_++);
   }
   if (sec - last_poll_sec_ >= config_.poll_interval_s) {
-    (void)live_->tailer->poll();
+    (void)live_->poll();
     last_poll_sec_ = sec;
     const auto rss = static_cast<std::uint64_t>(util::current_rss_kb());
     if (rss > report_.rss_peak_kb) report_.rss_peak_kb = rss;
   }
-  if (live_->tailer->stats().parsed - last_persist_parsed_ >=
+  if (live_->tailer().stats().parsed - last_persist_parsed_ >=
       config_.persist_every_records) {
     persist();
   }
@@ -471,7 +382,7 @@ void SoakRun::apply_torn_write(const httplog::LogRecord& record) {
   const std::string wire = httplog::format_clf(record) + "\n";
   const std::size_t cut = wire.size() / 2;
   live_writers_[v]->write_bytes(std::string_view(wire).substr(0, cut));
-  (void)live_->tailer->poll();
+  (void)live_->poll();
   live_writers_[v]->write_bytes(std::string_view(wire).substr(cut));
   ++report_.torn_writes;
 }
@@ -499,10 +410,11 @@ void SoakRun::finish(double wall_seconds) {
   drain_live();
   persist();
 
-  report_.live_records = live_->engine->results().total_requests();
-  report_.live_results_json = core::to_json(live_->engine->results());
-  const std::uint64_t live_late = live_->tailer->late_records();
-  const std::uint64_t live_forced = live_->tailer->forced_emits();
+  const std::uint64_t live_late = live_->tailer().late_records();
+  const std::uint64_t live_forced = live_->tailer().forced_emits();
+  const core::JointResults live = live_->finish();
+  report_.live_records = live.total_requests();
+  report_.live_results_json = core::to_json(live);
   live_.reset();  // release detector state before the reference doubles it
 
   // Reference: explicit k-way merge of the shadows by the same key the

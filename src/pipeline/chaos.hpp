@@ -2,8 +2,8 @@
 //
 // One process plays both sides of a deployment: a WorkloadEngine generates
 // a scenario (megasite-class via lazy actors) into one live CLF log per
-// vhost through StreamWriters, while a MultiTailer + ReplayEngine ingests
-// those logs exactly as `divscrape tail --checkpoint-dir` would — periodic
+// vhost through StreamWriters, while a pipeline::TailSession — the code
+// behind `divscrape tail --checkpoint-dir` — ingests those logs, periodic
 // warm checkpoints included. A seeded ChaosPlan injects faults at scripted
 // simulated-time epochs:
 //
@@ -11,9 +11,9 @@
 //   * torn writes held across a poll (partial line visible to the tailer);
 //   * one-shot ENOSPC (a whole line dropped at the writer, by design);
 //   * short-write bursts through the writer's write_fn seam;
-//   * kill-anywhere: the entire ingest side (tailer, decoder, detectors)
-//     is destroyed WITHOUT any final flush or checkpoint, then rebuilt
-//     from whatever the last periodic persist left on disk — the
+//   * kill-anywhere: the TailSession (tailer, decoder, detectors) is
+//     destroyed WITHOUT any final flush or checkpoint, then rebuilt and
+//     resumed from whatever the last periodic persist left on disk — the
 //     in-process equivalent of SIGKILL + restart.
 //
 // ## The oracle

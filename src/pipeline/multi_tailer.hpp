@@ -43,8 +43,8 @@
 // already *decoded*, so records still buffered in the reorder heap are
 // covered too (they were decoded). Persist checkpoints only at a
 // quiescent point — after flush() — so a crash cannot lose heap-buffered
-// records that the offsets already committed: the CLI flushes the heap
-// before every checkpoint save for exactly this reason.
+// records that the offsets already committed: TailSession::persist flushes
+// the heap before every checkpoint save for exactly this reason.
 #pragma once
 
 #include <cstdint>

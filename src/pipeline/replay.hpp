@@ -93,14 +93,6 @@ class ReplayEngine {
   [[nodiscard]] bool has_partial_line() const noexcept {
     return decoder_.has_partial_line();
   }
-  /// Size of that partial in bytes. A resume checkpoint must subtract this
-  /// from the fed-byte count: those bytes were accepted but not ingested.
-  [[nodiscard]] std::size_t partial_bytes() const noexcept {
-    return decoder_.partial_bytes();
-  }
-  /// Drops the buffered partial line without ingesting it (the tailer uses
-  /// this when the underlying file is truncated under the partial).
-  void drop_partial_line() { decoder_.drop_partial_line(); }
 
   /// Cumulative framing/parsing accounting across every replay()/feed()
   /// call on this engine. wall_seconds accumulates batch replay() time

@@ -175,10 +175,6 @@ void ShardedPipeline::process(const httplog::LogRecord& record) {
   if (d.pending.size() >= batch_size_) flush_caller_pending(d);
 }
 
-void ShardedPipeline::process(httplog::LogRecord&& record) {
-  process(static_cast<const httplog::LogRecord&>(record));
-}
-
 void ShardedPipeline::process_batch(RecordBatch&& batch) {
   if (finished_)
     throw std::logic_error("ShardedPipeline: process_batch() after finish()");

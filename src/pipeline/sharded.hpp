@@ -97,12 +97,9 @@ class ShardedPipeline {
   /// Routes one record into the pending batch of the dispatcher owning its
   /// shard (by /24 prefix hash). Called from one caller thread only. The
   /// record is byte-copied into a warm batch slot (the arena contract);
-  /// the caller keeps its buffer.
+  /// the caller keeps its buffer (rvalues too: moving would discard the
+  /// slot's warm buffer).
   void process(const httplog::LogRecord& record);
-  /// Source-compat overload: batching made stealing the caller's strings
-  /// counterproductive (a move discards the slot's warm buffer), so this
-  /// simply copies like the const& form.
-  void process(httplog::LogRecord&& record);
 
   /// Batch seam: hands a whole batch to the pipeline, which takes
   /// ownership (the batch is recycled into the internal pool after its

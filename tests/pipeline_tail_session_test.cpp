@@ -1,0 +1,295 @@
+// TailSession: the one open -> resume -> poll -> persist -> finish path
+// behind `divscrape tail --checkpoint-dir` and the chaos soak.
+//
+// Pins, at shards 1 and at 2 shards x 2 dispatchers: a kill after every
+// persist resumes warm and ends byte-identical to an uninterrupted session;
+// a session file hand-built with the documented layout (mode byte +
+// component states) resumes warm, so existing checkpoint dirs keep
+// working; and any failed warm restore drops every half-loaded component
+// and equals a fresh-consumer cold resume from the per-log offsets.
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <system_error>
+#include <vector>
+
+#include "core/export.hpp"
+#include "detectors/registry.hpp"
+#include "pipeline/checkpoint.hpp"
+#include "pipeline/multi_tailer.hpp"
+#include "pipeline/replay.hpp"
+#include "pipeline/sharded.hpp"
+#include "pipeline/tail_session.hpp"
+#include "traffic/scenario.hpp"
+#include "traffic/stream_writer.hpp"
+#include "util/interner.hpp"
+#include "util/state.hpp"
+
+namespace {
+
+using namespace divscrape;
+using Outcome = pipeline::TailResume::Outcome;
+
+constexpr std::size_t kFiles = 3;
+
+const std::vector<httplog::LogRecord>& records() {
+  static const std::vector<httplog::LogRecord> all = [] {
+    traffic::Scenario scenario(traffic::smoke_test());
+    std::vector<httplog::LogRecord> out;
+    httplog::LogRecord r;
+    while (scenario.next(r)) out.push_back(r);
+    return out;
+  }();
+  return all;
+}
+
+/// kFiles growing logs plus a checkpoint dir, all under one process-unique
+/// directory (ctest runs each case as its own process).
+struct Fixture {
+  std::string root;
+  std::string cp_dir;
+  std::vector<std::string> paths;
+  std::vector<std::unique_ptr<traffic::StreamWriter>> writers;
+
+  explicit Fixture(const std::string& tag)
+      : root(::testing::TempDir() + "divscrape_session_" +
+             std::to_string(::getpid()) + "_" + tag),
+        cp_dir(root + "/cp") {
+    std::filesystem::create_directories(cp_dir);
+    for (std::size_t i = 0; i < kFiles; ++i) {
+      paths.push_back(root + "/vhost" + std::to_string(i) + ".log");
+      writers.push_back(std::make_unique<traffic::StreamWriter>(paths.back()));
+    }
+  }
+  ~Fixture() {
+    writers.clear();
+    std::error_code ignored;
+    std::filesystem::remove_all(root, ignored);
+  }
+
+  /// Records [begin, end), fanned out round-robin (each file stays
+  /// time-ordered).
+  void write_range(std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      writers[i % kFiles]->write(records()[i]);
+    }
+  }
+
+  [[nodiscard]] std::string session_file() const {
+    return cp_dir + "/tail_session.state.json";
+  }
+
+  [[nodiscard]] std::unique_ptr<pipeline::TailSession> session(
+      std::size_t shards, std::size_t dispatchers) const {
+    pipeline::TailSessionConfig config;
+    config.paths = paths;
+    config.checkpoint_dir = cp_dir;
+    config.factory = [] { return detectors::make_paper_pair(); };
+    config.shards = shards;
+    config.dispatchers = dispatchers;
+    return std::make_unique<pipeline::TailSession>(std::move(config));
+  }
+};
+
+/// Records ingested across every incarnation (checkpoint accounting
+/// survives a resume; tailer().stats() counts this incarnation only).
+std::uint64_t ingested(const pipeline::TailSession& session) {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < session.tailer().files(); ++i) {
+    total += session.tailer().checkpoint(i).parsed;
+  }
+  return total;
+}
+
+/// Writes each phase, polls and persists; with `kill`, destroys the
+/// session after every persist and resumes a new one (which must be warm).
+std::string run_phases(const std::string& tag, std::size_t shards,
+                       std::size_t dispatchers,
+                       const std::vector<std::size_t>& phase_ends,
+                       bool kill) {
+  Fixture fx(tag);
+  auto session = fx.session(shards, dispatchers);
+  EXPECT_EQ(session->resume().outcome, Outcome::kNoSession);
+  std::size_t begin = 0;
+  for (const std::size_t end : phase_ends) {
+    fx.write_range(begin, end);
+    begin = end;
+    (void)session->poll();
+    session->persist();
+    if (kill) {
+      session.reset();
+      session = fx.session(shards, dispatchers);
+      const auto resumed = session->resume();
+      EXPECT_TRUE(resumed.warm());
+      for (const auto& log : resumed.logs) {
+        EXPECT_EQ(log.from, fx.session_file());
+        EXPECT_TRUE(log.honored);
+      }
+    }
+  }
+  EXPECT_EQ(ingested(*session), phase_ends.back());
+  return core::to_json(session->finish());
+}
+
+std::vector<std::size_t> thirds() {
+  const std::size_t n = records().size();
+  return {n / 3, 2 * n / 3, n};
+}
+
+std::vector<std::size_t> halves() {
+  const std::size_t n = records().size();
+  return {n / 2, n};
+}
+
+TEST(TailSession, KillAfterEachPersistIsByteIdenticalSequential) {
+  EXPECT_EQ(run_phases("kill_seq", 1, 1, thirds(), true),
+            run_phases("base_seq", 1, 1, thirds(), false));
+}
+
+TEST(TailSession, KillAfterEachPersistIsByteIdenticalSharded) {
+  EXPECT_EQ(run_phases("kill_shard", 2, 2, thirds(), true),
+            run_phases("base_shard", 2, 2, thirds(), false));
+}
+
+/// Phase one through raw components, committed as the documented session
+/// layout: mode byte 0 + ReplayEngine state, or mode byte 1 + dispatch
+/// interner + ShardedPipeline state. Phase two resumes via TailSession.
+std::string resume_hand_built(const std::string& tag, bool sharded) {
+  const std::size_t split = halves().front();
+  Fixture fx(tag);
+  fx.write_range(0, split);
+  {
+    pipeline::TailSessionState state;
+    util::StateWriter w;
+    const auto commit = [&](pipeline::MultiTailer& tailer) {
+      (void)tailer.poll();
+      (void)tailer.flush();
+      for (std::size_t i = 0; i < tailer.files(); ++i) {
+        state.logs.emplace_back(tailer.path(i), tailer.checkpoint(i));
+      }
+    };
+    if (sharded) {
+      pipeline::ShardedPipeline pipeline(
+          [] { return detectors::make_paper_pair(); }, 2);
+      util::StringInterner ua_tokens;
+      pipeline::MultiTailer tailer(
+          fx.paths, [&](httplog::LogRecord&& record) {
+            record.ua_token = ua_tokens.intern(record.user_agent);
+            pipeline.process(record);
+          });
+      commit(tailer);
+      w.u8(1);
+      ua_tokens.save_state(w);
+      EXPECT_TRUE(pipeline.save_state(w));
+    } else {
+      const auto pool = detectors::make_paper_pair();
+      pipeline::ReplayEngine engine(pool);
+      pipeline::MultiTailer tailer(
+          fx.paths, [&](httplog::LogRecord&& record) {
+            engine.process_record(std::move(record));
+          });
+      commit(tailer);
+      w.u8(0);
+      EXPECT_TRUE(engine.save_state(w));
+    }
+    state.state = w.take();
+    EXPECT_TRUE(state.save(fx.session_file()));
+  }
+  auto session = fx.session(sharded ? 2 : 1, sharded ? 2 : 1);
+  EXPECT_TRUE(session->resume().warm());
+  fx.write_range(split, records().size());
+  (void)session->poll();
+  return core::to_json(session->finish());
+}
+
+TEST(TailSession, HandBuiltSequentialSessionFileResumesWarm) {
+  EXPECT_EQ(resume_hand_built("hand_seq", false),
+            run_phases("hand_seq_base", 1, 1, halves(), false));
+}
+
+TEST(TailSession, HandBuiltShardedSessionFileResumesWarm) {
+  EXPECT_EQ(resume_hand_built("hand_shard", true),
+            run_phases("hand_shard_base", 2, 2, halves(), false));
+}
+
+TEST(TailSession, ShardedSessionResumedSequentiallyIsCold) {
+  const std::size_t split = halves().front();
+  Fixture fx("mode_switch");
+  fx.write_range(0, split);
+  {
+    auto session = fx.session(2, 2);
+    (void)session->resume();
+    (void)session->poll();
+    session->persist();
+  }
+  auto session = fx.session(1, 1);
+  const auto resumed = session->resume();
+  EXPECT_EQ(resumed.outcome, Outcome::kStateRejected);
+  EXPECT_FALSE(resumed.warm());
+  ASSERT_EQ(resumed.logs.size(), kFiles);
+  for (std::size_t i = 0; i < kFiles; ++i) {
+    EXPECT_EQ(resumed.logs[i].from,
+              pipeline::checkpoint_file_for(fx.cp_dir, fx.paths[i]));
+    EXPECT_TRUE(resumed.logs[i].honored);
+  }
+  fx.write_range(split, records().size());
+  (void)session->poll();
+  EXPECT_EQ(ingested(*session), records().size());
+}
+
+/// Regression for the half-restored consumer: a session blob with one
+/// trailing byte restores every component and only then fails at_end().
+/// The session must report cold AND end equal to a fresh consumer resumed
+/// cold from the same per-log offsets — no loaded state may survive.
+void expect_damaged_blob_resumes_cold(const std::string& tag,
+                                      std::size_t shards,
+                                      std::size_t dispatchers) {
+  const std::size_t split = halves().front();
+  Fixture fx(tag);
+  fx.write_range(0, split);
+  {
+    auto session = fx.session(shards, dispatchers);
+    (void)session->resume();
+    (void)session->poll();
+    session->persist();
+  }
+  auto saved = pipeline::TailSessionState::load(fx.session_file());
+  ASSERT_TRUE(saved.has_value());
+  saved->state.push_back('\0');
+  ASSERT_TRUE(saved->save(fx.session_file()));
+  fx.write_range(split, records().size());
+
+  const auto cold_run = [&](Outcome expected) {
+    auto session = fx.session(shards, dispatchers);
+    const auto resumed = session->resume();
+    EXPECT_EQ(resumed.outcome, expected);
+    for (const auto& log : resumed.logs) EXPECT_TRUE(log.honored);
+    (void)session->poll();
+    EXPECT_EQ(ingested(*session), records().size());
+    return core::to_json(session->finish());
+  };
+  const std::string damaged = cold_run(Outcome::kStateRejected);
+  std::remove(fx.session_file().c_str());
+  EXPECT_EQ(damaged, cold_run(Outcome::kNoSession));
+}
+
+TEST(TailSession, DamagedBlobResumesColdFromFreshConsumerSequential) {
+  expect_damaged_blob_resumes_cold("damaged_seq", 1, 1);
+}
+
+TEST(TailSession, DamagedBlobResumesColdFromFreshConsumerSharded) {
+  expect_damaged_blob_resumes_cold("damaged_shard", 2, 2);
+}
+
+TEST(TailSession, CheckpointFileNamesArePinnedAndCollisionFree) {
+  EXPECT_EQ(pipeline::checkpoint_file_for("/cp", "/var/log/apache2/access.log"),
+            "/cp/_var_log_apache2_access.log.7ceb60f8.cp.json");
+  EXPECT_NE(pipeline::checkpoint_file_for("/cp", "/logs/a/b.log"),
+            pipeline::checkpoint_file_for("/cp", "/logs/a_b.log"));
+}
+
+}  // namespace

@@ -109,9 +109,9 @@
 #include "pipeline/alert_log.hpp"
 #include "pipeline/chaos.hpp"
 #include "pipeline/checkpoint.hpp"
-#include "pipeline/multi_tailer.hpp"
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
+#include "pipeline/tail_session.hpp"
 #include "pipeline/tailer.hpp"
 #include "traffic/scenario.hpp"
 #include "traffic/stream_writer.hpp"
@@ -578,17 +578,7 @@ int cmd_analyze(const CliOptions& opts) {
   std::printf("parsed %s records (%s lines skipped)\n",
               core::with_thousands(r.total_requests()).c_str(),
               core::with_thousands(reader.lines_skipped()).c_str());
-  for (std::size_t d = 0; d < r.detector_count(); ++d) {
-    std::printf("  %-10s alerts %s\n", r.names()[d].c_str(),
-                core::with_thousands(r.alerts(d)).c_str());
-  }
-  const auto& pair = r.pair(0, 1);
-  std::printf(
-      "  both %s | neither %s | sentinel-only %s | arcane-only %s\n",
-      core::with_thousands(pair.both()).c_str(),
-      core::with_thousands(pair.neither()).c_str(),
-      core::with_thousands(pair.first_only()).c_str(),
-      core::with_thousands(pair.second_only()).c_str());
+  print_detector_summary(r);
   if (alerts) {
     std::printf("wrote %s alert events to %s\n",
                 core::with_thousands(alerts->written()).c_str(),
@@ -597,11 +587,15 @@ int cmd_analyze(const CliOptions& opts) {
   return 0;
 }
 
-/// Atomic results flush: SOC dashboards read the file while we rewrite it,
-/// so the document replaces the previous one in a single rename.
-bool flush_results(const core::JointResults& results,
+/// Atomic results flush (a no-op without --results): SOC dashboards read
+/// the file while we rewrite it, so the document replaces the previous one
+/// in a single rename. A failed write is reported; the tail keeps going.
+void flush_results(const core::JointResults& results,
                    const std::string& path) {
-  return util::write_file_atomic(path, core::to_json(results) + "\n");
+  if (path.empty() ||
+      util::write_file_atomic(path, core::to_json(results) + "\n"))
+    return;
+  std::fprintf(stderr, "cannot write results %s\n", path.c_str());
 }
 
 void print_detector_summary(const core::JointResults& r) {
@@ -620,150 +614,43 @@ void print_detector_summary(const core::JointResults& r) {
   }
 }
 
-/// Per-log checkpoint file inside --checkpoint-dir: the log's path with
-/// every separator flattened for readability, plus a hash of the exact
-/// path so distinct logs can never collide ("/logs/a/b.log" vs
-/// "/logs/a_b.log" flatten identically). Stable across invocations.
-std::string checkpoint_file_for(const std::string& dir,
-                                const std::string& log_path) {
-  std::string name = log_path;
-  for (char& c : name) {
-    if (c == '/' || c == '\\') c = '_';
-  }
-  char hash[16];
-  std::snprintf(hash, sizeof hash, ".%08x",
-                util::fnv1a32(log_path));
-  return dir + "/" + name + hash + ".cp.json";
-}
-
-/// Multi-file and/or sharded tail: one LogTailer per input log merged into
-/// a single time-ordered stream (MultiTailer), consumed either by a
-/// sequential ReplayEngine or a ShardedPipeline.
+/// Multi-file and/or sharded tail: a thin driver around
+/// pipeline::TailSession, which owns ingest, resume and persist.
 int cmd_tail_multi(const CliOptions& opts) {
-  std::vector<std::unique_ptr<detectors::Detector>> pool;
-  std::unique_ptr<pipeline::ReplayEngine> engine;
-  std::unique_ptr<pipeline::ShardedPipeline> sharded;
-  util::StringInterner ua_tokens;  // sharded dispatch stamps here
-  pipeline::MultiTailConfig tail_config;
-  tail_config.reorder_window_us =
-      static_cast<std::int64_t>(opts.reorder_ms) * 1000;
-  // Sharded consumption takes the batch seam: the merged stream is framed
-  // into RecordBatches (partial batches flush at every poll, so checkpoint
-  // offsets never cover records hiding in a batch) and whole batches move
-  // through the dispatcher rings. Sequential keeps the per-record sink.
-  const auto make_tailer = [&]() -> pipeline::MultiTailer {
-    if (opts.shards > 1) {
-      sharded = std::make_unique<pipeline::ShardedPipeline>(
-          [&opts] { return pair_from(opts.config); }, opts.shards,
-          /*batch_size=*/1024, /*max_backlog=*/16 * 1024, opts.dispatchers);
-      return pipeline::MultiTailer(
-          opts.inputs,
-          pipeline::MultiTailer::BatchSink(
-              [&](pipeline::RecordBatch&& batch) {
-                for (auto& record : batch)
-                  record.ua_token = ua_tokens.intern(record.user_agent);
-                sharded->process_batch(std::move(batch));
-              }),
-          /*batch_records=*/1024, tail_config, &sharded->batch_pool());
-    }
-    pool = pair_from(opts.config);
-    engine = std::make_unique<pipeline::ReplayEngine>(pool);
-    return pipeline::MultiTailer(
-        opts.inputs,
-        [&](httplog::LogRecord&& record) {
-          engine->process_record(std::move(record));
-        },
-        tail_config);
-  };
-  pipeline::MultiTailer tailer = make_tailer();
+  pipeline::TailSessionConfig config;
+  config.paths = opts.inputs;
+  config.checkpoint_dir = opts.checkpoint_dir;
+  config.factory = [&opts] { return pair_from(opts.config); };
+  config.shards = opts.shards;
+  config.dispatchers = opts.dispatchers;
+  config.reorder_window_us = static_cast<std::int64_t>(opts.reorder_ms) * 1000;
+  pipeline::TailSession session(std::move(config));
 
-  // The session file carries the detection-state blob plus the per-log
-  // offsets it covers; the per-log .cp.json files stay operator-visible and
-  // cold-compatible. Blob layout: one mode byte (0 = sequential engine,
-  // 1 = sharded: dispatch interner + per-shard joiners) then that mode's
-  // component states — a sharded snapshot can never be misread by a
-  // sequential resume or vice versa.
-  const std::string session_path =
-      opts.checkpoint_dir.empty()
-          ? std::string()
-          : opts.checkpoint_dir + "/tail_session.state.json";
-  const auto restore_session_state = [&](const std::string& blob) {
-    util::StateReader r(blob);
-    const std::uint8_t mode = r.u8();
-    if (!r.ok() || mode != (sharded ? 1 : 0)) return false;
-    if (sharded) {
-      if (!ua_tokens.load_state(r) || !sharded->load_state(r)) return false;
-    } else if (!engine->load_state(r)) {
-      return false;
-    }
-    return r.at_end();
-  };
-
-  bool warm = false;
-  if (!opts.checkpoint_dir.empty()) {
-    if (const auto session = pipeline::TailSessionState::load(session_path)) {
-      const auto embedded = [&](const std::string& path) {
-        for (const auto& [p, cp] : session->logs)
-          if (p == path) return &cp;
-        return static_cast<const pipeline::Checkpoint*>(nullptr);
-      };
-      bool paths_match = session->logs.size() == tailer.files();
-      for (std::size_t i = 0; paths_match && i < tailer.files(); ++i) {
-        paths_match = embedded(tailer.path(i)) != nullptr;
-      }
-      if (paths_match && !session->state.empty()) {
-        // Resume ingest from the offsets embedded alongside the blob (NOT
-        // the per-log files, which may describe a newer cut): state and
-        // offsets must name the same point in every stream. Only if every
-        // offset is honored is the warm restore attempted — a replaced
-        // file restarts at 0 and would replay records the blob already
-        // counted.
-        bool all_honored = true;
-        for (std::size_t i = 0; i < tailer.files(); ++i) {
-          all_honored &= tailer.resume(i, *embedded(tailer.path(i)));
-        }
-        warm = all_honored && restore_session_state(session->state);
-        if (warm) {
-          for (std::size_t i = 0; i < tailer.files(); ++i) {
-            const auto* cp = embedded(tailer.path(i));
-            std::fprintf(
-                stderr,
-                "resumed %s from %s: offset %llu honored (%llu records "
-                "already ingested; detector state restored warm)\n",
-                tailer.path(i).c_str(), session_path.c_str(),
-                static_cast<unsigned long long>(cp->offset),
-                static_cast<unsigned long long>(cp->parsed));
-          }
-        } else {
-          std::fprintf(stderr,
-                       "warning: cannot restore detector state from %s "
-                       "(replaced log, mode change, or stale blob); "
-                       "detection restarts cold\n",
-                       session_path.c_str());
-        }
-      } else if (!paths_match) {
-        std::fprintf(stderr,
-                     "warning: %s describes a different log set; detection "
-                     "restarts cold\n",
-                     session_path.c_str());
-      }
-    }
-    if (!warm) {
-      for (std::size_t i = 0; i < tailer.files(); ++i) {
-        const auto cp_path =
-            checkpoint_file_for(opts.checkpoint_dir, tailer.path(i));
-        if (const auto cp = pipeline::Checkpoint::load(cp_path)) {
-          const bool honored = tailer.resume(i, *cp);
-          std::fprintf(stderr,
-                       "resumed %s from %s: offset %llu %s (%llu records "
-                       "already ingested; detector state restarts cold)\n",
-                       tailer.path(i).c_str(), cp_path.c_str(),
-                       static_cast<unsigned long long>(cp->offset),
-                       honored ? "honored" : "discarded (file replaced)",
-                       static_cast<unsigned long long>(cp->parsed));
-        }
-      }
-    }
+  const auto resumed = session.resume();
+  using Outcome = pipeline::TailResume::Outcome;
+  if (resumed.outcome == Outcome::kStateRejected) {
+    std::fprintf(stderr,
+                 "warning: cannot restore detector state from %s "
+                 "(replaced log, mode change, or stale blob); "
+                 "detection restarts cold\n",
+                 resumed.session_path.c_str());
+  } else if (resumed.outcome == Outcome::kOtherLogSet) {
+    std::fprintf(stderr,
+                 "warning: %s describes a different log set; detection "
+                 "restarts cold\n",
+                 resumed.session_path.c_str());
+  }
+  for (std::size_t i = 0; i < resumed.logs.size(); ++i) {
+    const auto& log = resumed.logs[i];
+    if (log.from.empty()) continue;
+    std::fprintf(stderr,
+                 "resumed %s from %s: offset %llu %s (%llu records already "
+                 "ingested; detector state %s)\n",
+                 opts.inputs[i].c_str(), log.from.c_str(),
+                 static_cast<unsigned long long>(log.offset),
+                 log.honored ? "honored" : "discarded (file replaced)",
+                 static_cast<unsigned long long>(log.parsed),
+                 resumed.warm() ? "restored warm" : "restarts cold");
   }
   if (opts.follow) std::signal(SIGINT, tail_sigint);
   if (!opts.results_path.empty() && opts.shards > 1) {
@@ -772,66 +659,22 @@ int cmd_tail_multi(const CliOptions& opts) {
                  "(per-shard results merge only on finish)\n");
   }
 
-  const auto persist = [&]() {
-    // Checkpoint offsets cover decoded records, so every one of them must
-    // be truly processed first: flush the reorder heap into the sink, and
-    // in sharded mode also drain the shard queues (a crash between the
-    // checkpoint save and the workers would otherwise lose queued records
-    // that resume then skips).
-    (void)tailer.flush();
-    if (sharded) sharded->drain();
-    if (!opts.checkpoint_dir.empty()) {
-      for (std::size_t i = 0; i < tailer.files(); ++i) {
-        const auto cp_path =
-            checkpoint_file_for(opts.checkpoint_dir, tailer.path(i));
-        if (!tailer.checkpoint(i).save(cp_path)) {
-          std::fprintf(stderr, "cannot save checkpoint %s\n",
-                       cp_path.c_str());
-        }
-      }
-      // Session file last (see TailSessionState): a crash after the per-log
-      // saves but before this leaves an older-but-consistent warm snapshot.
-      util::StateWriter w;
-      w.u8(sharded ? 1 : 0);
-      bool have_state;
-      if (sharded) {
-        ua_tokens.save_state(w);
-        have_state = sharded->save_state(w);
-      } else {
-        have_state = engine->save_state(w);
-      }
-      if (have_state) {
-        pipeline::TailSessionState session;
-        for (std::size_t i = 0; i < tailer.files(); ++i) {
-          session.logs.emplace_back(tailer.path(i), tailer.checkpoint(i));
-        }
-        session.state = w.take();
-        if (!session.save(session_path)) {
-          std::fprintf(stderr, "cannot save session state %s\n",
-                       session_path.c_str());
-        }
-      }
-    }
-    if (engine && !opts.results_path.empty() &&
-        !flush_results(engine->results(), opts.results_path)) {
-      std::fprintf(stderr, "cannot write results %s\n",
-                   opts.results_path.c_str());
-    }
-  };
-
   // Nothing to write => no periodic persist: the flush would force
   // heap-buffered records past the watermark and the sharded drain would
   // stall the dispatcher, all for no durable artifact.
   const bool persist_output =
       !opts.checkpoint_dir.empty() || !opts.results_path.empty();
+  const pipeline::MultiTailer& tailer = session.tailer();
   std::uint64_t last_flush_parsed = 0;
   int idle_polls = 0;
   for (;;) {
-    const std::size_t consumed = tailer.poll();
+    const std::size_t consumed = session.poll();
     if (persist_output &&
         tailer.stats().parsed - last_flush_parsed >= opts.flush_every) {
       last_flush_parsed = tailer.stats().parsed;
-      persist();
+      session.persist();
+      if (const auto* live = session.live_results())
+        flush_results(*live, opts.results_path);
     }
     if (!opts.follow) break;  // one drain: batch-catch-up semantics
     if (g_tail_interrupted) break;
@@ -842,14 +685,14 @@ int cmd_tail_multi(const CliOptions& opts) {
       // until SIGINT. A laggard waking up afterwards emits late (counted)
       // rather than being dropped.
       if (++idle_polls >= 2 && tailer.buffered_records() > 0) {
-        (void)tailer.flush();
+        (void)session.flush();
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(opts.poll_ms));
     } else {
       idle_polls = 0;
     }
   }
-  persist();
+  session.persist();
 
   const auto stats = tailer.stats();
   std::printf(
@@ -865,17 +708,9 @@ int cmd_tail_multi(const CliOptions& opts) {
       static_cast<unsigned long long>(tailer.read_errors()),
       static_cast<unsigned long long>(tailer.late_records()),
       static_cast<unsigned long long>(tailer.forced_emits()));
-  if (engine) {
-    print_detector_summary(engine->results());
-  } else {
-    const auto results = sharded->finish();
-    if (!opts.results_path.empty() &&
-        !flush_results(results, opts.results_path)) {
-      std::fprintf(stderr, "cannot write results %s\n",
-                   opts.results_path.c_str());
-    }
-    print_detector_summary(results);
-  }
+  const auto results = session.finish();
+  flush_results(results, opts.results_path);
+  print_detector_summary(results);
   return 0;
 }
 
@@ -937,11 +772,7 @@ int cmd_tail(const CliOptions& opts) {
                      opts.checkpoint_path.c_str());
       }
     }
-    if (!opts.results_path.empty() &&
-        !flush_results(engine.results(), opts.results_path)) {
-      std::fprintf(stderr, "cannot write results %s\n",
-                   opts.results_path.c_str());
-    }
+    flush_results(engine.results(), opts.results_path);
   };
 
   std::uint64_t last_flush_parsed = 0;
