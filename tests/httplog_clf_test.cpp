@@ -63,9 +63,14 @@ TEST(Clf, TrailingNewlineTolerated) {
 }
 
 struct ErrorCase {
+  const char* name;
   const char* line;
   ClfError error;
 };
+
+// Names each case by its label so the test name is stable across runs
+// (the default printer would dump the struct's bytes, pointer included).
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
 
 class ClfErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
@@ -78,29 +83,37 @@ TEST_P(ClfErrorTest, Categorized) {
 INSTANTIATE_TEST_SUITE_P(
     Categories, ClfErrorTest,
     ::testing::Values(
-        ErrorCase{"", ClfError::kEmptyLine},
-        ErrorCase{"999.1.1.1 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
+        ErrorCase{"empty_line", "", ClfError::kEmptyLine},
+        ErrorCase{"ip_out_of_range",
+                  "999.1.1.1 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
                   "HTTP/1.1\" 200 1 \"-\" \"-\"",
                   ClfError::kBadIp},
-        ErrorCase{"1.2.3.4 - - 11/Mar/2018:00:00:00 \"GET / HTTP/1.1\" 200 "
+        ErrorCase{"timestamp_unbracketed",
+                  "1.2.3.4 - - 11/Mar/2018:00:00:00 \"GET / HTTP/1.1\" 200 "
                   "1 \"-\" \"-\"",
                   ClfError::kBadTimestamp},
-        ErrorCase{"1.2.3.4 - - [11/Xxx/2018:00:00:00 +0000] \"GET / "
+        ErrorCase{"timestamp_bad_month",
+                  "1.2.3.4 - - [11/Xxx/2018:00:00:00 +0000] \"GET / "
                   "HTTP/1.1\" 200 1 \"-\" \"-\"",
                   ClfError::kBadTimestamp},
-        ErrorCase{"1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] GET / 200 1 "
+        ErrorCase{"request_unquoted",
+                  "1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] GET / 200 1 "
                   "\"-\" \"-\"",
                   ClfError::kBadRequestLine},
-        ErrorCase{"1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
+        ErrorCase{"status_out_of_range",
+                  "1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
                   "HTTP/1.1\" 999 1 \"-\" \"-\"",
                   ClfError::kBadStatus},
-        ErrorCase{"1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
+        ErrorCase{"status_not_numeric",
+                  "1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
                   "HTTP/1.1\" abc 1 \"-\" \"-\"",
                   ClfError::kBadStatus},
-        ErrorCase{"1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
+        ErrorCase{"bytes_not_numeric",
+                  "1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
                   "HTTP/1.1\" 200 12x \"-\" \"-\"",
                   ClfError::kBadBytes},
-        ErrorCase{"1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
+        ErrorCase{"truncated",
+                  "1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET / "
                   "HTTP/1.1\" 200 1 \"-\"",
                   ClfError::kTruncated}));
 

@@ -90,6 +90,10 @@ struct AssetCase {
   bool asset;
 };
 
+// Names each case by its path so the test name is stable across runs
+// (the default printer would dump the struct's bytes, pointer included).
+void PrintTo(const AssetCase& c, std::ostream* os) { *os << c.path; }
+
 class AssetTest : public ::testing::TestWithParam<AssetCase> {};
 
 TEST_P(AssetTest, Classification) {
