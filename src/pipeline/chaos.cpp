@@ -100,16 +100,18 @@ const char* to_string(FaultKind kind) {
 }
 
 /// Lazily decodes one shadow log into records, one bounded chunk at a
-/// time — the per-file leg of the reference merge. (MultiTailer is the
-/// wrong tool for a batch reference: its poll drains a whole file before
-/// moving to the next, so a multi-file day trips the heap backstop and
-/// force-emits file 0's records before file 1 has even been opened.)
+/// time — the per-file leg of the reference merge. The oracle merges the
+/// shadow logs itself instead of through MultiTailer on purpose: a
+/// reference that shares the merge under test could not catch its bugs.
 class ShadowSource {
  public:
   explicit ShadowSource(const std::string& path)
-      : in_(path, std::ios::binary), decoder_([this](httplog::LogRecord&& r) {
-          queue_.push_back(std::move(r));
-        }) {}
+      : in_(path, std::ios::binary),
+        decoder_(
+            [this](RecordBatch&& batch) {
+              for (auto& record : batch) queue_.push_back(std::move(record));
+            },
+            /*batch_records=*/1024) {}
 
   bool next(httplog::LogRecord& out) {
     while (queue_.empty()) {

@@ -6,9 +6,6 @@
 
 namespace divscrape::pipeline {
 
-LineDecoder::LineDecoder(RecordFn on_record)
-    : on_record_(std::move(on_record)) {}
-
 LineDecoder::LineDecoder(BatchFn on_batch, std::size_t batch_records,
                          BatchPool* pool)
     : on_batch_(std::move(on_batch)),
@@ -26,27 +23,17 @@ void LineDecoder::decode_line(std::string_view line) {
   ++stats_.lines;
   const bool spanned_boundary = partial_spans_boundary_;
   partial_spans_boundary_ = false;
-  if (on_batch_) {
-    // Parse straight into the batch slot: parse() overwrites every field,
-    // and the slot's warm string buffers absorb the copy (arena contract).
-    httplog::LogRecord& slot = batch_.append_slot();
-    if (parser_.parse(line, slot) != httplog::ClfError::kNone) {
-      batch_.rollback_last();
-      ++stats_.skipped;
-      if (spanned_boundary) ++boundary_skips_;
-      return;
-    }
-    ++stats_.parsed;
-    if (batch_.size() >= batch_records_) flush_batch();
-    return;
-  }
-  if (parser_.parse(line, scratch_) != httplog::ClfError::kNone) {
+  // Parse straight into the batch slot: parse() overwrites every field,
+  // and the slot's warm string buffers absorb the copy (arena contract).
+  httplog::LogRecord& slot = batch_.append_slot();
+  if (parser_.parse(line, slot) != httplog::ClfError::kNone) {
+    batch_.rollback_last();
     ++stats_.skipped;
     if (spanned_boundary) ++boundary_skips_;
     return;
   }
   ++stats_.parsed;
-  on_record_(std::move(scratch_));
+  if (batch_.size() >= batch_records_) flush_batch();
 }
 
 std::uint64_t LineDecoder::feed(std::string_view chunk) {
@@ -54,9 +41,9 @@ std::uint64_t LineDecoder::feed(std::string_view chunk) {
   framer_.feed(chunk);
   std::string_view line;
   while (framer_.next(line)) decode_line(line);
-  // Batch-mode invariant: nothing parsed in this call may outlive it
-  // undelivered — a checkpoint between feeds must cover these records.
-  if (on_batch_) flush_batch();
+  // Nothing parsed in this call may outlive it undelivered — a checkpoint
+  // between feeds must cover these records.
+  flush_batch();
   return stats_.parsed - parsed_before;
 }
 
@@ -64,7 +51,7 @@ std::uint64_t LineDecoder::finish_stream() {
   std::string_view line;
   if (!framer_.take_partial(line)) return 0;
   decode_line(line);
-  if (on_batch_) flush_batch();
+  flush_batch();
   return 1;
 }
 

@@ -2,10 +2,11 @@
 // so byte producers (LogTailer) and record consumers (ReplayEngine's
 // detector pool, MultiTailer's time-ordered merge, ShardedPipeline) can be
 // composed freely. One decoder = one byte stream: it owns the LineFramer,
-// the CLF parse, and the lines/parsed/skipped accounting, and hands every
-// successfully parsed record to a caller-supplied callback. It does NOT
-// stamp ua_token, pace, or touch detectors — that is the dispatch stage's
-// job (ReplayEngine::process_record, or a sharded sink's interner).
+// the CLF parse, and the lines/parsed/skipped accounting, and parses every
+// line straight into RecordBatch slots handed to a caller-supplied
+// callback. It does NOT stamp ua_token, pace, or touch detectors — that is
+// the dispatch stage's job (ReplayEngine::process_batch, or a sharded
+// sink's interner).
 //
 // The decoder also owns the one piece of cross-layer bookkeeping a tailer
 // cannot do alone: incarnation-boundary tracking. When a rotation boundary
@@ -37,17 +38,12 @@ struct ReplayStats {
 
 class LineDecoder {
  public:
-  using RecordFn = std::function<void(httplog::LogRecord&&)>;
   using BatchFn = std::function<void(RecordBatch&&)>;
 
-  /// Every successfully parsed record is passed to `on_record` (moved).
-  explicit LineDecoder(RecordFn on_record);
-
-  /// Batch mode: lines are parsed straight into RecordBatch slots (no
-  /// per-record callback, no scratch move) and handed to `on_batch` every
-  /// `batch_records` records. When `pool` is given, fresh batches are
-  /// acquired from it — wire it to the consumer's recycle side so slot
-  /// string storage stays warm.
+  /// Lines are parsed straight into RecordBatch slots and handed to
+  /// `on_batch` every `batch_records` records. When `pool` is given, fresh
+  /// batches are acquired from it — wire it to the consumer's recycle side
+  /// so slot string storage stays warm.
   ///
   /// Checkpoint invariant: the in-progress batch never outlives the call
   /// that filled it — feed() and finish_stream() flush a partial batch
@@ -112,21 +108,15 @@ class LineDecoder {
 
  private:
   void decode_line(std::string_view line);
-  /// Hands the in-progress batch downstream (batch mode only; no-op when
-  /// empty) and starts a fresh one from the pool.
+  /// Hands the in-progress batch downstream (no-op when empty) and starts
+  /// a fresh one from the pool.
   void flush_batch();
 
   httplog::LineFramer framer_;
   httplog::ClfParser parser_;  ///< streaming parser: timestamp memo stays warm
-  /// Parse target handed to on_record_ by rvalue. Consumers that only read
-  /// (ReplayEngine::process_record) leave the strings' capacity behind for
-  /// the next line; consumers that move (sharded/merge sinks) simply pay the
-  /// allocation they always paid.
-  httplog::LogRecord scratch_;
-  RecordFn on_record_;
-  BatchFn on_batch_;             ///< non-null = batch mode
+  BatchFn on_batch_;
   std::size_t batch_records_ = 0;
-  BatchPool* pool_ = nullptr;    ///< optional recycle source for batch mode
+  BatchPool* pool_ = nullptr;    ///< optional recycle source
   RecordBatch batch_;            ///< in-progress batch (empty between feeds)
   ReplayStats stats_;
   bool partial_spans_boundary_ = false;

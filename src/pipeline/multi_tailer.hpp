@@ -4,57 +4,66 @@
 //
 // ## Merge model
 //
-// Each file's records are decoded in file order and buffered in a min-heap
-// keyed by (timestamp, file index, per-file sequence) — a deterministic
-// total order whose tie-break is documented because it IS the contract: a
-// batch replay of the per-file record streams stable-sorted by the same
-// key is byte-identical to what the merge emits (the multi-file
-// fault-equivalence tests assert exactly this).
+// Each log's LineDecoder parses straight into warm RecordBatch slots from
+// a tailer-owned pool, and the batches queue up per log in file order. A
+// linear scan over the k queue heads (k is a handful of logs) picks the
+// smallest (timestamp, file index) key and swaps that record into the out
+// batch. A head is released once it is at or below the watermark: the
+// minimum frontier (newest timestamp decoded so far) over every log that
+// has produced a record. When each log is time-ordered, as real access
+// logs are, the output equals a batch replay of the per-log streams
+// stable-sorted by (timestamp, file) — byte for byte, as the multi-file
+// equivalence tests assert.
 //
-// Emission uses a watermark: a buffered record is released once every file
-// that has ever produced a record has progressed past it (per-file streams
-// are time-ordered, the property real access logs have — each file's
-// frontier is the key of its newest decoded record, and anything at or
-// below the minimum frontier can no longer be preceded by unseen data).
-// Two escape hatches keep one quiet file from stalling the world:
+// ## Frontier-driven reads
 //
-//   * a file that has produced nothing yet does not hold the watermark
-//     back (its eventual first record may emit late — counted);
-//   * the bounded reorder window: when the heap's oldest record is more
-//     than `reorder_window_us` behind the newest frontier, it is emitted
-//     anyway (forced_emits() counts these; any record subsequently
-//     arriving below the emission front is emitted immediately and
-//     counted by late_records()).
+// poll() reads one chunk (TailConfig::chunk_bytes) at a time: first from
+// any log without a frontier, then always from the log with the lowest
+// frontier that is not yet at EOF, releasing what the watermark allows
+// after every chunk, until every log is at EOF. A catch-up over a backlog
+// is therefore an exact merge, and each log buffers about one chunk —
+// except behind a log whose backlog ends early, which holds the others'
+// later records until it goes quiet (or the cap below).
 //
-// Both hatches are keyed to *simulated* time carried by new records, so
-// when every log goes quiet the heap's tail sits still; callers own the
-// wall-clock idle policy — call flush() once poll() has returned 0 for a
-// while (the CLI flushes after two empty polls).
+// ## Forcing and late records
 //
-// The sink is a plain callable: `ReplayEngine::process_record` for
-// sequential consumption, or a lambda that stamps and forwards into a
-// ShardedPipeline for multi-core consumption (records sharing detector
-// state — same /24 — always land in one shard, so sharded results merge
-// bit-identically; see sharded.hpp).
+// A log is quiet in a poll that found no new bytes in it. A head held back
+// only by quiet logs is forced out once it trails the newest frontier by
+// more than `reorder_window_us` (forced_emits()); a log with unread bytes
+// is read instead, and one that had new bytes in this poll is not
+// overtaken before the next. `max_buffered_records` is the memory
+// backstop (a quiet log with the window off): before a decoded batch would
+// pass the cap, the oldest heads are emitted, counted as forced when the
+// watermark had not released them. A record that arrives below the
+// emission front is emitted in merge order and counted by late_records().
+// A log that has produced nothing yet does not hold the watermark.
+//
+// Disorder within one log is tolerated, not repaired: a record whose
+// timestamp goes backwards keeps its file position, the frontier never
+// moves back, and the record counts as late if it leaves below the front.
+//
+// The watermark and the window move only with new records' simulated
+// time, so callers own the wall-clock idle policy: call flush() once poll()
+// has returned 0 for a while (the CLI flushes after two empty polls).
 //
 // ## Checkpoints
 //
-// checkpoint(i) delegates to file i's tailer; offsets only cover records
-// already *decoded*, so records still buffered in the reorder heap are
-// covered too (they were decoded). Persist checkpoints only at a
-// quiescent point — after flush() — so a crash cannot lose heap-buffered
-// records that the offsets already committed: TailSession::persist flushes
-// the heap before every checkpoint save for exactly this reason.
+// checkpoint(i) delegates to file i's tailer; offsets cover every record
+// already *decoded*, including those still queued. Persist only after
+// flush() — the quiescent point, where no record is held in the tailer —
+// so a crash cannot lose queued records the offsets already committed
+// (TailSession::persist flushes first for exactly this reason).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "httplog/record.hpp"
 #include "httplog/timestamp.hpp"
 #include "pipeline/checkpoint.hpp"
 #include "pipeline/decoder.hpp"
@@ -65,42 +74,28 @@ namespace divscrape::pipeline {
 
 struct MultiTailConfig {
   TailConfig tail;  ///< per-file tailer knobs (chunk sizes, read seam)
-  /// Bounded reorder window (simulated time): the heap's oldest record is
-  /// force-emitted once it trails the newest file frontier by more than
-  /// this. <= 0 disables forcing (exact merge, unbounded time skew).
+  /// Bounded reorder window (simulated time): a head held back only by
+  /// quiet logs is force-emitted once it trails the newest frontier by
+  /// more than this. <= 0 disables forcing (exact merge, unbounded
+  /// time skew).
   std::int64_t reorder_window_us = 2 * httplog::kMicrosPerSecond;
-  /// Memory backstop: once this many records are buffered, the heap is
-  /// drained down during decoding (watermark-released records first, then
-  /// forced ones, counted in forced_emits). Keeps the initial catch-up
-  /// over a large pre-existing backlog from materializing every record at
-  /// once; in steady-state tailing the heap never gets near it. 0
-  /// disables the cap.
+  /// Memory backstop: records buffered across all logs never exceed this
+  /// (see the class comment). Frontier-driven reads keep a catch-up far
+  /// below it; 0 disables the cap.
   std::size_t max_buffered_records = 64 * 1024;
 };
 
 class MultiTailer {
  public:
   using Config = MultiTailConfig;
-  /// Receives the merged, time-ordered record stream.
-  using RecordSink = std::function<void(httplog::LogRecord&&)>;
-  /// Receives the merged stream framed into RecordBatches (batch mode).
+  /// Receives the merged stream framed into RecordBatches.
   using BatchSink = std::function<void(RecordBatch&&)>;
 
-  /// One tailer per path; paths need not exist yet. The sink must outlive
-  /// the MultiTailer.
-  MultiTailer(std::vector<std::string> paths, RecordSink sink,
-              Config config = Config());
-
-  /// Batch-sink mode: merged records are copy-assigned into warm batch
-  /// slots and handed downstream `batch_records` at a time — the framing
-  /// a ShardedPipeline::process_batch consumer wants. Wire `pool` to the
-  /// consumer's recycle side (e.g. &pipeline.batch_pool()) to close the
-  /// arena loop. The emission *order* is identical to record-sink mode;
-  /// only the handoff granularity changes.
-  ///
-  /// Checkpoint invariant: poll() and flush() hand off a partial batch
-  /// before returning, so the batch never buffers records across calls —
-  /// flush() remains the complete quiescent point for checkpointing.
+  /// One tailer per path; paths need not exist yet. Merged records are
+  /// handed downstream `batch_records` at a time, in warm batch slots.
+  /// Wire `pool` to the consumer's recycle side (e.g.
+  /// &pipeline.batch_pool()) to close the arena loop. The sink must
+  /// outlive the MultiTailer.
   MultiTailer(std::vector<std::string> paths, BatchSink sink,
               std::size_t batch_records, Config config = Config(),
               BatchPool* pool = nullptr);
@@ -108,13 +103,13 @@ class MultiTailer {
   MultiTailer(const MultiTailer&) = delete;
   MultiTailer& operator=(const MultiTailer&) = delete;
 
-  /// Polls every file once (draining all available bytes, following
-  /// rotations/truncations per LogTailer), then emits every merged record
-  /// the watermark or reorder window releases. Returns bytes consumed
-  /// across all files (0 = fully caught up).
+  /// Reads every log to EOF in frontier order (following rotations and
+  /// truncations per LogTailer), emitting every merged record the
+  /// watermark or reorder window releases along the way. Returns bytes
+  /// consumed across all files (0 = fully caught up).
   std::size_t poll();
 
-  /// Emits everything still buffered, in merge-key order — the quiescent
+  /// Emits everything still buffered, in merge order — the quiescent
   /// point for checkpointing and the end-of-run drain. Returns the number
   /// of records emitted.
   std::uint64_t flush();
@@ -133,7 +128,7 @@ class MultiTailer {
   /// Aggregate decode accounting across all files (wall_seconds unused).
   [[nodiscard]] ReplayStats stats() const;
   [[nodiscard]] std::size_t buffered_records() const noexcept {
-    return heap_.size();
+    return buffered_;
   }
   [[nodiscard]] std::uint64_t late_records() const noexcept {
     return late_records_;
@@ -141,67 +136,83 @@ class MultiTailer {
   [[nodiscard]] std::uint64_t forced_emits() const noexcept {
     return forced_emits_;
   }
-  [[nodiscard]] std::uint64_t rotations() const noexcept;
-  [[nodiscard]] std::uint64_t truncations() const noexcept;
-  [[nodiscard]] std::uint64_t lost_incarnations() const noexcept;
-  [[nodiscard]] std::uint64_t read_errors() const noexcept;
+  [[nodiscard]] std::uint64_t rotations() const noexcept {
+    return sum(&LogTailer::rotations);
+  }
+  [[nodiscard]] std::uint64_t truncations() const noexcept {
+    return sum(&LogTailer::truncations);
+  }
+  [[nodiscard]] std::uint64_t lost_incarnations() const noexcept {
+    return sum(&LogTailer::lost_incarnations);
+  }
+  [[nodiscard]] std::uint64_t read_errors() const noexcept {
+    return sum(&LogTailer::read_errors);
+  }
 
  private:
-  /// Deterministic merge key; per-file streams are monotone in it.
-  struct MergeKey {
-    std::int64_t time_us = std::numeric_limits<std::int64_t>::min();
-    std::uint32_t file = 0;
-    std::uint64_t seq = 0;
-
-    friend bool operator<(const MergeKey& a, const MergeKey& b) noexcept {
-      if (a.time_us != b.time_us) return a.time_us < b.time_us;
-      if (a.file != b.file) return a.file < b.file;
-      return a.seq < b.seq;
-    }
-    friend bool operator<=(const MergeKey& a, const MergeKey& b) noexcept {
-      return !(b < a);
-    }
-  };
-
-  struct Pending {
-    MergeKey key;
-    httplog::LogRecord record;
-  };
-  /// std::push_heap builds a max-heap; invert for a min-heap on MergeKey.
-  struct PendingAfter {
-    bool operator()(const Pending& a, const Pending& b) const noexcept {
-      return b.key < a.key;
-    }
-  };
+  /// Records per queued decode batch (the merge's unit of buffering).
+  static constexpr std::size_t kQueueBatchRecords = 1024;
+  /// Deterministic merge key (timestamp, file index); ties within one log
+  /// keep file order.
+  using MergeKey = std::pair<std::int64_t, std::uint32_t>;
 
   struct Input {
-    Input(MultiTailer* owner, std::uint32_t index, std::string file_path,
-          const TailConfig& tail_config);
+    Input(MultiTailer* owner, std::uint32_t file, std::string file_path,
+          std::size_t batch_records);
     LineDecoder decoder;
     LogTailer tailer;
-    std::uint64_t seq = 0;       ///< per-file arrival counter
-    MergeKey frontier;           ///< key of the newest decoded record
-    bool has_frontier = false;
+    std::uint32_t index;
+    std::deque<RecordBatch> queue;  ///< decoded, not yet emitted, in order
+    std::size_t head = 0;           ///< next record within queue.front()
+    /// Newest timestamp decoded (a running max); min() until the first.
+    std::int64_t frontier_us = std::numeric_limits<std::int64_t>::min();
+    bool at_eof = true;             ///< read to EOF in the current poll
+    bool fresh = false;             ///< had new bytes in the current poll
+    [[nodiscard]] bool has_frontier() const noexcept {
+      return frontier_us != std::numeric_limits<std::int64_t>::min();
+    }
   };
 
-  void enqueue(std::uint32_t file, httplog::LogRecord&& record);
+  /// A per-log tailer counter, summed over the logs.
+  template <typename Counter>
+  [[nodiscard]] std::uint64_t sum(Counter counter) const noexcept {
+    std::uint64_t total = 0;
+    for (const auto& input : inputs_) total += (input->tailer.*counter)();
+    return total;
+  }
+  /// Decoder callback: queues a parsed batch behind file `file`'s records.
+  void enqueue(std::uint32_t file, RecordBatch&& batch);
+  /// Lowest key unread data could still carry: the minimum frontier over
+  /// the logs (with `active_only`, over those not quiet: unread bytes left,
+  /// or new bytes in this poll). A log with no record yet pins it at the
+  /// bottom until it reaches EOF.
+  [[nodiscard]] MergeKey watermark(bool active_only) const;
+  /// The input whose queue head has the smallest key; nullptr when all
+  /// queues are empty.
+  [[nodiscard]] Input* min_head() noexcept;
+  /// No-frontier logs first, then the lowest frontier; nullptr once every
+  /// log is at EOF.
+  [[nodiscard]] Input* next_to_read() noexcept;
+  [[nodiscard]] static MergeKey head_key(const Input& input) noexcept;
+  /// Emits what the watermark releases, then what the window may force.
   void emit_ready();
-  void emit_top();
-  /// Hands the partial out-batch downstream (batch mode; no-op when empty).
+  /// Moves `input`'s head record into the out batch.
+  void emit_head(Input& input);
+  /// Hands the partial out-batch downstream (no-op when empty).
   void flush_out_batch();
 
   Config config_;
-  RecordSink sink_;
-  BatchSink batch_sink_;            ///< non-null = batch mode
-  std::size_t batch_records_ = 0;
-  BatchPool* batch_pool_ = nullptr;
+  BatchSink batch_sink_;
+  std::size_t batch_records_;
+  BatchPool* batch_pool_;
   RecordBatch out_batch_;  ///< in-progress batch (empty between calls)
+  BatchPool queue_pool_;   ///< recycles the per-log queue batches
   std::vector<std::unique_ptr<Input>> inputs_;
-  std::vector<Pending> heap_;
+  std::size_t buffered_ = 0;
+  std::int64_t newest_us_ = std::numeric_limits<std::int64_t>::min();
   std::uint64_t late_records_ = 0;
   std::uint64_t forced_emits_ = 0;
   std::int64_t last_emitted_us_ = std::numeric_limits<std::int64_t>::min();
-  bool emitted_any_ = false;
 };
 
 }  // namespace divscrape::pipeline

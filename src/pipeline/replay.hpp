@@ -13,12 +13,12 @@
 //     newline arrives. finish_stream() is the explicit end-of-stream
 //     declaration that flushes the partial — tail mode never calls it
 //     while the file may still grow.
-//   * process_record(record): the record-level seam for producers that
-//     parsed elsewhere (the multi-file merge layer decodes each log with
-//     its own LineDecoder and emits one time-ordered record stream). The
-//     engine stamps, paces and dispatches exactly as it does for records
-//     it parsed itself, so "N decoders + merge + engine" equals "one
-//     engine fed the merged bytes".
+//   * process_batch(batch) / process_record(record): the seams for
+//     producers that parsed elsewhere (the multi-file merge layer decodes
+//     each log with its own LineDecoder and emits one time-ordered batch
+//     stream). The engine stamps, paces and dispatches exactly as it does
+//     for records it parsed itself, so "N decoders + merge + engine"
+//     equals "one engine fed the merged bytes".
 //
 // The byte-level framing/parsing lives in LineDecoder (decoder.hpp); the
 // engine owns the dispatch stage: UA-token stamping, pacing, and the
@@ -77,9 +77,8 @@ class ReplayEngine {
 
   /// Record-level ingest: stamps the UA token, paces, and dispatches one
   /// already-parsed record to the pool. feed() is equivalent to parse +
-  /// process_record per line; external parsers (MultiTailer) call this
-  /// directly. Records processed here do NOT appear in stats() — parse
-  /// accounting belongs to whichever decoder parsed them.
+  /// process_record per line. Records processed here do NOT appear in
+  /// stats() — parse accounting belongs to whichever decoder parsed them.
   void process_record(httplog::LogRecord&& record);
 
   /// Batch-level ingest: stamps, paces and dispatches every record of the

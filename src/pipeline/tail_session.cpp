@@ -147,7 +147,7 @@ std::uint64_t TailSession::flush() { return ingest_->tailer->flush(); }
 
 void TailSession::persist() {
   // Offsets cover every decoded record, so each must be truly processed
-  // first: flush the reorder heap into the sink and drain the shard rings
+  // first: flush the merge queues into the sink and drain the shard rings
   // (a crash would otherwise lose queued records the resume then skips).
   MultiTailer& tailer = *ingest_->tailer;
   (void)tailer.flush();

@@ -82,9 +82,9 @@ class TailSession {
   TailResume resume();
 
   std::size_t poll();      ///< bytes consumed (0 = caught up)
-  std::uint64_t flush();   ///< emits the reorder heap (idle escape hatch)
+  std::uint64_t flush();   ///< emits the merge queues (idle escape hatch)
 
-  /// Quiescent cut: flush the heap and drain the shards, then write the
+  /// Quiescent cut: flush the merge and drain the shards, then write the
   /// checkpoint files. Save failures go to stderr; the tail keeps going.
   void persist();
 

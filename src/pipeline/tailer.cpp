@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <string_view>
 
@@ -109,26 +110,27 @@ bool LogTailer::resume(const Checkpoint& cp) {
   return true;
 }
 
-std::size_t LogTailer::drain_fd() {
-  std::size_t total = 0;
+bool LogTailer::drain_fd(std::size_t budget, std::size_t& total) {
   if (buffer_.size() < config_.chunk_bytes) buffer_.resize(config_.chunk_bytes);
   const auto read_fn = config_.read_fn ? config_.read_fn : +[](
       int fd, void* buf, std::size_t count) {
     return ::read(fd, buf, count);
   };
   for (;;) {
-    const ssize_t n = read_fn(fd_, buffer_.data(), buffer_.size());
+    if (total >= budget) return false;
+    const std::size_t want = std::min(buffer_.size(), budget - total);
+    const ssize_t n = read_fn(fd_, buffer_.data(), want);
     if (n < 0) {
       if (errno == EINTR) continue;  // interrupted, not EOF: just retry
       // Real error: stop this drain and surface it; the file offset is
       // unchanged, so the next poll retries from the same position.
       last_errno_ = errno;
       ++read_errors_;
-      break;
+      return true;
     }
     if (n == 0) {
       last_errno_ = 0;
-      break;
+      return true;
     }
     sink_->feed(
         std::string_view(buffer_.data(), static_cast<std::size_t>(n)));
@@ -141,10 +143,9 @@ std::size_t LogTailer::drain_fd() {
       buffer_.resize(std::min(buffer_.size() * 2, config_.max_chunk_bytes));
     }
   }
-  return total;
 }
 
-std::size_t LogTailer::poll() {
+std::size_t LogTailer::poll(std::size_t budget) {
   std::size_t total = 0;
   for (;;) {
     if (fd_ < 0 && !open_current()) return total;  // not created yet
@@ -169,7 +170,7 @@ std::size_t LogTailer::poll() {
       }
     }
 
-    total += drain_fd();
+    if (!drain_fd(budget, total)) return total;
 
     // Rotation: the path now names a different inode (rename + recreate).
     // Drain the renamed-away descriptor once more before switching — a
@@ -180,7 +181,7 @@ std::size_t LogTailer::poll() {
     struct stat path_st {};
     if (::stat(path_.c_str(), &path_st) != 0) return total;  // renamed away
     if (static_cast<std::uint64_t>(path_st.st_ino) == inode_) return total;
-    total += drain_fd();
+    if (!drain_fd(budget, total)) return total;
     if (sink_->partial_bytes() > 0) sink_->mark_incarnation_boundary();
     if (!open_current()) return total;
     ++rotations_;

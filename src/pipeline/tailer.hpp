@@ -38,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -86,7 +87,11 @@ class LogTailer {
   /// Drains all bytes currently available, following rotations and
   /// truncations as described above. Returns the number of bytes consumed
   /// (0 = caught up / file absent / read error — check last_errno()).
-  std::size_t poll();
+  /// With a `budget`, stops after that many bytes (a return below it means
+  /// EOF or a read error); rotation is followed only from EOF, so the next
+  /// poll resumes exactly where this one stopped.
+  std::size_t poll(
+      std::size_t budget = std::numeric_limits<std::size_t>::max());
 
   /// Committed position + cumulative accounting, safe to persist. The
   /// offset excludes any buffered partial line (those bytes are re-read on
@@ -118,7 +123,9 @@ class LogTailer {
 
  private:
   bool open_current();      ///< (re)opens path_, captures its inode
-  std::size_t drain_fd();   ///< reads the open descriptor to EOF
+  /// Reads the open descriptor to EOF, adding to `total`; false when the
+  /// budget ran out first.
+  bool drain_fd(std::size_t budget, std::size_t& total);
   /// Verifies the stored first-bytes signature against the file (false =
   /// content below the consumed offset was replaced) and extends it while
   /// the file is still shorter than the full signature window.

@@ -12,8 +12,10 @@
 // ShardedPipeline at 1 and 2 shards.
 //
 // Plus: record-exact merge order under interleaved writes, the bounded
-// reorder window (forced emits + late-record accounting), and per-log
-// checkpoint/resume with exactly-once delivery across a kill.
+// reorder window (forced emits + late-record accounting), per-log
+// checkpoint/resume with exactly-once delivery across a kill, a restart
+// over a large multi-log backlog as an exact merge, forcing on behalf of
+// a quiet log, and a timestamp going backwards within one log.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "capture_detector.hpp"
@@ -43,6 +46,26 @@ using namespace divscrape;
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "divscrape_mt_" + name;
+}
+
+/// Out-batch size for every tailer here: emission order does not depend
+/// on it, only the handoff granularity does.
+constexpr std::size_t kBatch = 64;
+
+/// The merged stream into a sequential engine's batch seam.
+pipeline::MultiTailer::BatchSink engine_sink(pipeline::ReplayEngine& engine) {
+  return [&engine](pipeline::RecordBatch&& batch) {
+    engine.process_batch(batch);
+  };
+}
+
+/// The merged stream formatted back to wire lines, one per record.
+pipeline::MultiTailer::BatchSink capture_sink(
+    std::vector<std::string>& captured) {
+  return [&captured](pipeline::RecordBatch&& batch) {
+    for (const auto& record : batch)
+      captured.push_back(httplog::format_clf(record));
+  };
 }
 
 /// The merge keys on the *parsed* timestamp, and CLF wire time has second
@@ -206,12 +229,8 @@ TEST(MultiTail, FaultedThreeFileTailMatchesSortedBatchReplay) {
   MultiLogFixture logs("seq");
   const auto pool = detectors::make_paper_pair();
   pipeline::ReplayEngine engine(pool);
-  pipeline::MultiTailer tailer(
-      logs.paths,
-      [&engine](httplog::LogRecord&& record) {
-        engine.process_record(std::move(record));
-      },
-      exact_merge_config());
+  pipeline::MultiTailer tailer(logs.paths, engine_sink(engine), kBatch,
+                               exact_merge_config());
 
   const auto drive = drive_faulted_multi(tailer, logs.writer_ptrs(), 0.02);
   // The acceptance criterion: byte-identical JointResults vs a one-shot
@@ -228,11 +247,12 @@ TEST(MultiTail, ShardedTailMatchesSortedBatchReplayAtOneAndTwoShards) {
     util::StringInterner ua_tokens;  // single dispatch-side token space
     pipeline::MultiTailer tailer(
         logs.paths,
-        [&](httplog::LogRecord&& record) {
-          record.ua_token = ua_tokens.intern(record.user_agent);
-          pipeline.process(std::move(record));
+        [&](pipeline::RecordBatch&& batch) {
+          for (auto& record : batch)
+            record.ua_token = ua_tokens.intern(record.user_agent);
+          pipeline.process_batch(std::move(batch));
         },
-        exact_merge_config());
+        kBatch, exact_merge_config(), &pipeline.batch_pool());
 
     const auto drive = drive_faulted_multi(tailer, logs.writer_ptrs(), 0.02);
     EXPECT_EQ(pipeline.dispatched(), drive.records);
@@ -263,12 +283,8 @@ TEST(MultiTail, MergeEmitsExactlyTheSortedOrderUnderInterleavedWrites) {
   MultiLogFixture logs("order");
 
   std::vector<std::string> captured;
-  pipeline::MultiTailer tailer(
-      logs.paths,
-      [&captured](httplog::LogRecord&& record) {
-        captured.push_back(httplog::format_clf(record));
-      },
-      exact_merge_config());
+  pipeline::MultiTailer tailer(logs.paths, capture_sink(captured), kBatch,
+                               exact_merge_config());
 
   stats::Rng rng(7);
   std::vector<RefEntry> entries;
@@ -314,10 +330,11 @@ TEST(MultiTail, ReorderWindowForcesLaggardAndCountsLateRecords) {
   config.reorder_window_us = 1 * httplog::kMicrosPerSecond;
   pipeline::MultiTailer tailer(
       logs.paths,
-      [&emitted_times](httplog::LogRecord&& record) {
-        emitted_times.push_back(record.time.micros());
+      [&emitted_times](pipeline::RecordBatch&& batch) {
+        for (const auto& record : batch)
+          emitted_times.push_back(record.time.micros());
       },
-      config);
+      kBatch, config);
 
   const auto write_at = [&](traffic::StreamWriter& w, std::size_t i,
                             int seconds) {
@@ -371,13 +388,10 @@ TEST(MultiTail, PerLogCheckpointsResumeExactlyOnceAcrossKill) {
   std::vector<RefEntry> phase1, phase2;
   std::vector<std::uint64_t> seq(3, 0);
   std::vector<std::string> captured;
-  const auto capture_sink = [&captured](httplog::LogRecord&& record) {
-    captured.push_back(httplog::format_clf(record));
-  };
 
   std::vector<pipeline::Checkpoint> saved;
   {
-    pipeline::MultiTailer tailer(logs.paths, capture_sink,
+    pipeline::MultiTailer tailer(logs.paths, capture_sink(captured), kBatch,
                                  exact_merge_config());
     for (std::size_t i = 0; i < 45; ++i) {
       const auto file = static_cast<std::uint32_t>(i % 3);
@@ -398,7 +412,7 @@ TEST(MultiTail, PerLogCheckpointsResumeExactlyOnceAcrossKill) {
   }  // the "kill"
 
   {
-    pipeline::MultiTailer tailer(logs.paths, capture_sink,
+    pipeline::MultiTailer tailer(logs.paths, capture_sink(captured), kBatch,
                                  exact_merge_config());
     for (std::size_t f = 0; f < tailer.files(); ++f) {
       EXPECT_TRUE(tailer.resume(f, saved[f])) << "file " << f;
@@ -428,6 +442,198 @@ TEST(MultiTail, PerLogCheckpointsResumeExactlyOnceAcrossKill) {
   for (const auto& e : phase1) expected.push_back(e.wire);
   for (const auto& e : phase2) expected.push_back(e.wire);
   EXPECT_EQ(captured, expected);
+}
+
+// --- catch-up is an exact merge --------------------------------------------
+
+/// `records` stamped onto a merged timeline (one every 10 ms, so the
+/// second-resolution wire time ties ~100 records per second) and dealt to
+/// `files` logs at random: every log is time-ordered, and all of them end
+/// within one second of each other.
+std::vector<std::pair<std::uint32_t, httplog::LogRecord>> dealt_timeline(
+    std::size_t count, std::uint32_t files) {
+  const auto templates = smoke_records(500);
+  const auto t0 = httplog::Timestamp::from_civil(2018, 3, 11, 6, 0, 0);
+  stats::Rng rng(2015);
+  std::vector<std::pair<std::uint32_t, httplog::LogRecord>> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    httplog::LogRecord record = templates[i % templates.size()];
+    record.time = t0 + static_cast<std::int64_t>(i) * 10'000;
+    out.emplace_back(
+        static_cast<std::uint32_t>(rng.uniform_int(0, files - 1)), record);
+  }
+  return out;
+}
+
+TEST(MultiTail, RestartOverLargeBacklogIsAnExactMerge) {
+  constexpr std::uint32_t kLogs = 4;
+  constexpr std::size_t kBefore = 20'000;
+  constexpr std::size_t kBacklog = 220'000;
+  const auto timeline = dealt_timeline(kBefore + kBacklog, kLogs);
+  std::vector<std::string> paths;
+  std::vector<std::unique_ptr<traffic::StreamWriter>> writers;
+  for (std::uint32_t f = 0; f < kLogs; ++f) {
+    paths.push_back(temp_path("restart_" + std::to_string(f) + ".log"));
+    writers.push_back(std::make_unique<traffic::StreamWriter>(
+        paths.back(), traffic::StreamWriter::FaultPlan(),
+        /*batch_lines=*/4096));
+  }
+  const auto write_range = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      writers[timeline[i].first]->write(timeline[i].second);
+    }
+    for (auto& w : writers) w->flush();
+  };
+
+  std::vector<pipeline::Checkpoint> saved;
+  write_range(0, kBefore);
+  {
+    pipeline::MultiTailer tailer(
+        paths, [](pipeline::RecordBatch&&) {}, kBatch);
+    (void)tailer.poll();
+    (void)tailer.flush();
+    for (std::size_t f = 0; f < tailer.files(); ++f)
+      saved.push_back(tailer.checkpoint(f));
+  }  // the restart: the backlog below is written while nothing tails
+
+  write_range(kBefore, timeline.size());
+  std::vector<RefEntry> entries;
+  std::vector<std::uint64_t> seq(kLogs, 0);
+  for (std::size_t i = kBefore; i < timeline.size(); ++i) {
+    const auto& [file, record] = timeline[i];
+    entries.push_back(RefEntry{wire_time_us(record), file, seq[file]++,
+                               httplog::format_clf(record) + "\n"});
+  }
+
+  std::string merged;
+  pipeline::MultiTailer tailer(
+      paths,
+      [&merged](pipeline::RecordBatch&& batch) {
+        for (const auto& record : batch) {
+          merged += httplog::format_clf(record);
+          merged += '\n';
+        }
+      },
+      kBatch);  // the default window and cap
+  for (std::size_t f = 0; f < tailer.files(); ++f) {
+    ASSERT_TRUE(tailer.resume(f, saved[f])) << "file " << f;
+  }
+  (void)tailer.poll();
+  (void)tailer.flush();
+
+  EXPECT_EQ(tailer.stats().parsed, kBacklog);
+  EXPECT_TRUE(merged == sorted_reference(std::move(entries)))
+      << "catch-up output differs from the stable-sorted per-file streams";
+  EXPECT_EQ(tailer.late_records(), 0u);
+  EXPECT_EQ(tailer.forced_emits(), 0u);
+  for (const auto& p : paths) std::remove(p.c_str());
+}
+
+// --- forcing on behalf of a quiet log --------------------------------------
+
+TEST(MultiTail, QuietLogAtEofStillForcesAndItsLaterRecordsAreLate) {
+  auto records = smoke_records(3);
+  const auto t0 = httplog::Timestamp::from_civil(2018, 3, 11, 6, 0, 0);
+  MultiLogFixture logs("quiet");
+  std::vector<RefEntry> entries;
+  std::vector<std::uint64_t> seq(3, 0);
+  const auto write_at = [&](std::uint32_t file, std::int64_t ms) {
+    httplog::LogRecord& record = records[file];
+    record.time = t0 + ms * 1000;
+    logs.writers[file]->write(record);
+    entries.push_back(RefEntry{wire_time_us(record), file, seq[file]++,
+                               httplog::format_clf(record)});
+  };
+  // Logs 0 and 2: one record per 100 ms from `from_ms` through `to_ms`.
+  const auto advance = [&](std::int64_t from_ms, std::int64_t to_ms) {
+    for (std::int64_t ms = from_ms; ms <= to_ms; ms += 100) {
+      write_at(0, ms);
+      write_at(2, ms + 50);
+    }
+  };
+
+  pipeline::MultiTailConfig config;  // the default 2 s window
+  config.tail.chunk_bytes = 4096;    // many small chunks per poll
+  config.tail.max_chunk_bytes = 4096;
+  std::vector<std::string> captured;
+  pipeline::MultiTailer tailer(logs.paths, capture_sink(captured), kBatch,
+                               config);
+
+  // Log 1 ends at 9 s, logs 0 and 2 at 12 s. Log 1 had new bytes in this
+  // poll, so it is not quiet yet: nothing is forced past it.
+  for (std::int64_t ms = 0; ms < 10'000; ms += 1000) write_at(1, ms);
+  advance(0, 12'000);
+  (void)tailer.poll();
+  EXPECT_EQ(tailer.forced_emits(), 0u);
+
+  // Logs 0 and 2 run on to 60 s while log 1 stays quiet at EOF: whatever
+  // trails the newest frontier by more than the window is forced past
+  // its 9 s watermark, in merge order, chunk by chunk.
+  advance(12'100, 60'000);
+  (void)tailer.poll();
+  EXPECT_GT(tailer.forced_emits(), 0u);
+  EXPECT_EQ(tailer.late_records(), 0u);
+  // Held: the last 58..60 s of logs 0 and 2 (wire time has 1 s grain).
+  EXPECT_EQ(tailer.buffered_records(), 2u * 21u);
+  (void)tailer.flush();
+  std::vector<RefEntry> sorted = entries;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const RefEntry& a, const RefEntry& b) {
+              return a.key() < b.key();
+            });
+  std::vector<std::string> expected;
+  for (const auto& e : sorted) expected.push_back(e.wire);
+  EXPECT_EQ(captured, expected);
+
+  // The quiet log wakes up below the emission front: emitted, and late.
+  const std::size_t before = captured.size();
+  for (std::int64_t ms = 30'000; ms < 33'000; ms += 1000) write_at(1, ms);
+  (void)tailer.poll();
+  (void)tailer.flush();
+  EXPECT_EQ(captured.size(), before + 3);
+  EXPECT_EQ(tailer.late_records(), 3u);
+}
+
+// --- disorder within one log -----------------------------------------------
+
+TEST(MultiTail, BackwardsTimestampKeepsItsFilePositionAndCountsLate) {
+  auto records = smoke_records(9);
+  ASSERT_EQ(records.size(), 9u);
+  const auto t0 = httplog::Timestamp::from_civil(2018, 3, 11, 6, 0, 0);
+  MultiLogFixture logs("backwards");
+  const auto write_at = [&](std::size_t i, std::uint32_t file, int seconds) {
+    records[i].time = t0 + seconds * httplog::kMicrosPerSecond;
+    logs.writers[file]->write(records[i]);
+  };
+  // Log 0: 10 11 12 5 13 — the fourth record steps back in time.
+  // Log 1: 10 11 12 13.
+  write_at(0, 0, 10);
+  write_at(1, 0, 11);
+  write_at(2, 0, 12);
+  write_at(3, 0, 5);
+  write_at(4, 0, 13);
+  write_at(5, 1, 10);
+  write_at(6, 1, 11);
+  write_at(7, 1, 12);
+  write_at(8, 1, 13);
+
+  std::vector<std::string> captured;
+  pipeline::MultiTailer tailer(logs.paths, capture_sink(captured), kBatch);
+  (void)tailer.poll();
+  (void)tailer.flush();
+
+  // Heads merge by (time, file); the stepped-back record stays behind its
+  // log-0 predecessors, leaves as soon as it is a head — below the front
+  // (12 s), so late — and log 0 resumes its place behind it.
+  const std::vector<std::size_t> order = {0, 5, 1, 6, 2, 3, 7, 4, 8};
+  std::vector<std::string> expected;
+  for (const std::size_t i : order)
+    expected.push_back(httplog::format_clf(records[i]));
+  EXPECT_EQ(captured, expected);
+  EXPECT_EQ(tailer.stats().parsed, records.size());
+  EXPECT_EQ(tailer.late_records(), 1u);
+  EXPECT_EQ(tailer.forced_emits(), 0u);
 }
 
 }  // namespace

@@ -35,6 +35,8 @@ using namespace divscrape;
 using Outcome = pipeline::TailResume::Outcome;
 
 constexpr std::size_t kFiles = 3;
+/// Out-batch size of the hand-built sessions' merged stream.
+constexpr std::size_t kMergeBatch = 64;
 
 const std::vector<httplog::LogRecord>& records() {
   static const std::vector<httplog::LogRecord> all = [] {
@@ -177,10 +179,13 @@ std::string resume_hand_built(const std::string& tag, bool sharded) {
           [] { return detectors::make_paper_pair(); }, 2);
       util::StringInterner ua_tokens;
       pipeline::MultiTailer tailer(
-          fx.paths, [&](httplog::LogRecord&& record) {
-            record.ua_token = ua_tokens.intern(record.user_agent);
-            pipeline.process(record);
-          });
+          fx.paths,
+          [&](pipeline::RecordBatch&& batch) {
+            for (auto& record : batch)
+              record.ua_token = ua_tokens.intern(record.user_agent);
+            pipeline.process_batch(std::move(batch));
+          },
+          kMergeBatch, pipeline::MultiTailConfig{}, &pipeline.batch_pool());
       commit(tailer);
       w.u8(1);
       ua_tokens.save_state(w);
@@ -189,9 +194,9 @@ std::string resume_hand_built(const std::string& tag, bool sharded) {
       const auto pool = detectors::make_paper_pair();
       pipeline::ReplayEngine engine(pool);
       pipeline::MultiTailer tailer(
-          fx.paths, [&](httplog::LogRecord&& record) {
-            engine.process_record(std::move(record));
-          });
+          fx.paths,
+          [&](pipeline::RecordBatch&& batch) { engine.process_batch(batch); },
+          kMergeBatch);
       commit(tailer);
       w.u8(0);
       EXPECT_TRUE(engine.save_state(w));

@@ -261,6 +261,26 @@ TEST(WarmResumeSingleFile, KillAfterRotationIsByteIdentical) {
 // poll and flush at the same phase boundary, so they decode and emit the
 // same record sequence — the merge layer's determinism contract.
 
+/// Out-batch size of the merged stream; not observable in the results.
+constexpr std::size_t kMergeBatch = 64;
+
+/// The merged stream into a sequential engine's batch seam.
+pipeline::MultiTailer::BatchSink engine_sink(pipeline::ReplayEngine& engine) {
+  return [&engine](pipeline::RecordBatch&& batch) {
+    engine.process_batch(batch);
+  };
+}
+
+/// The merged stream stamped by the dispatch interner into the shards.
+pipeline::MultiTailer::BatchSink sharded_sink(
+    pipeline::ShardedPipeline& sharded, util::StringInterner& ua_tokens) {
+  return [&sharded, &ua_tokens](pipeline::RecordBatch&& batch) {
+    for (auto& record : batch)
+      record.ua_token = ua_tokens.intern(record.user_agent);
+    sharded.process_batch(std::move(batch));
+  };
+}
+
 struct MultiLogs {
   std::vector<std::string> paths;
   std::vector<std::unique_ptr<traffic::StreamWriter>> writers;
@@ -287,10 +307,7 @@ std::string uninterrupted_multi_file(const std::string& tag,
   MultiLogs logs(tag);
   const auto pool = detectors::make_paper_pair();
   pipeline::ReplayEngine engine(pool);
-  pipeline::MultiTailer tailer(
-      logs.paths, [&engine](httplog::LogRecord&& record) {
-        engine.process_record(std::move(record));
-      });
+  pipeline::MultiTailer tailer(logs.paths, engine_sink(engine), kMergeBatch);
   logs.write_range(0, phase_split);
   (void)tailer.poll();
   (void)tailer.flush();
@@ -312,10 +329,8 @@ TEST(WarmResumeMultiFile, KillAtPhaseBoundaryIsByteIdentical) {
   {
     const auto pool = detectors::make_paper_pair();
     pipeline::ReplayEngine engine(pool);
-    pipeline::MultiTailer tailer(
-        logs.paths, [&engine](httplog::LogRecord&& record) {
-          engine.process_record(std::move(record));
-        });
+    pipeline::MultiTailer tailer(logs.paths, engine_sink(engine),
+                                 kMergeBatch);
     logs.write_range(0, phase_split);
     (void)tailer.poll();
     (void)tailer.flush();  // quiescent: every decoded record is processed
@@ -334,10 +349,8 @@ TEST(WarmResumeMultiFile, KillAtPhaseBoundaryIsByteIdentical) {
   {
     const auto pool = detectors::make_paper_pair();
     pipeline::ReplayEngine engine(pool);
-    pipeline::MultiTailer tailer(
-        logs.paths, [&engine](httplog::LogRecord&& record) {
-          engine.process_record(std::move(record));
-        });
+    pipeline::MultiTailer tailer(logs.paths, engine_sink(engine),
+                                 kMergeBatch);
     ASSERT_EQ(session.logs.size(), tailer.files());
     for (std::size_t i = 0; i < tailer.files(); ++i) {
       EXPECT_EQ(session.logs[i].first, tailer.path(i));
@@ -364,11 +377,9 @@ std::string uninterrupted_sharded(const std::string& tag,
   pipeline::ShardedPipeline sharded([] { return detectors::make_paper_pair(); },
                                     kShards);
   util::StringInterner ua_tokens;
-  pipeline::MultiTailer tailer(
-      logs.paths, [&](httplog::LogRecord&& record) {
-        record.ua_token = ua_tokens.intern(record.user_agent);
-        sharded.process(std::move(record));
-      });
+  pipeline::MultiTailer tailer(logs.paths, sharded_sink(sharded, ua_tokens),
+                               kMergeBatch, pipeline::MultiTailConfig{},
+                               &sharded.batch_pool());
   logs.write_range(0, phase_split);
   (void)tailer.poll();
   (void)tailer.flush();
@@ -391,10 +402,8 @@ TEST(WarmResumeSharded, KillAtPhaseBoundaryIsByteIdentical) {
         [] { return detectors::make_paper_pair(); }, kShards);
     util::StringInterner ua_tokens;
     pipeline::MultiTailer tailer(
-        logs.paths, [&](httplog::LogRecord&& record) {
-          record.ua_token = ua_tokens.intern(record.user_agent);
-          sharded.process(std::move(record));
-        });
+        logs.paths, sharded_sink(sharded, ua_tokens), kMergeBatch,
+        pipeline::MultiTailConfig{}, &sharded.batch_pool());
     logs.write_range(0, phase_split);
     (void)tailer.poll();
     (void)tailer.flush();
@@ -417,10 +426,8 @@ TEST(WarmResumeSharded, KillAtPhaseBoundaryIsByteIdentical) {
         [] { return detectors::make_paper_pair(); }, kShards);
     util::StringInterner ua_tokens;
     pipeline::MultiTailer tailer(
-        logs.paths, [&](httplog::LogRecord&& record) {
-          record.ua_token = ua_tokens.intern(record.user_agent);
-          sharded.process(std::move(record));
-        });
+        logs.paths, sharded_sink(sharded, ua_tokens), kMergeBatch,
+        pipeline::MultiTailConfig{}, &sharded.batch_pool());
     util::StateReader r(session.state);
     ASSERT_TRUE(ua_tokens.load_state(r));
     ASSERT_TRUE(sharded.load_state(r));

@@ -660,8 +660,8 @@ int cmd_tail_multi(const CliOptions& opts) {
   }
 
   // Nothing to write => no periodic persist: the flush would force
-  // heap-buffered records past the watermark and the sharded drain would
-  // stall the dispatcher, all for no durable artifact.
+  // queued records past the watermark and the sharded drain would stall
+  // the dispatcher, all for no durable artifact.
   const bool persist_output =
       !opts.checkpoint_dir.empty() || !opts.results_path.empty();
   const pipeline::MultiTailer& tailer = session.tailer();
@@ -681,7 +681,7 @@ int cmd_tail_multi(const CliOptions& opts) {
     if (consumed == 0) {
       // Every log has gone quiet: the watermark and the reorder window
       // are both keyed to *new* records' simulated time, so without this
-      // wall-clock escape a final burst would sit in the reorder heap
+      // wall-clock escape a final burst would sit in the merge queues
       // until SIGINT. A laggard waking up afterwards emits late (counted)
       // rather than being dropped.
       if (++idle_polls >= 2 && tailer.buffered_records() > 0) {
