@@ -8,8 +8,6 @@
 // readable), the relative deviation, and a factor-of-two shape verdict.
 #pragma once
 
-#include <sys/resource.h>
-
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -87,34 +85,14 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
   return args;
 }
 
-/// Peak resident set size of this process in kilobytes. ru_maxrss is
-/// kilobytes on Linux but bytes on macOS.
-inline std::uint64_t peak_rss_kb() {
-  rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
-  auto rss = static_cast<std::uint64_t>(usage.ru_maxrss);
-#ifdef __APPLE__
-  rss /= 1024;
-#endif
-  return rss;
-}
-
-/// *Current* resident set size in kilobytes — unlike peak_rss_kb() this can
-/// detect mid-run growth and post-catch-up shrink, which is what soak
-/// watermarks need. /proc/self/statm on Linux, peak fallback elsewhere.
-inline std::uint64_t current_rss_kb() {
-  const auto kb = util::current_rss_kb();
-  return kb > 0 ? static_cast<std::uint64_t>(kb) : 0;
-}
-
 /// One measured end-to-end run for the machine-readable bench output.
 struct ThroughputRun {
-  std::string mode;        ///< "sequential" or "sharded"
+  std::string mode;        ///< row label, e.g. "sequential"
   std::size_t shards = 0;  ///< 0 for sequential
   std::uint64_t records = 0;
   double wall_s = 0.0;
   std::size_t dispatchers = 0;    ///< 0 when not a multi-dispatcher run
-  std::size_t batch_records = 0;  ///< 0 for per-record handoff
+  std::size_t batch_records = 0;  ///< 0 when not a batched run
 
   [[nodiscard]] double records_per_sec() const noexcept {
     return wall_s <= 0.0 ? 0.0 : static_cast<double>(records) / wall_s;
@@ -147,7 +125,8 @@ inline bool write_throughput_json(const std::string& path,
   json.key("bench").value(bench_name);
   json.key("scenario").value(scenario);
   json.key("scale").value(scale);
-  json.key("peak_rss_kb").value(peak_rss_kb());
+  json.key("peak_rss_kb").value(
+      static_cast<std::uint64_t>(util::peak_rss_kb()));
   json.key("runs").begin_array();
   for (const auto& run : runs) {
     json.begin_object();
@@ -183,18 +162,15 @@ inline core::ExperimentOutput run_paper(double scale) {
   return out;
 }
 
-/// Scales a measured count back up to paper scale for display.
-inline std::uint64_t rescale(std::uint64_t measured, double scale) {
-  return scale >= 1.0 ? measured
-                      : static_cast<std::uint64_t>(
-                            static_cast<double>(measured) / scale + 0.5);
-}
-
-/// One paper-vs-measured row.
+/// One paper-vs-measured row; the measured count is scaled back up to
+/// paper scale for display.
 inline void add_comparison_row(core::TextTable& table, const std::string& row,
                                std::uint64_t paper, std::uint64_t measured,
                                double scale) {
-  const auto scaled = rescale(measured, scale);
+  const auto scaled =
+      scale >= 1.0 ? measured
+                   : static_cast<std::uint64_t>(
+                         static_cast<double>(measured) / scale + 0.5);
   table.add_row({row, core::with_thousands(paper),
                  core::with_thousands(scaled),
                  core::deviation(scaled, paper),

@@ -2,8 +2,8 @@
 // through the batched workload seam and scored by eval::Scorer — per
 // detector and for the 1oo2 ensemble — emitting the machine-readable
 // BENCH_detection document (schema divscrape.bench_detection.v1). The
-// counterpart to bench_throughput: future PRs are gated on "didn't get
-// worse at detecting" as well as "didn't get slower".
+// counterpart to the perfbench/ benchmark: future PRs are gated on "didn't
+// get worse at detecting" as well as "didn't get slower".
 //
 // The scenario set walks the E13 ladder (evasion_ladder_e0..e4) plus the
 // three named red campaigns; the expected shape is the paper's closing
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("  peak RSS: %llu kB\n",
-              static_cast<unsigned long long>(bench::peak_rss_kb()));
+              static_cast<unsigned long long>(util::peak_rss_kb()));
 
   if (!args.json_path.empty()) {
     if (!document.save(args.json_path)) {

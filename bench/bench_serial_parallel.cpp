@@ -12,8 +12,8 @@
 // combo's JointResults must serialize byte-identically to the sequential
 // engine's at a cheap gate scale, and the timed full-scale pass is
 // compared again — so a wrong-but-fast pipeline reports failure here
-// instead of a flattering number. `--json` emits the rows for
-// BENCH_throughput.json.
+// instead of a flattering number. `--json` writes the rows in the shared
+// throughput document (write_throughput_json in bench_common.hpp).
 //
 // Usage: bench_serial_parallel [scale] [--json <path>] [--repeat <n>]
 // (default scale 0.2; --repeat N reports min-of-N wall per row — the
@@ -173,8 +173,8 @@ ComboResult run_combo(const traffic::ScenarioConfig& scenario,
   pipeline::RecordBatch batch = pipe.batch_pool().acquire();
   for (;;) {
     // Generate straight into the warm slot — the same dirty-record reuse
-    // contract as the sequential engine's single stack record, minus the
-    // copy the old record-at-a-time handoff paid.
+    // contract as the sequential engine's single stack record, with no
+    // per-record copy.
     if (!source.next(batch.append_slot())) {
       batch.rollback_last();
       break;

@@ -1,7 +1,7 @@
 // Workload-generation throughput: the WorkloadEngine's parallel
 // time-merged generation vs the legacy single-threaded Scenario pull loop,
-// over a catalog scenario — the generation-side counterpart of
-// bench_throughput (detection) and bench_tail (live ingest).
+// over a catalog scenario — the generation-side counterpart of the
+// perfbench/ workloads (detection, catch-up and live ingest).
 //
 // Rows:
 //
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
                 run.ns_per_record());
   }
   std::printf("\n  peak RSS: %llu kB\n",
-              static_cast<unsigned long long>(bench::peak_rss_kb()));
+              static_cast<unsigned long long>(util::peak_rss_kb()));
 
   if (!json_path.empty()) {
     if (!bench::write_throughput_json(json_path, "bench_workload", scale,

@@ -17,9 +17,9 @@
 // Records with unknown truth are excluded from every metric, matching the
 // seed benches. The output is a ScenarioScore per run; a set of runs
 // serializes as the versioned `divscrape.bench_detection.v1` document
-// (DetectionDocument), the detection-quality counterpart to
-// BENCH_throughput.json: future perf PRs are gated on "didn't get worse
-// at detecting" via its committed floors.
+// (DetectionDocument), the detection-quality counterpart to the perfbench/
+// benchmark: future perf PRs are gated on "didn't get worse at detecting"
+// via its committed floors.
 #pragma once
 
 #include <cstdint>

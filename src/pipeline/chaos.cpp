@@ -422,9 +422,12 @@ void SoakRun::finish(double wall_seconds) {
   // Reference: explicit k-way merge of the shadows by the same key the
   // live tailer uses — (time, file index, per-file order) — into a fresh
   // engine, in bounded memory (one head record + one decode chunk per
-  // file). Ground truth with no watermark machinery in the loop.
+  // file, plus one merged batch). Ground truth with no watermark machinery
+  // in the loop.
   const auto ref_pool = detectors::make_paper_pair();
   ReplayEngine ref_engine(ref_pool);
+  constexpr std::size_t kMergedBatch = 1024;
+  RecordBatch merged;
   std::vector<std::unique_ptr<ShadowSource>> sources;
   std::vector<std::optional<httplog::LogRecord>> heads;
   for (const auto& writer : shadow_writers_) {
@@ -443,11 +446,16 @@ void SoakRun::finish(double wall_seconds) {
       }
     }
     if (best < 0) break;
-    ref_engine.process_record(std::move(*heads[best]));
+    merged.append_slot() = std::move(*heads[best]);
+    if (merged.size() == kMergedBatch) {
+      ref_engine.process_batch(merged);
+      merged.clear();
+    }
     heads[best].reset();
     httplog::LogRecord head;
     if (sources[best]->next(head)) heads[best] = std::move(head);
   }
+  ref_engine.process_batch(merged);
   report_.reference_records = ref_engine.results().total_requests();
   const std::string reference_json = core::to_json(ref_engine.results());
 

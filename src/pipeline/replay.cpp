@@ -23,16 +23,10 @@ ReplayEngine::ReplayEngine(
   for (const auto& detector : pool) detector->reset();
 }
 
-void ReplayEngine::process_record(httplog::LogRecord&& record) {
-  // Parsed records carry no token; stamp here so every detector keys its
-  // state by the token instead of re-hashing the UA string.
-  record.ua_token = ua_tokens_.intern(record.user_agent);
-  pacer_.wait_until(record.time, time_scale_);
-  (void)joiner_.process(record);
-}
-
 void ReplayEngine::process_batch(RecordBatch& batch) {
   for (auto& record : batch) {
+    // Parsed records carry no token; stamp here so every detector keys its
+    // state by the token instead of re-hashing the UA string.
     record.ua_token = ua_tokens_.intern(record.user_agent);
     pacer_.wait_until(record.time, time_scale_);
     (void)joiner_.process(record);
@@ -68,11 +62,12 @@ ReplayStats ReplayEngine::replay(std::istream& in) {
   const auto wall0 = std::chrono::steady_clock::now();
   char buffer[64 * 1024];
   while (in.read(buffer, sizeof(buffer)), in.gcount() > 0) {
-    (void)feed(std::string_view(buffer, static_cast<std::size_t>(in.gcount())));
+    (void)decoder_.feed(
+        std::string_view(buffer, static_cast<std::size_t>(in.gcount())));
   }
   // Batch EOF semantics: the closed stream's unterminated final line (if
   // any) is done growing — parse it as a complete line.
-  (void)finish_stream();
+  (void)decoder_.finish_stream();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();

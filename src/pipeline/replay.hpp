@@ -1,28 +1,28 @@
 // ReplayEngine: drives a detector pool from a recorded CLF log — the
 // deployment mode the paper's tools actually ran in (tailing Apache access
-// logs). Three ingest surfaces share one framing/parsing/stamping path:
+// logs). Two ingest surfaces share one stamping/pacing/dispatch path:
 //
 //   * replay(istream): batch mode over a complete stream. At EOF a final
 //     line without a trailing newline is flushed as a complete line — the
 //     historical getline behavior, kept deliberately (a closed log file's
 //     last line is done growing, however it ended).
-//   * feed(chunk) + finish_stream(): incremental byte mode for live
-//     tailing. feed() accepts arbitrary byte chunks (torn anywhere,
-//     including inside a CRLF pair) and processes only fully
-//     '\n'-terminated lines; the trailing partial is held until its
-//     newline arrives. finish_stream() is the explicit end-of-stream
-//     declaration that flushes the partial — tail mode never calls it
-//     while the file may still grow.
-//   * process_batch(batch) / process_record(record): the seams for
-//     producers that parsed elsewhere (the multi-file merge layer decodes
-//     each log with its own LineDecoder and emits one time-ordered batch
-//     stream). The engine stamps, paces and dispatches exactly as it does
-//     for records it parsed itself, so "N decoders + merge + engine"
-//     equals "one engine fed the merged bytes".
+//   * process_batch(batch): the seam for producers that parsed elsewhere
+//     (the multi-file merge layer decodes each log with its own
+//     LineDecoder and emits one time-ordered batch stream). The engine
+//     stamps, paces and dispatches exactly as it does for records it
+//     parsed itself, so "N decoders + merge + engine" equals "one engine
+//     fed the merged bytes".
+//
+// Incremental byte ingest for live tailing goes through decoder(): its
+// feed(chunk) accepts arbitrary byte chunks (torn anywhere, including
+// inside a CRLF pair) and dispatches only fully '\n'-terminated lines,
+// holding the trailing partial until its newline arrives; its
+// finish_stream() is the explicit end-of-stream declaration that flushes
+// the partial — tail mode never calls it while the file may still grow.
 //
 // The byte-level framing/parsing lives in LineDecoder (decoder.hpp); the
 // engine owns the dispatch stage: UA-token stamping, pacing, and the
-// AlertJoiner. All modes support as-fast-as-possible replay and
+// AlertJoiner. Both surfaces support as-fast-as-possible replay and
 // time-scaled pacing for live demos.
 #pragma once
 
@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <istream>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "core/joiner.hpp"
@@ -51,8 +50,8 @@ class ReplayEngine {
   /// the engine stamps records with tokens from its own interner, and any
   /// token-keyed detector state from a previous source would be meaningless
   /// — or worse, silently wrong — under this engine's token space. Repeated
-  /// replay()/feed() calls on one engine share the interner and accumulate
-  /// state (the multi-file log-tailing use case).
+  /// replay()/decoder() ingests on one engine share the interner and
+  /// accumulate state (the multi-file log-tailing use case).
   explicit ReplayEngine(
       const std::vector<std::unique_ptr<detectors::Detector>>& pool,
       double time_scale = 0.0);
@@ -65,27 +64,13 @@ class ReplayEngine {
   /// this stream (wall_seconds covers just this call).
   ReplayStats replay(std::istream& in);
 
-  /// Incremental ingest: frames the chunk into lines and processes every
-  /// line completed so far. Safe to call with chunks split at any byte
-  /// boundary. Returns the number of records parsed from this chunk.
-  std::uint64_t feed(std::string_view chunk) { return decoder_.feed(chunk); }
-
-  /// Declares end-of-stream: an unterminated trailing partial line (if
-  /// any) is processed as a complete line. Returns 1 if a line was
-  /// flushed, 0 otherwise.
-  std::uint64_t finish_stream() { return decoder_.finish_stream(); }
-
-  /// Record-level ingest: stamps the UA token, paces, and dispatches one
-  /// already-parsed record to the pool. feed() is equivalent to parse +
-  /// process_record per line. Records processed here do NOT appear in
-  /// stats() — parse accounting belongs to whichever decoder parsed them.
-  void process_record(httplog::LogRecord&& record);
-
-  /// Batch-level ingest: stamps, paces and dispatches every record of the
-  /// batch in order, equivalent to process_record per record. The caller
-  /// keeps the batch (records are read in place; only ua_token is
-  /// stamped), so it can recycle the arena. This is the engine's own inner
-  /// loop — replay()/feed() parse into batches and dispatch through here.
+  /// Batch-level ingest: stamps the UA token, paces, and dispatches every
+  /// record of the batch in order. The caller keeps the batch (records are
+  /// read in place; only ua_token is stamped), so it can recycle the
+  /// arena. This is the engine's own inner loop — replay() and decoder()
+  /// parse into batches and dispatch through here. Records processed from
+  /// an outside batch do NOT appear in stats() — parse accounting belongs
+  /// to whichever decoder parsed them.
   void process_batch(RecordBatch& batch);
 
   /// True while an unterminated partial line is buffered.
@@ -93,14 +78,15 @@ class ReplayEngine {
     return decoder_.has_partial_line();
   }
 
-  /// Cumulative framing/parsing accounting across every replay()/feed()
-  /// call on this engine. wall_seconds accumulates batch replay() time
-  /// only; feed() callers own their clock.
+  /// Cumulative framing/parsing accounting across every replay() and
+  /// decoder() ingest on this engine. wall_seconds accumulates batch
+  /// replay() time only; decoder().feed() callers own their clock.
   [[nodiscard]] const ReplayStats& stats() const noexcept {
     return decoder_.stats();
   }
 
-  /// The engine's byte-stream decoder — what a LogTailer attaches to.
+  /// The engine's byte-stream decoder — what a LogTailer attaches to, and
+  /// the incremental feed()/finish_stream() surface for live ingest.
   [[nodiscard]] LineDecoder& decoder() noexcept { return decoder_; }
 
   [[nodiscard]] const core::JointResults& results() const noexcept {
@@ -115,7 +101,7 @@ class ReplayEngine {
   /// false — writing nothing — when a pool member doesn't support state
   /// serialization.
   [[nodiscard]] bool save_state(util::StateWriter& w) const;
-  /// Restores from save_state() output; call before any feed()/replay().
+  /// Restores from save_state() output; call before any ingest.
   /// On failure the engine is reset cold and false is returned.
   [[nodiscard]] bool load_state(util::StateReader& r);
 

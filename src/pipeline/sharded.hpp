@@ -2,47 +2,45 @@
 // worker threads, each owning a private detector-pool instance, and merges
 // the per-shard JointResults at the end.
 //
-// Correctness argument (tested in tests/pipeline_test.cpp): every detector
-// in this repository keys its state by client IP or (IP, UA), and
-// Sentinel's widest coupling is the /24 subnet. Partitioning by the /24
-// prefix therefore routes every record that could share detector state to
-// the same shard, and each shard sees its sub-stream in input order.
-// Hence the merged results are *identical* to a sequential run — the
-// classic "partition by the state key" recipe for scaling stateful stream
+// Correctness argument (tested in tests/pipeline_test.cpp and
+// tests/pipeline_shard_equivalence_test.cpp): every detector in this
+// repository keys its state by client IP or (IP, UA), and Sentinel's
+// widest coupling is the /24 subnet. Partitioning by the /24 prefix
+// therefore routes every record that could share detector state to the
+// same shard, and each shard sees its sub-stream in input order. Hence the
+// merged results are *identical* to a sequential run — the classic
+// "partition by the state key" recipe for scaling stateful stream
 // processors.
 //
 // ## Batched, multi-dispatcher architecture
 //
-// Records move through the pipeline as RecordBatches over bounded SPSC
-// rings; nothing is handed over one record at a time:
+// The one ingest seam is process_batch(): records enter as whole
+// RecordBatches and move between threads over bounded SPSC rings; nothing
+// is handed over one record at a time:
 //
 //   caller ──batches──> dispatcher ring ──> dispatcher d ──batches──>
 //     per-shard SPSC ring ──> shard worker (detector pool)
 //
-// The caller thread routes each record by its /24 shard key into a pending
-// batch for the *dispatcher that owns that shard* (shards are partitioned
-// across M dispatchers in contiguous key ranges: dispatcher d owns shards
-// [d*S/M, (d+1)*S/M)). Each dispatcher consumes its input ring, re-routes
-// the batch's records into per-shard pending batches, and pushes full ones
-// into that shard's ring. Shard s therefore has exactly one producer (its
-// owning dispatcher) and one consumer (its worker) — every ring in the
-// graph is SPSC, and per-shard record order equals input order by FIFO
-// composition, which is what makes JointResults byte-identical to the
-// sequential engine at EVERY (shards, dispatchers, batch size) setting.
+// With one dispatcher (the default) the caller's batch is moved into the
+// dispatcher ring untouched — a pointer-swap handoff. With M > 1
+// dispatchers (shards are partitioned across them in contiguous key
+// ranges: dispatcher d owns shards [d*S/M, (d+1)*S/M)) the caller routes
+// each record by its /24 shard key into a pending batch for the
+// dispatcher that owns its shard. Each dispatcher consumes its input ring,
+// re-routes the batch's records into per-shard pending batches, and pushes
+// full ones into that shard's ring; a dispatcher that owns exactly one
+// shard forwards batches whole instead. Shard s therefore has exactly one
+// producer (its owning dispatcher) and one consumer (its worker) — every
+// ring in the graph is SPSC, and per-shard record order equals input order
+// by FIFO composition, which is what makes JointResults byte-identical to
+// the sequential engine at EVERY (shards, dispatchers, batch size)
+// setting.
 //
 // Batches are recycled through one shared BatchPool (consumers return,
 // producers acquire), so the steady state allocates nothing: strings are
 // byte-copied into warm slots (see record_batch.hpp). Backpressure is
 // structural — rings are bounded, so a caller that outruns detection
-// blocks in push() instead of buffering the stream.
-//
-// With dispatchers == 1 (the default) and a caller that hands whole
-// batches (process_batch), the input batch is moved into the dispatcher
-// ring untouched — a pointer-swap handoff for the common case. A
-// dispatcher that owns exactly one shard forwards batches whole as well
-// (the caller's routing already put only that shard's records in them),
-// so shards == dispatchers configurations pay a single routing copy and
-// shards == dispatchers == 1 pays none.
+// blocks in process_batch() instead of buffering the stream.
 //
 // Note the one caveat: JointResults' k-of-N adjudication and pairwise
 // tables are per-record joins of the same pool, so they shard cleanly too.
@@ -62,7 +60,6 @@
 #include "httplog/record.hpp"
 #include "pipeline/record_batch.hpp"
 #include "pipeline/spsc_ring.hpp"
-#include "traffic/scenario.hpp"
 
 namespace divscrape::pipeline {
 
@@ -94,19 +91,13 @@ class ShardedPipeline {
   ShardedPipeline(const ShardedPipeline&) = delete;
   ShardedPipeline& operator=(const ShardedPipeline&) = delete;
 
-  /// Routes one record into the pending batch of the dispatcher owning its
-  /// shard (by /24 prefix hash). Called from one caller thread only. The
-  /// record is byte-copied into a warm batch slot (the arena contract);
-  /// the caller keeps its buffer (rvalues too: moving would discard the
-  /// slot's warm buffer).
-  void process(const httplog::LogRecord& record);
-
-  /// Batch seam: hands a whole batch to the pipeline, which takes
+  /// The ingest seam: hands a whole batch to the pipeline, which takes
   /// ownership (the batch is recycled into the internal pool after its
-  /// shard workers finish). With 1 dispatcher the batch is moved into the
-  /// dispatcher ring without touching a record; with M > 1 its records
-  /// are split into per-dispatcher pending batches. Producers should
-  /// acquire batches from batch_pool() to close the recycle loop.
+  /// shard workers finish). Called from one caller thread only. With 1
+  /// dispatcher the batch is moved into the dispatcher ring without
+  /// touching a record; with M > 1 its records are split into
+  /// per-dispatcher pending batches. Producers should acquire batches from
+  /// batch_pool() to close the recycle loop.
   void process_batch(RecordBatch&& batch);
 
   /// The pipeline's batch arena — producers acquire here so consumers'
@@ -122,7 +113,7 @@ class ShardedPipeline {
   void drain();
 
   /// Flushes rings, joins dispatchers and workers, merges shard results.
-  /// Must be called exactly once; process() is illegal afterwards.
+  /// Must be called exactly once; process_batch() is illegal afterwards.
   [[nodiscard]] core::JointResults finish();
 
   [[nodiscard]] std::size_t shards() const noexcept { return shards_.size(); }
@@ -147,9 +138,9 @@ class ShardedPipeline {
   /// batch size are execution knobs, not state), so pre-batching
   /// checkpoints restore into this pipeline and vice versa.
   [[nodiscard]] bool save_state(util::StateWriter& w);
-  /// Restores from save_state() output; call before any process(). The
-  /// shard count must match the saved one (routing is count-dependent). On
-  /// failure every shard is reset cold and false is returned.
+  /// Restores from save_state() output; call before any process_batch().
+  /// The shard count must match the saved one (routing is count-dependent).
+  /// On failure every shard is reset cold and false is returned.
   [[nodiscard]] bool load_state(util::StateReader& r);
 
  private:
@@ -187,7 +178,7 @@ class ShardedPipeline {
     SpscRing<DispatchItem> ring;
     std::size_t first_shard = 0;  ///< owned range [first_shard, last_shard)
     std::size_t last_shard = 0;
-    RecordBatch pending;           ///< caller-side accumulation
+    RecordBatch pending;  ///< caller-side accumulation (M > 1 routing)
     std::uint64_t flush_requested = 0;  ///< caller-side sequence
     std::mutex ack_mutex;
     std::condition_variable ack_cv;
@@ -217,10 +208,5 @@ class ShardedPipeline {
   std::uint64_t dispatched_ = 0;
   bool finished_ = false;
 };
-
-/// Convenience: run a whole scenario through a sharded pipeline.
-[[nodiscard]] core::JointResults run_sharded(
-    const traffic::ScenarioConfig& scenario_config, PoolFactory factory,
-    std::size_t shards, std::size_t dispatchers = 1);
 
 }  // namespace divscrape::pipeline

@@ -1,11 +1,11 @@
 // Chunking property tests: feeding a CLF stream through the incremental
-// surfaces (LineFramer, ReplayEngine::feed) in ANY chunking — down to
-// 1-byte chunks, including chunks that end between '\r' and '\n' — must
-// produce exactly what whole-stream processing produces: the same framed
-// lines, the same lines/parsed/skipped accounting, and the same records in
-// the same order. Plus the regression tests pinning the EOF framing
-// contract: batch replay parses an unterminated final line, tail-style
-// feeding holds it as a partial until finish_stream().
+// surfaces (LineFramer, ReplayEngine::decoder().feed) in ANY chunking —
+// down to 1-byte chunks, including chunks that end between '\r' and '\n' —
+// must produce exactly what whole-stream processing produces: the same
+// framed lines, the same lines/parsed/skipped accounting, and the same
+// records in the same order. Plus the regression tests pinning the EOF
+// framing contract: batch replay parses an unterminated final line,
+// tail-style feeding holds it as a partial until finish_stream().
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -125,7 +125,7 @@ TEST(LineFramer, FeedWithoutDrainingKeepsUndrainedLinesIntact) {
   EXPECT_EQ(line, "delta");
 }
 
-// --- ReplayEngine::feed vs whole-stream replay --------------------------
+// --- ReplayEngine::decoder().feed vs whole-stream replay ----------------
 
 // CLF content from the smoke scenario with corruption and mixed endings:
 // every 7th line is garbage (exercises skip accounting), every 5th ends in
@@ -171,10 +171,10 @@ IngestResult ingest_chunked(const std::string& content, stats::Rng& rng,
     const auto want = static_cast<std::size_t>(
         rng.uniform_int(1, static_cast<std::int64_t>(max_chunk)));
     const auto len = std::min(want, content.size() - pos);
-    (void)engine.feed(std::string_view(content).substr(pos, len));
+    (void)engine.decoder().feed(std::string_view(content).substr(pos, len));
     pos += len;
   }
-  (void)engine.finish_stream();
+  (void)engine.decoder().finish_stream();
   out.stats = engine.stats();
   return out;
 }
@@ -235,20 +235,20 @@ TEST(EofFraming, TailFeedHoldsUnterminatedLineUntilFinish) {
   std::vector<std::string> records;
   const auto pool = divscrape_test::capture_pool(&records);
   pipeline::ReplayEngine engine(pool);
-  EXPECT_EQ(engine.feed(kUnterminated), 0u);
+  EXPECT_EQ(engine.decoder().feed(kUnterminated), 0u);
   EXPECT_TRUE(engine.has_partial_line());
   EXPECT_EQ(engine.stats().lines, 0u);
   EXPECT_EQ(engine.stats().parsed, 0u);
   EXPECT_TRUE(records.empty());  // nothing ingested while the line may grow
 
   // The newline arriving completes the record...
-  EXPECT_EQ(engine.feed("\n"), 1u);
+  EXPECT_EQ(engine.decoder().feed("\n"), 1u);
   EXPECT_FALSE(engine.has_partial_line());
   ASSERT_EQ(records.size(), 1u);
 
   // ...and an explicit end-of-stream flushes a partial the same way.
-  (void)engine.feed(kUnterminated);
-  EXPECT_EQ(engine.finish_stream(), 1u);
+  (void)engine.decoder().feed(kUnterminated);
+  EXPECT_EQ(engine.decoder().finish_stream(), 1u);
   EXPECT_EQ(engine.stats().parsed, 2u);
   EXPECT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0], records[1]);

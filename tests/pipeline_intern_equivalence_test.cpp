@@ -11,8 +11,9 @@
 //      serialize to the identical bytes.
 //   2. Stamped vs unstamped: scrubbing ua_token (forcing every detector
 //      through its local-interner fallback) must not change results.
-//   3. Sharded vs sequential at 1/2/8 shards, via both the copying and the
-//      moving process() overloads.
+//   3. Sharded vs sequential at 1/2/8 shards through process_batch(), over
+//      both dispatcher handoffs: batches moved whole (one shard) and
+//      records copied into per-shard batches (2 and 8 shards).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -25,6 +26,7 @@
 #include "core/export.hpp"
 #include "detectors/arcane.hpp"
 #include "detectors/sentinel.hpp"
+#include "pipeline/record_batch.hpp"
 #include "pipeline/sharded.hpp"
 #include "traffic/scenario.hpp"
 
@@ -90,37 +92,46 @@ TEST(InternEquivalence, ShardedMatchesSequentialCopyAndMove) {
   const std::string sequential = core::to_json(run_pool(records));
 
   for (const std::size_t shards : {1u, 2u, 8u}) {
-    // Copying dispatch.
-    {
-      pipeline::ShardedPipeline pipeline([] { return paper_pair(); }, shards);
-      for (const auto& r : records) pipeline.process(r);
-      EXPECT_EQ(core::to_json(pipeline.finish()), sequential)
-          << "copy dispatch, shards=" << shards;
+    // At one shard the dispatcher moves each batch whole to the worker; at
+    // 2 and 8 it copies every record into a per-shard batch.
+    pipeline::ShardedPipeline pipeline([] { return paper_pair(); }, shards);
+    pipeline::RecordBatch batch = pipeline.batch_pool().acquire();
+    for (const auto& r : records) {
+      batch.append_slot() = r;
+      if (batch.size() == pipeline.batch_size()) {
+        pipeline.process_batch(std::move(batch));
+        batch = pipeline.batch_pool().acquire();
+      }
     }
-    // Moving dispatch.
-    {
-      pipeline::ShardedPipeline pipeline([] { return paper_pair(); }, shards);
-      auto working = records;
-      for (auto& r : working) pipeline.process(std::move(r));
-      EXPECT_EQ(core::to_json(pipeline.finish()), sequential)
-          << "move dispatch, shards=" << shards;
-    }
+    if (!batch.empty()) pipeline.process_batch(std::move(batch));
+    EXPECT_EQ(core::to_json(pipeline.finish()), sequential)
+        << "shards=" << shards;
   }
 }
 
 TEST(InternEquivalence, RunShardedMovePathMatchesSequential) {
-  // End-to-end: run_sharded now moves records from the generator into the
-  // shard queues; results must still match a sequential run of the same
-  // scenario.
+  // End-to-end: the generator writes straight into pooled batch slots and
+  // each full batch moves into the shard pipeline; results must still
+  // match a sequential run of the same scenario.
   const auto scenario = traffic::amadeus_like(0.02);
   core::ExperimentConfig config;
   config.scenario = scenario;
   const auto pool = paper_pair();
   const auto sequential = core::run_experiment(config, pool);
 
-  const auto sharded = pipeline::run_sharded(
-      scenario, [] { return paper_pair(); }, 4);
-  EXPECT_EQ(core::to_json(sharded), core::to_json(sequential.results));
+  pipeline::ShardedPipeline sharded([] { return paper_pair(); }, 4);
+  traffic::Scenario source(scenario);
+  pipeline::RecordBatch batch = sharded.batch_pool().acquire();
+  while (source.next(batch.append_slot())) {
+    if (batch.size() == sharded.batch_size()) {
+      sharded.process_batch(std::move(batch));
+      batch = sharded.batch_pool().acquire();
+    }
+  }
+  batch.rollback_last();
+  if (!batch.empty()) sharded.process_batch(std::move(batch));
+  EXPECT_EQ(core::to_json(sharded.finish()),
+            core::to_json(sequential.results));
 }
 
 }  // namespace

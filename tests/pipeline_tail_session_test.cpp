@@ -1,8 +1,10 @@
 // TailSession: the one open -> resume -> poll -> persist -> finish path
 // behind `divscrape tail --checkpoint-dir` and the chaos soak.
 //
-// Pins, at shards 1 and at 2 shards x 2 dispatchers: a kill after every
-// persist resumes warm and ends byte-identical to an uninterrupted session;
+// Pins, at shards 1 and at 2 shards x 2 dispatchers: an uninterrupted
+// session ends byte-identical to a one-shot batch replay of the merged
+// stream; a kill after every persist resumes warm and ends byte-identical
+// to an uninterrupted session;
 // a session file hand-built with the documented layout (mode byte +
 // component states) resumes warm, so existing checkpoint dirs keep
 // working; and any failed warm restore drops every half-loaded component
@@ -10,15 +12,19 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <numeric>
+#include <sstream>
 #include <string>
 #include <system_error>
 #include <vector>
 
 #include "core/export.hpp"
 #include "detectors/registry.hpp"
+#include "httplog/clf.hpp"
 #include "pipeline/checkpoint.hpp"
 #include "pipeline/multi_tailer.hpp"
 #include "pipeline/replay.hpp"
@@ -145,6 +151,40 @@ std::vector<std::size_t> thirds() {
 std::vector<std::size_t> halves() {
   const std::size_t n = records().size();
   return {n / 2, n};
+}
+
+/// One-shot batch replay of every record in the session's merge order:
+/// (time as the log carries it, whole seconds; file index; per-file
+/// order), with record i in file i % kFiles.
+std::string merged_batch_replay_json() {
+  std::vector<std::size_t> order(records().size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto second = [](std::size_t i) {
+    return records()[i].time.micros() / httplog::kMicrosPerSecond;
+  };
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return second(a) != second(b)
+                                ? second(a) < second(b)
+                                : a % kFiles < b % kFiles;
+                   });
+  std::string merged;
+  for (const std::size_t i : order) {
+    merged += httplog::format_clf(records()[i]);
+    merged += '\n';
+  }
+  const auto pool = detectors::make_paper_pair();
+  pipeline::ReplayEngine engine(pool);
+  std::istringstream in(merged);
+  const auto stats = engine.replay(in);
+  EXPECT_EQ(stats.parsed, records().size());
+  return core::to_json(engine.results());
+}
+
+TEST(TailSession, UninterruptedSessionMatchesOneShotBatchReplay) {
+  const std::string reference = merged_batch_replay_json();
+  EXPECT_EQ(run_phases("batch_seq", 1, 1, thirds(), false), reference);
+  EXPECT_EQ(run_phases("batch_shard", 2, 2, thirds(), false), reference);
 }
 
 TEST(TailSession, KillAfterEachPersistIsByteIdenticalSequential) {

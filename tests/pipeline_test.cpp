@@ -17,9 +17,28 @@ using divscrape::core::ExperimentConfig;
 using divscrape::core::JointResults;
 using divscrape::core::run_experiment;
 using divscrape::detectors::make_paper_pair;
+using divscrape::pipeline::RecordBatch;
 using divscrape::pipeline::ReplayEngine;
-using divscrape::pipeline::run_sharded;
 using divscrape::pipeline::ShardedPipeline;
+
+/// Generates the whole scenario into pooled batches of the pipeline's
+/// batch size and hands each to process_batch(); returns the record count.
+std::uint64_t feed_scenario(const divscrape::traffic::ScenarioConfig& config,
+                            ShardedPipeline& pipeline) {
+  divscrape::traffic::Scenario scenario(config);
+  std::uint64_t fed = 0;
+  RecordBatch batch = pipeline.batch_pool().acquire();
+  while (scenario.next(batch.append_slot())) {
+    ++fed;
+    if (batch.size() == pipeline.batch_size()) {
+      pipeline.process_batch(std::move(batch));
+      batch = pipeline.batch_pool().acquire();
+    }
+  }
+  batch.rollback_last();
+  if (!batch.empty()) pipeline.process_batch(std::move(batch));
+  return fed;
+}
 
 void expect_identical(const JointResults& a, const JointResults& b) {
   ASSERT_EQ(a.detector_count(), b.detector_count());
@@ -57,9 +76,9 @@ TEST_P(ShardCountTest, ShardedEqualsSequential) {
   const auto pool = make_paper_pair();
   const auto sequential = run_experiment(config, pool);
 
-  const auto sharded =
-      run_sharded(scenario, [] { return make_paper_pair(); }, GetParam());
-  expect_identical(sharded, sequential.results);
+  ShardedPipeline pipeline([] { return make_paper_pair(); }, GetParam());
+  (void)feed_scenario(scenario, pipeline);
+  expect_identical(pipeline.finish(), sequential.results);
 }
 
 INSTANTIATE_TEST_SUITE_P(Shards, ShardCountTest,
@@ -80,14 +99,8 @@ TEST(Sharded, FinishTwiceThrows) {
 TEST(Sharded, DispatchCountMatches) {
   auto scenario = divscrape::traffic::smoke_test();
   scenario.duration_days = 0.01;
-  divscrape::traffic::Scenario s(scenario);
   ShardedPipeline pipeline([] { return make_paper_pair(); }, 4);
-  divscrape::httplog::LogRecord r;
-  std::uint64_t fed = 0;
-  while (s.next(r)) {
-    pipeline.process(r);
-    ++fed;
-  }
+  const std::uint64_t fed = feed_scenario(scenario, pipeline);
   EXPECT_EQ(pipeline.dispatched(), fed);
   const auto results = pipeline.finish();
   EXPECT_EQ(results.total_requests(), fed);
