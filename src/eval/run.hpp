@@ -1,13 +1,21 @@
-// The red-vs-blue runner: generates a declarative scenario through the
-// batched workload seam, drives the paper detector pair over the stream,
-// and scores the outcome with eval::Scorer. Shared by bench_detection,
-// the revived seed benches and `divscrape_cli score`, so every consumer
-// measures detection quality the same way.
+// The experiment runner: the one loop that generates a declarative scenario
+// through the WorkloadEngine's batched seam and streams it through a
+// detector pool via an AlertJoiner. The table benches, the examples,
+// `divscrape_cli tables/export/score` and bench_detection all sit on top of
+// it, so every consumer sees the same stream the same way.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <vector>
 
+#include "core/joiner.hpp"
+#include "detectors/detector.hpp"
 #include "eval/scorer.hpp"
+#include "httplog/record.hpp"
+#include "util/span.hpp"
 #include "workload/scenario_spec.hpp"
 
 namespace divscrape::eval {
@@ -17,10 +25,46 @@ struct RunOptions {
   std::size_t batch_records = 1024;
 };
 
-/// Runs `spec` end to end — WorkloadEngine::run_batched() feeding a fresh
-/// paper detector pair through an AlertJoiner — and returns the scored
-/// outcome. The generated stream is byte-identical at any gen_threads
-/// (the engine's contract), so the score is too.
+/// What happened.
+struct ExperimentOutput {
+  core::JointResults results;
+  std::uint64_t records = 0;
+  double wall_seconds = 0.0;
+
+  [[nodiscard]] double throughput_rps() const noexcept {
+    return wall_seconds <= 0.0 ? 0.0
+                               : static_cast<double>(records) / wall_seconds;
+  }
+};
+
+/// Sees every record with the pool's verdict row (valid for the call only).
+using RecordObserver = std::function<void(
+    const httplog::LogRecord&, divscrape::span<const detectors::Verdict>)>;
+
+/// Streams `spec` through the given pool (pool order defines result
+/// indices), handing each record and its verdicts to `observe` when set.
+/// The pool is reset first. The generated stream is byte-identical at any
+/// gen_threads (the engine's contract), so the results are too.
+[[nodiscard]] ExperimentOutput run_experiment(
+    const workload::ScenarioSpec& spec,
+    const std::vector<std::unique_ptr<detectors::Detector>>& pool,
+    const RecordObserver& observe = {}, const RunOptions& options = {});
+
+/// Trains the learning-based related-work detectors (naive Bayes, decision
+/// tree) on the engine's stream of `training`, sessionized and labelled by
+/// majority ground truth — which stands in for the paper's "Amadeus team is
+/// currently labelling the dataset" step.
+[[nodiscard]] std::vector<std::unique_ptr<detectors::Detector>>
+make_learned_detectors(const workload::ScenarioSpec& training);
+
+/// Full pool: Sentinel, Arcane, rate-limit, trap, naive-Bayes, decision
+/// tree. Learned members are trained on a scaled-down sibling of `spec`
+/// (scale at most 0.02) with a different seed: no training-on-test leakage.
+[[nodiscard]] std::vector<std::unique_ptr<detectors::Detector>>
+make_full_pool(const workload::ScenarioSpec& spec);
+
+/// Runs `spec` through a fresh paper detector pair and returns the scored
+/// outcome.
 [[nodiscard]] ScenarioScore score_scenario(const workload::ScenarioSpec& spec,
                                            const RunOptions& options = {});
 

@@ -5,10 +5,11 @@
 // sharded.
 //
 // Three proofs:
-//   1. Golden parity vs the seed: tests/data/golden_amadeus_s005_paper_pair
-//      .json was captured from the pre-interning tree (commit fdc3288) by
-//      running `divscrape_cli export --scale 0.05`. The same run today must
-//      serialize to the identical bytes.
+//   1. Golden parity: tests/data/golden_amadeus_s005_paper_pair.json is
+//      the output of `divscrape_cli export --scale 0.05`, the catalog
+//      amadeus_like through the WorkloadEngine at its default EngineConfig
+//      (8 partitions). The same run today must serialize to the identical
+//      bytes. Parity with the seed's string-keyed detector path is proof 2.
 //   2. Stamped vs unstamped: scrubbing ua_token (forcing every detector
 //      through its local-interner fallback) must not change results.
 //   3. Sharded vs sequential at 1/2/8 shards through process_batch(), over
@@ -26,9 +27,11 @@
 #include "core/export.hpp"
 #include "detectors/arcane.hpp"
 #include "detectors/sentinel.hpp"
+#include "eval/run.hpp"
 #include "pipeline/record_batch.hpp"
 #include "pipeline/sharded.hpp"
 #include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
 
 namespace {
 
@@ -70,10 +73,9 @@ TEST(InternEquivalence, GoldenParityWithSeedStringKeyedPath) {
          (expected.back() == '\n' || expected.back() == '\r'))
     expected.pop_back();
 
-  core::ExperimentConfig config;
-  config.scenario = traffic::amadeus_like(0.05);
   const auto pool = paper_pair();
-  const auto out = core::run_experiment(config, pool);
+  const auto out =
+      eval::run_experiment(*workload::catalog_entry("amadeus_like", 0.05), pool);
   EXPECT_EQ(core::to_json(out.results), expected);
 }
 

@@ -374,9 +374,11 @@ volatile std::sig_atomic_t g_tail_interrupted = 0;
 
 void tail_sigint(int) { g_tail_interrupted = 1; }
 
-/// Resolves the simulate/soak/score positional: a catalog name first, then
-/// a spec file. The catalog wins on a name collision (rename the file).
-std::optional<workload::ScenarioSpec> resolve_spec(const CliOptions& opts) {
+/// Resolves a scenario (the simulate/soak/score positional; amadeus_like for
+/// tables/export): a catalog name first, then a spec file. The catalog wins
+/// on a name collision (rename the file).
+std::optional<workload::ScenarioSpec> resolve_spec(const CliOptions& opts,
+                                                  const std::string& input) {
   const bool scale_set = opts.config.get("scenario.scale").has_value();
   const double scale = opts.config.get_double("scenario.scale", 1.0);
   if (scale_set && scale <= 0.0) {
@@ -384,14 +386,14 @@ std::optional<workload::ScenarioSpec> resolve_spec(const CliOptions& opts) {
                  opts.command.c_str(), scale);
     return std::nullopt;
   }
-  if (auto spec = workload::catalog_entry(opts.input, scale)) return spec;
+  if (auto spec = workload::catalog_entry(input, scale)) return spec;
   std::string error;
-  auto spec = workload::ScenarioSpec::load(opts.input, &error);
+  auto spec = workload::ScenarioSpec::load(input, &error);
   if (!spec) {
     std::fprintf(stderr,
                  "%s: \"%s\" is not a catalog scenario, and loading "
                  "it as a spec file failed: %s\n",
-                 opts.command.c_str(), opts.input.c_str(), error.c_str());
+                 opts.command.c_str(), input.c_str(), error.c_str());
     return std::nullopt;
   }
   if (scale_set) spec->scale = scale;  // --scale overrides the file
@@ -413,7 +415,7 @@ int cmd_simulate(const CliOptions& opts) {
                  "(try: simulate --list)\n");
     return 2;
   }
-  auto spec = resolve_spec(opts);
+  auto spec = resolve_spec(opts, opts.input);
   if (!spec) return 1;
   if (opts.dump_spec) {
     std::printf("%s\n", spec->to_json().c_str());
@@ -814,7 +816,7 @@ int cmd_soak(CliOptions opts) {
   if (opts.smoke && !opts.config.get("scenario.scale").has_value()) {
     opts.config.set("scenario.scale", "0.01");
   }
-  auto spec = resolve_spec(opts);
+  auto spec = resolve_spec(opts, opts.input);
   if (!spec) return 1;
 
   pipeline::ChaosConfig config;
@@ -891,7 +893,7 @@ int cmd_score(const CliOptions& opts) {
                  "(try: simulate --list)\n");
     return 2;
   }
-  auto spec = resolve_spec(opts);
+  auto spec = resolve_spec(opts, opts.input);
   if (!spec) return 1;
 
   eval::RunOptions run_options;
@@ -935,10 +937,10 @@ int cmd_score(const CliOptions& opts) {
 }
 
 int cmd_tables(const CliOptions& opts) {
-  core::ExperimentConfig config;
-  config.scenario = scenario_from(opts.config);
+  const auto spec = resolve_spec(opts, "amadeus_like");
+  if (!spec) return 1;
   const auto pool = pair_from(opts.config);
-  const auto out = core::run_experiment(config, pool);
+  const auto out = eval::run_experiment(*spec, pool);
   const auto& r = out.results;
   const auto& pair = r.pair(0, 1);
 
@@ -974,10 +976,10 @@ int cmd_tables(const CliOptions& opts) {
 }
 
 int cmd_export(const CliOptions& opts) {
-  core::ExperimentConfig config;
-  config.scenario = scenario_from(opts.config);
+  const auto spec = resolve_spec(opts, "amadeus_like");
+  if (!spec) return 1;
   const auto pool = pair_from(opts.config);
-  const auto out = core::run_experiment(config, pool);
+  const auto out = eval::run_experiment(*spec, pool);
   core::export_json(out.results, std::cout);
   std::cout << '\n';
   if (!opts.csv_prefix.empty()) {
