@@ -8,11 +8,13 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "detectors/arcane.hpp"
 #include "detectors/detector.hpp"
 #include "detectors/sentinel.hpp"
+#include "eval/run.hpp"
 #include "eval/scorer.hpp"
 
 namespace {
@@ -24,31 +26,26 @@ struct Cells {
   double ensemble_recall = 0.0;  ///< 1oo2 recall from eval::Scorer
 };
 
-Cells run_pair(const traffic::ScenarioConfig& scenario,
+Cells run_pair(const workload::ScenarioSpec& spec,
                detectors::SentinelConfig sc, detectors::ArcaneConfig ac) {
-  detectors::SentinelDetector sentinel(sc);
-  detectors::ArcaneDetector arcane(ac);
-  traffic::Scenario source(scenario);
+  std::vector<std::unique_ptr<detectors::Detector>> pool;
+  pool.push_back(std::make_unique<detectors::SentinelDetector>(sc));
+  pool.push_back(std::make_unique<detectors::ArcaneDetector>(ac));
   eval::Scorer scorer({"sentinel", "arcane"});
-  httplog::LogRecord record;
+  const auto out = eval::run_experiment(
+      spec, pool,
+      [&scorer](const httplog::LogRecord& record,
+                divscrape::span<const detectors::Verdict> verdicts) {
+        scorer.observe(record, verdicts);
+      });
+  const auto& pair = out.results.pair(0, 1);
   Cells cells;
-  while (source.next(record)) {
-    const detectors::Verdict verdicts[2] = {sentinel.evaluate(record),
-                                            arcane.evaluate(record)};
-    scorer.observe(record, verdicts);
-    const bool s = verdicts[0].alert;
-    const bool a = verdicts[1].alert;
-    if (s && a)
-      ++cells.both;
-    else if (s)
-      ++cells.s_only;
-    else if (a)
-      ++cells.a_only;
-    else
-      ++cells.neither;
-  }
-  const auto score = scorer.finish("amadeus_like", 1.0);
-  cells.ensemble_recall = score.columns.back().recall();
+  cells.both = pair.both();
+  cells.neither = pair.neither();
+  cells.s_only = pair.first_only();
+  cells.a_only = pair.second_only();
+  cells.ensemble_recall =
+      scorer.finish("amadeus_like", spec.scale).columns.back().recall();
   return cells;
 }
 
@@ -65,7 +62,7 @@ void print_row(const char* name, const Cells& c) {
 
 int main(int argc, char** argv) {
   const double scale = bench::parse_scale(argc, argv, 0.15);
-  const auto scenario = traffic::amadeus_like(scale);
+  const auto scenario = bench::paper_spec(scale);
   std::printf("# ablation of detector mechanisms, scale=%.3f\n\n", scale);
   std::printf("  %-34s %12s %12s %12s %12s %11s\n", "configuration", "both",
               "neither", "sentinel-only", "arcane-only", "1oo2-recall");

@@ -1,5 +1,6 @@
-// Shared plumbing for the table benches: scale parsing, the cached
-// paper-pair experiment, and paper-vs-measured row printing.
+// Shared plumbing for the table benches: scale parsing, the paper-pair
+// experiment on the catalog amadeus_like spec, and paper-vs-measured row
+// printing.
 //
 // Every table bench accepts an optional scale argument (default 1.0 =
 // paper-sized, ~1.47M requests, a few seconds) and prints, for each row of
@@ -16,12 +17,13 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
 #include "core/json.hpp"
 #include "core/paper_reference.hpp"
 #include "core/report.hpp"
-#include "traffic/scenario.hpp"
+#include "detectors/registry.hpp"
+#include "eval/run.hpp"
 #include "util/rss.hpp"
+#include "workload/catalog.hpp"
 
 namespace divscrape::bench {
 
@@ -148,14 +150,17 @@ inline bool write_throughput_json(const std::string& path,
   return static_cast<bool>(out);
 }
 
+/// The paper workload: the catalog amadeus_like spec at `scale`.
+inline workload::ScenarioSpec paper_spec(double scale) {
+  return *workload::catalog_entry("amadeus_like", scale);
+}
+
 /// Runs the paper deployment on the amadeus_like scenario at `scale`.
-inline core::ExperimentOutput run_paper(double scale) {
-  core::ExperimentConfig config;
-  config.scenario = traffic::amadeus_like(scale);
+inline eval::ExperimentOutput run_paper(double scale) {
+  const auto spec = paper_spec(scale);
   std::printf("# divscrape :: scenario=amadeus_like scale=%.3f seed=%llu\n",
-              scale,
-              static_cast<unsigned long long>(config.scenario.seed));
-  auto out = core::run_paper_experiment(config);
+              scale, static_cast<unsigned long long>(spec.seed));
+  auto out = eval::run_experiment(spec, detectors::make_paper_pair());
   std::printf("# processed %s records in %.2fs (%.0f records/s)\n\n",
               core::with_thousands(out.records).c_str(), out.wall_seconds,
               out.throughput_rps());

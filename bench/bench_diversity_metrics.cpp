@@ -8,21 +8,18 @@
 
 #include "bench_common.hpp"
 #include "core/contingency.hpp"
-#include "detectors/registry.hpp"
 
 int main(int argc, char** argv) {
   using namespace divscrape;
 
   const double scale = bench::parse_scale(argc, argv, 0.1);
-  auto scenario = traffic::amadeus_like(scale);
+  const auto scenario = bench::paper_spec(scale);
   std::printf("# E7: pairwise diversity across the detector pool, scale=%.3f\n",
               scale);
   std::printf("# (learned members trained on a differently-seeded sibling)\n\n");
 
-  const auto pool = detectors::make_full_pool(scenario);
-  core::ExperimentConfig config;
-  config.scenario = scenario;
-  const auto out = core::run_experiment(config, pool);
+  const auto pool = eval::make_full_pool(scenario);
+  const auto out = eval::run_experiment(scenario, pool);
   const auto& r = out.results;
 
   std::printf("per-detector totals (n=%s):\n",

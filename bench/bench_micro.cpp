@@ -1,32 +1,38 @@
 // Component microbenchmarks (google-benchmark; optional build). Measures
 // the operational cost of each stage of the two-tool deployment: CLF
-// parse/format, per-request detector evaluation, traffic generation, and
-// the end-to-end joined pipeline.
+// parse/format, per-request detector evaluation, and the end-to-end joined
+// pipeline (generation included; bench_workload times generation alone).
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 #include <vector>
 
-#include "core/joiner.hpp"
 #include "detectors/arcane.hpp"
 #include "detectors/registry.hpp"
 #include "detectors/sentinel.hpp"
+#include "eval/run.hpp"
 #include "httplog/clf.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
 using namespace divscrape;
 
+/// The catalog smoke spec cut to `days` of simulated time.
+workload::ScenarioSpec smoke_spec(double days) {
+  auto spec = *workload::catalog_entry("smoke");
+  spec.duration_days = days;
+  return spec;
+}
+
 // A captive slice of scenario traffic shared by the record-level benches.
 const std::vector<httplog::LogRecord>& sample_records() {
   static const auto records = [] {
-    auto config = traffic::smoke_test();
-    config.duration_days = 0.2;
-    traffic::Scenario scenario(config);
+    workload::WorkloadEngine engine(smoke_spec(0.2));
     std::vector<httplog::LogRecord> out;
-    httplog::LogRecord r;
-    while (scenario.next(r)) out.push_back(r);
+    (void)engine.run(
+        [&out](httplog::LogRecord&& r) { out.push_back(std::move(r)); });
     return out;
   }();
   return records;
@@ -147,37 +153,14 @@ void BM_ArcaneEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_ArcaneEvaluate);
 
-void BM_TrafficGeneration(benchmark::State& state) {
-  for (auto _ : state) {
-    auto config = traffic::smoke_test();
-    config.duration_days = 0.05;
-    traffic::Scenario scenario(config);
-    httplog::LogRecord r;
-    std::uint64_t n = 0;
-    while (scenario.next(r)) ++n;
-    benchmark::DoNotOptimize(n);
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(n));
-  }
-}
-BENCHMARK(BM_TrafficGeneration)->Unit(benchmark::kMillisecond);
-
 void BM_EndToEndJoinedPair(benchmark::State& state) {
+  const auto spec = smoke_spec(0.05);
   for (auto _ : state) {
-    auto config = traffic::smoke_test();
-    config.duration_days = 0.05;
-    traffic::Scenario scenario(config);
-    const auto pool = detectors::make_paper_pair();
-    core::AlertJoiner joiner(pool);
-    httplog::LogRecord r;
-    std::uint64_t n = 0;
-    while (scenario.next(r)) {
-      (void)joiner.process(r);
-      ++n;
-    }
-    benchmark::DoNotOptimize(joiner.results().total_requests());
+    const auto out =
+        eval::run_experiment(spec, detectors::make_paper_pair());
+    benchmark::DoNotOptimize(out.results.total_requests());
     state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(n));
+                            static_cast<std::int64_t>(out.records));
   }
 }
 BENCHMARK(BM_EndToEndJoinedPair)->Unit(benchmark::kMillisecond);

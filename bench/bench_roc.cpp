@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/joiner.hpp"
 #include "detectors/registry.hpp"
 #include "eval/scorer.hpp"
 #include "ml/metrics.hpp"
@@ -20,18 +19,18 @@ int main(int argc, char** argv) {
   using namespace divscrape;
 
   const double scale = bench::parse_scale(argc, argv, 0.1);
-  auto scenario = traffic::amadeus_like(scale);
   std::printf("# E8: score-threshold ROC sweep, scale=%.3f\n\n", scale);
 
   const auto pool = detectors::make_paper_pair();
   std::vector<std::string> names;
   for (const auto& detector : pool) names.emplace_back(detector->name());
-  core::AlertJoiner joiner(pool);
   eval::Scorer scorer(names);
-
-  traffic::Scenario source(scenario);
-  httplog::LogRecord record;
-  while (source.next(record)) scorer.observe(record, joiner.process(record));
+  (void)eval::run_experiment(
+      bench::paper_spec(scale), pool,
+      [&scorer](const httplog::LogRecord& record,
+                divscrape::span<const detectors::Verdict> verdicts) {
+        scorer.observe(record, verdicts);
+      });
 
   const auto score = scorer.finish("amadeus_like", scale);
   for (std::size_t d = 0; d < scorer.column_count(); ++d) {

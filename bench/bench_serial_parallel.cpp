@@ -32,6 +32,7 @@
 #include "detectors/sentinel.hpp"
 #include "pipeline/record_batch.hpp"
 #include "pipeline/sharded.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
@@ -52,68 +53,34 @@ struct TopologyRun {
   double wall_seconds = 0.0;
 };
 
-TopologyRun run_topology(const traffic::ScenarioConfig& scenario,
-                         std::unique_ptr<detectors::Detector> deployment,
-                         std::uint64_t* analyzer_load_out = nullptr) {
+/// Runs one deployment (a topology wrapped as a single detector) over the
+/// stream; the joiner's confusion matrix is the topology's.
+TopologyRun run_topology(const workload::ScenarioSpec& spec,
+                         std::unique_ptr<detectors::Detector> deployment) {
+  std::vector<std::unique_ptr<detectors::Detector>> pool;
+  pool.push_back(std::move(deployment));
+  const auto out = eval::run_experiment(spec, pool);
   TopologyRun run;
-  run.name = deployment->name();
-  traffic::Scenario source(scenario);
-  httplog::LogRecord record;
-  const auto t0 = std::chrono::steady_clock::now();
-  while (source.next(record)) {
-    const auto v = deployment->evaluate(record);
-    run.confusion.observe(record.truth, v.alert);
-    ++run.total;
-  }
-  run.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  if (analyzer_load_out) run.analyzer_load = *analyzer_load_out;
+  run.name = pool[0]->name();
+  run.confusion = out.results.confusion(0);
+  run.total = out.records;
+  run.wall_seconds = out.wall_seconds;
+  if (const auto* cascade =
+          dynamic_cast<const core::SerialDeployment*>(pool[0].get()))
+    run.analyzer_load = cascade->analyzer_load();
   return run;
 }
 
-void run_e6_topologies(const traffic::ScenarioConfig& scenario) {
+void run_e6_topologies(const workload::ScenarioSpec& spec) {
   std::vector<TopologyRun> runs;
-
-  {  // parallel 1oo2
-    std::vector<std::unique_ptr<detectors::Detector>> pool;
-    pool.push_back(fresh_sentinel());
-    pool.push_back(fresh_arcane());
-    runs.push_back(run_topology(
-        scenario,
-        std::make_unique<core::ParallelDeployment>(std::move(pool), 1)));
-  }
-  {  // parallel 2oo2
-    std::vector<std::unique_ptr<detectors::Detector>> pool;
-    pool.push_back(fresh_sentinel());
-    pool.push_back(fresh_arcane());
-    runs.push_back(run_topology(
-        scenario,
-        std::make_unique<core::ParallelDeployment>(std::move(pool), 2)));
-  }
-  const auto run_cascade = [&](std::unique_ptr<detectors::Detector> first,
-                               std::unique_ptr<detectors::Detector> second) {
-    auto cascade = std::make_unique<core::SerialDeployment>(std::move(first),
-                                                            std::move(second));
-    auto* raw = cascade.get();
-    traffic::Scenario source(scenario);
-    httplog::LogRecord record;
-    TopologyRun run;
-    run.name = raw->name();
-    const auto t0 = std::chrono::steady_clock::now();
-    while (source.next(record)) {
-      const auto v = cascade->evaluate(record);
-      run.confusion.observe(record.truth, v.alert);
-      ++run.total;
-    }
-    run.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    run.analyzer_load = raw->analyzer_load();
-    runs.push_back(std::move(run));
-  };
-  run_cascade(fresh_sentinel(), fresh_arcane());
-  run_cascade(fresh_arcane(), fresh_sentinel());
+  runs.push_back(run_topology(spec, std::make_unique<core::ParallelDeployment>(
+                                        detectors::make_paper_pair(), 1)));
+  runs.push_back(run_topology(spec, std::make_unique<core::ParallelDeployment>(
+                                        detectors::make_paper_pair(), 2)));
+  runs.push_back(run_topology(spec, std::make_unique<core::SerialDeployment>(
+                                        fresh_sentinel(), fresh_arcane())));
+  runs.push_back(run_topology(spec, std::make_unique<core::SerialDeployment>(
+                                        fresh_arcane(), fresh_sentinel())));
 
   std::printf(
       "  %-28s %10s %10s %12s %14s %8s\n", "topology", "sens", "spec",
@@ -160,32 +127,22 @@ struct ComboResult {
   double wall_s = 0.0;
 };
 
-// Generator -> RecordBatch -> process_batch: the batched ingest seam the
+// Engine -> RecordBatch -> process_batch: the batched ingest seam the
 // tailer/decoder stack uses, fed from the deterministic scenario stream.
-ComboResult run_combo(const traffic::ScenarioConfig& scenario,
-                      const Combo& combo) {
-  traffic::Scenario source(scenario);
+// The engine fills the pipeline's own pooled batches (the arena loop).
+ComboResult run_combo(const workload::ScenarioSpec& spec, const Combo& combo) {
   pipeline::ShardedPipeline pipe([] { return detectors::make_paper_pair(); },
                                  combo.shards, combo.batch, combo.backlog,
                                  combo.dispatchers);
-  std::uint64_t records = 0;
+  workload::EngineConfig config;
+  config.gen_threads = eval::RunOptions().gen_threads;  // as the sequential
+  workload::WorkloadEngine engine(spec, config);
   const auto t0 = std::chrono::steady_clock::now();
-  pipeline::RecordBatch batch = pipe.batch_pool().acquire();
-  for (;;) {
-    // Generate straight into the warm slot — the same dirty-record reuse
-    // contract as the sequential engine's single stack record, with no
-    // per-record copy.
-    if (!source.next(batch.append_slot())) {
-      batch.rollback_last();
-      break;
-    }
-    ++records;
-    if (batch.size() >= combo.batch) {
-      pipe.process_batch(std::move(batch));
-      batch = pipe.batch_pool().acquire();
-    }
-  }
-  if (!batch.empty()) pipe.process_batch(std::move(batch));
+  const std::uint64_t records = engine.run_batched(
+      [&pipe](pipeline::RecordBatch&& batch) {
+        pipe.process_batch(std::move(batch));
+      },
+      combo.batch, &pipe.batch_pool());
   auto results = pipe.finish();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -195,28 +152,24 @@ ComboResult run_combo(const traffic::ScenarioConfig& scenario,
 
 int run_scaling_sweep(double scale, const std::string& json_path,
                       std::size_t repeat) {
-  const auto scenario = traffic::amadeus_like(scale);
+  const auto scenario = bench::paper_spec(scale);
   // The gate stream: small enough to be cheap, big enough to populate
   // windows and reputation state across every shard.
   const double gate_scale = scale < 0.02 ? scale : 0.02;
-  const auto gate_scenario = traffic::amadeus_like(gate_scale);
+  const auto gate_scenario = bench::paper_spec(gate_scale);
 
   // Sequential references at both scales. Min-of-`repeat` wall like every
   // combo row below — same estimator on both sides of the comparison.
-  core::ExperimentConfig config;
-  config.scenario = scenario;
   const auto pool = detectors::make_paper_pair();
-  auto sequential = core::run_experiment(config, pool);
+  auto sequential = eval::run_experiment(scenario, pool);
   for (std::size_t r = 1; r < repeat; ++r) {
-    auto again = core::run_experiment(config, pool);
+    auto again = eval::run_experiment(scenario, pool);
     if (again.wall_seconds < sequential.wall_seconds)
       sequential = std::move(again);
   }
   const std::string sequential_json = core::to_json(sequential.results);
-  core::ExperimentConfig gate_config;
-  gate_config.scenario = gate_scenario;
   const std::string gate_json =
-      core::to_json(core::run_paper_experiment(gate_config).results);
+      core::to_json(eval::run_experiment(gate_scenario, pool).results);
 
   std::vector<bench::ThroughputRun> runs;
   runs.push_back({"sequential", 0, sequential.records,
@@ -266,10 +219,11 @@ int run_scaling_sweep(double scale, const std::string& json_path,
   }
 
   std::printf(
-      "\nnote: the generator side is single-threaded, so speedup saturates\n"
-      "once detection stops being the bottleneck; on a 1-core host the\n"
-      "contract is sharded >= sequential (batching amortizes the handoff),\n"
-      "not scaling. /24-affine partitioning guarantees result identity.\n");
+      "\nnote: the generator's merge runs on the caller's thread, so speedup\n"
+      "saturates once detection stops being the bottleneck; on a 1-core host\n"
+      "the contract is sharded >= sequential (batching amortizes the\n"
+      "handoff), not scaling. /24-affine partitioning guarantees result\n"
+      "identity.\n");
 
   if (!json_path.empty()) {
     if (!bench::write_throughput_json(json_path, "bench_serial_parallel",
@@ -286,7 +240,7 @@ int main(int argc, char** argv) {
   const auto args = bench::parse_bench_args(argc, argv, 0.2);
   std::printf("# E6: parallel vs serial deployment, scale=%.3f\n\n",
               args.scale);
-  run_e6_topologies(traffic::amadeus_like(args.scale));
+  run_e6_topologies(bench::paper_spec(args.scale));
 
   std::printf("# batched pipeline scaling: shards x dispatchers x batch\n\n");
   return run_scaling_sweep(args.scale, args.json_path, args.repeat);

@@ -16,19 +16,17 @@ int main(int argc, char** argv) {
   using namespace divscrape;
 
   const double scale = bench::parse_scale(argc, argv, 0.25);
-  auto scenario = traffic::amadeus_like(scale);
+  const auto scenario = bench::paper_spec(scale);
   std::printf("# E12: alert-rate timeline, scale=%.3f\n\n", scale);
 
   const auto pool = detectors::make_paper_pair();
-  traffic::Scenario source(scenario);
-  core::AlertJoiner joiner(pool);
   core::TimeSeriesCollector hourly(pool.size(), scenario.start, 3600.0);
-
-  httplog::LogRecord record;
-  while (source.next(record)) {
-    const auto verdicts = joiner.process(record);
-    hourly.observe(record, verdicts);
-  }
+  (void)eval::run_experiment(
+      scenario, pool,
+      [&hourly](const httplog::LogRecord& record,
+                divscrape::span<const detectors::Verdict> verdicts) {
+        hourly.observe(record, verdicts);
+      });
 
   const std::vector<std::string> names = {"sentinel", "arcane"};
   std::printf("daily rows (24h buckets):\n");

@@ -21,31 +21,29 @@ int main(int argc, char** argv) {
   using namespace divscrape;
 
   const double scale = bench::parse_scale(argc, argv, 0.2);
-  auto scenario = traffic::amadeus_like(scale);
   std::printf("# E9: root causes of single-tool alerts, scale=%.3f\n\n",
               scale);
 
   const auto pool = detectors::make_paper_pair();
   std::vector<std::string> names;
   for (const auto& detector : pool) names.emplace_back(detector->name());
-  core::AlertJoiner joiner(pool);
   eval::Scorer scorer(names);
 
-  traffic::Scenario source(scenario);
-  httplog::LogRecord record;
   // Unique alerts by (detector, actor class).
   std::map<std::pair<std::size_t, std::uint8_t>, std::uint64_t> by_class;
-  while (source.next(record)) {
-    const auto verdicts = joiner.process(record);
-    scorer.observe(record, verdicts);
-    const bool s = verdicts[0].alert;
-    const bool a = verdicts[1].alert;
-    if (s != a) {
-      const std::size_t who = s ? 0 : 1;
-      ++by_class[{who, record.actor_class}];
-    }
-  }
-  const auto& r = joiner.results();
+  const auto out = eval::run_experiment(
+      bench::paper_spec(scale), pool,
+      [&](const httplog::LogRecord& record,
+          divscrape::span<const detectors::Verdict> verdicts) {
+        scorer.observe(record, verdicts);
+        const bool s = verdicts[0].alert;
+        const bool a = verdicts[1].alert;
+        if (s != a) {
+          const std::size_t who = s ? 0 : 1;
+          ++by_class[{who, record.actor_class}];
+        }
+      });
+  const auto& r = out.results;
   const auto score = scorer.finish("amadeus_like", scale);
 
   for (std::size_t d = 0; d < 2; ++d) {

@@ -1,12 +1,10 @@
 // Workload-generation throughput: the WorkloadEngine's parallel
-// time-merged generation vs the legacy single-threaded Scenario pull loop,
-// over a catalog scenario — the generation-side counterpart of the
-// perfbench/ workloads (detection, catch-up and live ingest).
+// time-merged generation (the one traffic generator) over a catalog
+// scenario — the generation-side counterpart of the perfbench/ workloads
+// (detection, catch-up and live ingest).
 //
 // Rows:
 //
-//   legacy_generator  traffic::Scenario(amadeus_like) pulled in one thread
-//                     (only when the measured scenario is amadeus_like)
 //   engine            WorkloadEngine at gen_threads 1 / 2 / 4 (the shards
 //                     column records the thread count)
 //
@@ -148,25 +146,6 @@ int main(int argc, char** argv) {
   }
 
   std::vector<bench::ThroughputRun> runs;
-
-  // Reference: the legacy single-threaded generator (same populations for
-  // the paper scenario; other catalog entries have no legacy equivalent).
-  if (scenario_name == "amadeus_like") {
-    traffic::Scenario legacy(traffic::amadeus_like(scale));
-    httplog::LogRecord record;
-    std::uint64_t count = 0;
-    std::uint64_t sink = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    while (legacy.next(record)) {
-      ++count;
-      sink ^= static_cast<std::uint64_t>(record.time.micros());
-    }
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    if (sink == 0xdead) std::printf(" ");  // defeat dead-code elimination
-    runs.push_back({"legacy_generator", 0, count, wall});
-  }
 
   StreamDigest reference;
   bool have_reference = false;

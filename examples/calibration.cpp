@@ -12,7 +12,9 @@
 
 #include "core/report.hpp"
 #include "detectors/registry.hpp"
-#include "traffic/scenario.hpp"
+#include "eval/run.hpp"
+#include "traffic/actor.hpp"
+#include "workload/catalog.hpp"
 
 using namespace divscrape;
 
@@ -28,19 +30,20 @@ int main(int argc, char** argv) {
   };
   std::map<std::uint8_t, ClassStats> per_class;
 
-  traffic::Scenario scenario(traffic::amadeus_like(scale));
-  auto pool = detectors::make_paper_pair();
-  httplog::LogRecord record;
-  while (scenario.next(record)) {
-    const auto vs = pool[0]->evaluate(record);
-    const auto va = pool[1]->evaluate(record);
-    auto& cs = per_class[record.actor_class];
-    ++cs.requests;
-    cs.sentinel += vs.alert;
-    cs.arcane += va.alert;
-    cs.both += vs.alert && va.alert;
-    cs.neither += !vs.alert && !va.alert;
-  }
+  (void)eval::run_experiment(
+      *workload::catalog_entry("amadeus_like", scale),
+      detectors::make_paper_pair(),
+      [&per_class](const httplog::LogRecord& record,
+                   divscrape::span<const detectors::Verdict> verdicts) {
+        const bool s = verdicts[0].alert;
+        const bool a = verdicts[1].alert;
+        auto& cs = per_class[record.actor_class];
+        ++cs.requests;
+        cs.sentinel += s;
+        cs.arcane += a;
+        cs.both += s && a;
+        cs.neither += !s && !a;
+      });
 
   core::TextTable t({"actor class", "requests", "sentinel%", "arcane%",
                      "both%", "neither", "sent-only", "arc-only"});

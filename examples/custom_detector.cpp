@@ -16,11 +16,11 @@
 #include <unordered_map>
 
 #include "core/contingency.hpp"
-#include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "detectors/registry.hpp"
+#include "eval/run.hpp"
 #include "httplog/url.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
 
 using namespace divscrape;
 
@@ -73,9 +73,8 @@ int main() {
   auto pool = detectors::make_paper_pair();
   pool.push_back(std::make_unique<RouteEnumerationDetector>());
 
-  core::ExperimentConfig config;
-  config.scenario = traffic::amadeus_like(0.1);
-  const auto out = core::run_experiment(config, pool);
+  const auto out =
+      eval::run_experiment(*workload::catalog_entry("amadeus_like", 0.1), pool);
   const auto& r = out.results;
 
   std::printf("three-tool deployment over %s requests\n\n",

@@ -13,22 +13,22 @@
 
 #include "core/labeling.hpp"
 #include "core/report.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 
 using namespace divscrape;
 
 int main() {
   // Generate a labelled stream, then scrub the labels (the analyst's view).
-  auto config = traffic::amadeus_like(0.05);
-  traffic::Scenario scenario(config);
+  workload::WorkloadEngine engine(
+      *workload::catalog_entry("amadeus_like", 0.05));
   std::vector<httplog::LogRecord> records;
   std::vector<httplog::Truth> hidden_truth;
-  httplog::LogRecord record;
-  while (scenario.next(record)) {
+  (void)engine.run([&](httplog::LogRecord&& record) {
     hidden_truth.push_back(record.truth);
     record.truth = httplog::Truth::kUnknown;
-    records.push_back(record);
-  }
+    records.push_back(std::move(record));
+  });
   std::printf("unlabelled stream: %s records\n\n",
               core::with_thousands(records.size()).c_str());
 

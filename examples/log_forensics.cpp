@@ -18,7 +18,8 @@
 #include "detectors/registry.hpp"
 #include "httplog/io.hpp"
 #include "pipeline/replay.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 
 using namespace divscrape;
 
@@ -26,18 +27,17 @@ namespace {
 
 std::string write_sample_log() {
   const std::string path = "/tmp/divscrape_sample_access.log";
-  auto config = traffic::amadeus_like(0.05);
-  config.duration_days = 1.0;
-  traffic::Scenario scenario(config);
+  auto spec = *workload::catalog_entry("amadeus_like", 0.05);
+  spec.duration_days = 1.0;
+  workload::WorkloadEngine engine(std::move(spec));
   std::ofstream out(path);
   httplog::LogWriter writer(out);
-  httplog::LogRecord record;
   std::uint64_t n = 0;
-  while (scenario.next(record)) {
+  (void)engine.run([&](httplog::LogRecord&& record) {
     writer.write(record);
     // Simulate occasional rotation corruption.
     if (++n % 5000 == 0) out << "##corrupt rotation fragment##\n";
-  }
+  });
   std::printf("wrote %s (%llu records + corrupt fragments)\n", path.c_str(),
               static_cast<unsigned long long>(n));
   return path;

@@ -7,11 +7,12 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "core/experiment.hpp"
 #include "core/paper_reference.hpp"
 #include "core/report.hpp"
+#include "detectors/registry.hpp"
+#include "eval/run.hpp"
 #include "httplog/http.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
 
 using namespace divscrape;
 
@@ -24,9 +25,9 @@ int main(int argc, char** argv) {
 
   std::printf("divscrape quickstart: %.0f%% of the paper-scale scenario\n",
               scale * 100.0);
-  core::ExperimentConfig config;
-  config.scenario = traffic::amadeus_like(scale);
-  const auto out = core::run_paper_experiment(config);
+  const auto out =
+      eval::run_experiment(*workload::catalog_entry("amadeus_like", scale),
+                           detectors::make_paper_pair());
   const auto& r = out.results;
 
   std::printf("processed %s requests in %.2fs (%.0f req/s)\n\n",

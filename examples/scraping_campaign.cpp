@@ -8,35 +8,30 @@
 #include <cstdio>
 #include <map>
 
-#include "core/joiner.hpp"
 #include "core/report.hpp"
 #include "detectors/registry.hpp"
+#include "eval/run.hpp"
 #include "httplog/timestamp.hpp"
 #include "stats/running_stats.hpp"
 #include "traffic/actor.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/scenario_spec.hpp"
 
 using namespace divscrape;
 
 int main() {
   // One campaign, one simulated day, modest human background.
-  traffic::ScenarioConfig config;
-  config.duration_days = 1.0;
-  config.scale = 1.0;
-  config.human_arrivals_per_s = 0.01;
-  config.campaigns = 1;
-  config.bots_per_campaign = 60;
-  config.slow_bots_per_campaign = 4;
-  config.stealth_bots = 0;
-  config.api_clean_bots = 0;
-  config.api_fleet_bots = 0;
-  config.malformed_bots = 0;
-  config.caching_bots = 0;
-  config.site.catalogue_size = 20'000;
-
-  traffic::Scenario scenario(config);
-  const auto pool = detectors::make_paper_pair();
-  core::AlertJoiner joiner(pool);
+  workload::ScenarioSpec spec;
+  spec.name = "scraping_campaign";
+  spec.duration_days = 1.0;
+  workload::VhostSpec www;
+  www.site.catalogue_size = 20'000;
+  www.humans.arrivals_per_s = 0.01;
+  workload::AttackSpec fleet;
+  fleet.kind = workload::AttackKind::kFleet;
+  fleet.bots = 60;
+  fleet.slow_bots = 4;
+  www.attacks = {fleet};
+  spec.vhosts.push_back(std::move(www));
 
   struct HourStats {
     std::uint64_t fleet = 0;
@@ -49,10 +44,9 @@ int main() {
   std::map<std::uint32_t, httplog::Timestamp> first_seen;
   std::map<std::uint32_t, httplog::Timestamp> first_caught;
 
-  httplog::LogRecord record;
-  while (scenario.next(record)) {
-    const auto verdicts = joiner.process(record);
-    const int hour = static_cast<int>((record.time - config.start) /
+  const auto observe = [&](const httplog::LogRecord& record,
+                           divscrape::span<const detectors::Verdict> verdicts) {
+    const int hour = static_cast<int>((record.time - spec.start) /
                                       httplog::kMicrosPerHour);
     auto& h = hours[hour];
     const bool is_fleet =
@@ -71,7 +65,8 @@ int main() {
       ++h.benign;
       h.benign_alerted += verdicts[0].alert || verdicts[1].alert;
     }
-  }
+  };
+  (void)eval::run_experiment(spec, detectors::make_paper_pair(), observe);
 
   std::printf(
       "campaign timeline (60 fast + 4 slow bots, one simulated day)\n\n");

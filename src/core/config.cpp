@@ -105,44 +105,6 @@ std::vector<std::string> KeyValueConfig::unconsumed() const {
   return out;
 }
 
-void apply_scenario_config(const KeyValueConfig& config,
-                           traffic::ScenarioConfig& scenario) {
-  scenario.seed = static_cast<std::uint64_t>(
-      config.get_int("scenario.seed",
-                     static_cast<std::int64_t>(scenario.seed)));
-  scenario.scale = config.get_double("scenario.scale", scenario.scale);
-  scenario.duration_days =
-      config.get_double("scenario.duration_days", scenario.duration_days);
-  scenario.human_arrivals_per_s = config.get_double(
-      "scenario.human_arrivals_per_s", scenario.human_arrivals_per_s);
-  scenario.human_in_botnet_subnet_p =
-      config.get_double("scenario.human_in_botnet_subnet_p",
-                        scenario.human_in_botnet_subnet_p);
-  scenario.campaigns = static_cast<int>(
-      config.get_int("scenario.campaigns", scenario.campaigns));
-  scenario.bots_per_campaign = static_cast<int>(config.get_int(
-      "scenario.bots_per_campaign", scenario.bots_per_campaign));
-  scenario.slow_bots_per_campaign = static_cast<int>(config.get_int(
-      "scenario.slow_bots_per_campaign", scenario.slow_bots_per_campaign));
-  scenario.stealth_bots = static_cast<int>(
-      config.get_int("scenario.stealth_bots", scenario.stealth_bots));
-  scenario.api_clean_bots = static_cast<int>(
-      config.get_int("scenario.api_clean_bots", scenario.api_clean_bots));
-  scenario.api_fleet_bots = static_cast<int>(
-      config.get_int("scenario.api_fleet_bots", scenario.api_fleet_bots));
-  scenario.malformed_bots = static_cast<int>(
-      config.get_int("scenario.malformed_bots", scenario.malformed_bots));
-  scenario.caching_bots = static_cast<int>(
-      config.get_int("scenario.caching_bots", scenario.caching_bots));
-  scenario.crawler_count = static_cast<int>(
-      config.get_int("scenario.crawler_count", scenario.crawler_count));
-  scenario.monitor_count = static_cast<int>(
-      config.get_int("scenario.monitor_count", scenario.monitor_count));
-  scenario.site.catalogue_size = static_cast<std::size_t>(config.get_int(
-      "scenario.catalogue_size",
-      static_cast<std::int64_t>(scenario.site.catalogue_size)));
-}
-
 void apply_sentinel_config(const KeyValueConfig& config,
                            detectors::SentinelConfig& sentinel) {
   sentinel.burst_limit = static_cast<int>(

@@ -3,13 +3,13 @@
 //
 //   # comment
 //   scenario.scale = 0.25
-//   scenario.seed = 20180311
-//   scenario.duration_days = 8
 //   sentinel.burst_limit = 25
 //   arcane.min_requests = 10
 //
 // Unknown keys are collected (not fatal) so callers can warn; appliers
-// exist for the scenario and both reproduced detectors' configs.
+// exist for both reproduced detectors' configs. The scenario itself is a
+// workload::ScenarioSpec: `scenario.scale` is the one scenario key, read by
+// the CLI; anything else is edited in a spec file (`--dump-spec`).
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 
 #include "detectors/arcane.hpp"
 #include "detectors/sentinel.hpp"
-#include "traffic/scenario.hpp"
 
 namespace divscrape::core {
 
@@ -57,10 +56,6 @@ class KeyValueConfig {
   mutable std::map<std::string, bool> consumed_;
   std::vector<std::string> errors_;
 };
-
-/// Applies "scenario.*" keys onto a ScenarioConfig.
-void apply_scenario_config(const KeyValueConfig& config,
-                           traffic::ScenarioConfig& scenario);
 
 /// Applies "sentinel.*" keys onto a SentinelConfig.
 void apply_sentinel_config(const KeyValueConfig& config,

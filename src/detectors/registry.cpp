@@ -1,15 +1,7 @@
 #include "detectors/registry.hpp"
 
-#include <utility>
-
 #include "detectors/arcane.hpp"
-#include "detectors/baselines.hpp"
-#include "detectors/learned.hpp"
 #include "detectors/sentinel.hpp"
-#include "httplog/session.hpp"
-#include "ml/decision_tree.hpp"
-#include "ml/features.hpp"
-#include "ml/naive_bayes.hpp"
 
 namespace divscrape::detectors {
 
@@ -17,44 +9,6 @@ std::vector<std::unique_ptr<Detector>> make_paper_pair() {
   std::vector<std::unique_ptr<Detector>> pool;
   pool.push_back(std::make_unique<SentinelDetector>());
   pool.push_back(std::make_unique<ArcaneDetector>());
-  return pool;
-}
-
-std::vector<std::unique_ptr<Detector>> make_learned_detectors(
-    const traffic::ScenarioConfig& training_config) {
-  // Generate the labelled training stream and sessionize it.
-  traffic::Scenario scenario(training_config);
-  std::vector<httplog::Session> sessions;
-  httplog::Sessionizer sessionizer(
-      1800.0,
-      [&sessions](httplog::Session&& s) { sessions.push_back(std::move(s)); });
-  httplog::LogRecord record;
-  while (scenario.next(record)) sessionizer.add(record);
-  sessionizer.flush_all();
-
-  const ml::Dataset data = ml::build_session_dataset(sessions);
-
-  std::vector<std::unique_ptr<Detector>> out;
-  out.push_back(std::make_unique<LearnedDetector>(
-      "naive-bayes",
-      std::make_shared<ml::NaiveBayes>(ml::NaiveBayes::train(data))));
-  out.push_back(std::make_unique<LearnedDetector>(
-      "decision-tree",
-      std::make_shared<ml::DecisionTree>(ml::DecisionTree::train(data))));
-  return out;
-}
-
-std::vector<std::unique_ptr<Detector>> make_full_pool(
-    const traffic::ScenarioConfig& scenario_config) {
-  auto pool = make_paper_pair();
-  pool.push_back(std::make_unique<RateLimitDetector>());
-  pool.push_back(std::make_unique<TrapDetector>());
-
-  traffic::ScenarioConfig training = scenario_config;
-  training.seed = stats::mix_seed(scenario_config.seed, 0x7261696eULL);
-  training.scale = std::min(scenario_config.scale, 0.02);
-  for (auto& d : make_learned_detectors(training))
-    pool.push_back(std::move(d));
   return pool;
 }
 

@@ -1,29 +1,16 @@
-// Detector factories: the reproduced two-tool deployment and the wider
-// six-detector pool used by the diversity-metric experiments.
+// Detector factory: the reproduced two-tool deployment. The wider pool of
+// the diversity-metric experiments, whose learned members train on a
+// generated stream, is eval::make_full_pool.
 #pragma once
 
 #include <memory>
 #include <vector>
 
 #include "detectors/detector.hpp"
-#include "traffic/scenario.hpp"
 
 namespace divscrape::detectors {
 
 /// The paper's deployment: {Sentinel (Distil role), Arcane}, in that order.
 [[nodiscard]] std::vector<std::unique_ptr<Detector>> make_paper_pair();
-
-/// Trains the learning-based related-work detectors on a labelled training
-/// stream generated from `training_config` (kept small; sessions are
-/// labelled by majority ground truth, which stands in for the paper's
-/// "Amadeus team is currently labelling the dataset" step).
-[[nodiscard]] std::vector<std::unique_ptr<Detector>> make_learned_detectors(
-    const traffic::ScenarioConfig& training_config);
-
-/// Full pool: Sentinel, Arcane, rate-limit, trap, naive-Bayes, decision
-/// tree. Learned members are trained on a scaled-down sibling of
-/// `scenario_config` with a different seed (no training-on-test leakage).
-[[nodiscard]] std::vector<std::unique_ptr<Detector>> make_full_pool(
-    const traffic::ScenarioConfig& scenario_config);
 
 }  // namespace divscrape::detectors

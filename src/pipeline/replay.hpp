@@ -46,7 +46,7 @@ class ReplayEngine {
   /// simulated second takes 1/x wall seconds (e.g. 60 = minute-per-second).
   /// Pacing is anchored at the first record the engine ever ingests.
   ///
-  /// The pool is reset() on construction (mirroring core::run_experiment):
+  /// The pool is reset() on construction (mirroring eval::run_experiment):
   /// the engine stamps records with tokens from its own interner, and any
   /// token-keyed detector state from a previous source would be meaningless
   /// — or worse, silently wrong — under this engine's token space. Repeated

@@ -78,10 +78,10 @@ struct BotProfile {
 //
 // Each returns a BotProfile with class, endpoint mix and timing set to the
 // values the paper-shaped reproduction was calibrated with; callers assign
-// identity (ip, user_agent) and may override timing knobs. Both population
-// builders — the calibrated paper scenario (traffic/scenario.cpp) and the
-// declarative workload engine (workload/engine.cpp) — start from these
-// tables, so a calibration change lands everywhere at once.
+// identity (ip, user_agent) and may override timing knobs. The workload
+// engine (workload/engine.cpp) builds every spec's populations, the
+// calibrated paper scenario included, from these tables, so a calibration
+// change lands everywhere at once.
 
 /// Fast fare-scraping fleet member (~3-day sweep cadence).
 [[nodiscard]] BotProfile aggressive_fleet_profile();

@@ -112,21 +112,6 @@ void StreamWriter::write(const httplog::LogRecord& record) {
   }
 }
 
-std::size_t StreamWriter::pump(Scenario& scenario, std::size_t max_records,
-                               double time_scale) {
-  std::size_t written = 0;
-  httplog::LogRecord record;
-  while (written < max_records && scenario.next(record)) {
-    pacer_.wait_until(record.time, time_scale);
-    write(record);
-    ++written;
-  }
-  // A pump burst ends at a poll boundary for the concurrent reader, so
-  // everything written must actually be visible.
-  flush();
-  return written;
-}
-
 void StreamWriter::rotate(const std::string& rotated_path) {
   flush();
   if (fd_ >= 0) {

@@ -36,10 +36,8 @@
 #include <vector>
 
 #include "httplog/clf.hpp"
-#include "httplog/pacer.hpp"
 #include "httplog/record.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
 
 namespace divscrape::traffic {
 
@@ -83,13 +81,6 @@ class StreamWriter {
   /// write_fn seam is installed). No-op when the buffer is empty (always,
   /// in unbatched mode).
   void flush();
-
-  /// Pumps up to `max_records` from the scenario through write(). With
-  /// `time_scale` > 0 each record is delayed so one simulated second takes
-  /// 1/time_scale wall seconds (live-demo pacing); 0 writes flat out.
-  /// Returns the number of records written (may be short at stream end).
-  std::size_t pump(Scenario& scenario, std::size_t max_records,
-                   double time_scale = 0.0);
 
   // --- explicit fault controls (tests drive byte-exact scenarios) ---
 
@@ -149,7 +140,6 @@ class StreamWriter {
   std::uint64_t dropped_bytes_ = 0;
   int last_errno_ = 0;
   std::uint64_t rotation_count_ = 0;
-  httplog::Pacer pacer_;  ///< pump() pacing anchor
 };
 
 }  // namespace divscrape::traffic

@@ -43,7 +43,8 @@ AttackSpec caching(int bots) {
 }
 
 /// The paper-shaped deployment as a spec: one vhost, the calibrated
-/// amadeus_like populations (mirrors traffic::amadeus_like()'s defaults).
+/// amadeus_like populations — the workload behind the paper's Tables 1-4
+/// (`divscrape_cli tables`/`export`, the table benches, the golden test).
 ScenarioSpec make_amadeus_like() {
   ScenarioSpec spec;
   spec.name = "amadeus_like";
@@ -332,9 +333,9 @@ ScenarioSpec make_evasion_ladder(int level) {
   return spec;
 }
 
-/// A one-hour miniature with every population represented — mirrors
-/// traffic::smoke_test() so unit tests and CI smokes finish in
-/// milliseconds yet still produce alerts from both detectors.
+/// A one-hour miniature with every population represented, so unit tests
+/// and CI smokes finish in milliseconds yet still produce alerts from both
+/// detectors.
 ScenarioSpec make_smoke() {
   ScenarioSpec spec;
   spec.name = "smoke";

@@ -3,9 +3,9 @@
 // A ScenarioSpec composes a complete simulated deployment out of data — a
 // set of vhosts (each with its own site model and benign population) and a
 // per-vhost attack mix — so new workloads are JSON documents or catalog
-// entries instead of C++ (traffic::ScenarioConfig remains the calibrated
-// single-site paper reproduction; this is the "as many scenarios as you
-// can imagine" surface on top of the same actor models).
+// entries instead of C++. It is the only description of a workload: the
+// calibrated single-site paper reproduction is the catalog's amadeus_like
+// entry, built on the same actor models as every other spec.
 //
 // ## JSON schema (divscrape.scenario.v1)
 //

@@ -8,7 +8,6 @@
 namespace {
 
 using divscrape::core::apply_arcane_config;
-using divscrape::core::apply_scenario_config;
 using divscrape::core::apply_sentinel_config;
 using divscrape::core::KeyValueConfig;
 
@@ -67,22 +66,6 @@ TEST(Config, UnconsumedKeysReported) {
   const auto leftover = config.unconsumed();
   ASSERT_EQ(leftover.size(), 1u);
   EXPECT_EQ(leftover[0], "typo.burst_limt");
-}
-
-TEST(Config, AppliesScenarioKeys) {
-  KeyValueConfig config;
-  config.set("scenario.scale", "0.25");
-  config.set("scenario.seed", "777");
-  config.set("scenario.campaigns", "5");
-  config.set("scenario.duration_days", "2");
-  config.set("scenario.catalogue_size", "1234");
-  auto scenario = divscrape::traffic::amadeus_like(1.0);
-  apply_scenario_config(config, scenario);
-  EXPECT_DOUBLE_EQ(scenario.scale, 0.25);
-  EXPECT_EQ(scenario.seed, 777u);
-  EXPECT_EQ(scenario.campaigns, 5);
-  EXPECT_DOUBLE_EQ(scenario.duration_days, 2.0);
-  EXPECT_EQ(scenario.site.catalogue_size, 1234u);
 }
 
 TEST(Config, AppliesDetectorKeys) {

@@ -5,8 +5,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "catalog_stream.hpp"
 #include "core/labeling.hpp"
-#include "traffic/scenario.hpp"
 
 namespace {
 
@@ -160,16 +160,13 @@ TEST(Labeler, AuditAgainstSimulatorTruth) {
   // End-to-end: generate labelled traffic, scrub the labels, re-label
   // heuristically, audit. The conservative labeller must be high-purity
   // (low disagreement where it decides) with substantial coverage.
-  auto config = divscrape::traffic::smoke_test();
-  config.duration_days = 0.5;
-  divscrape::traffic::Scenario scenario(config);
-  std::vector<LogRecord> records;
+  auto spec = divscrape::test::catalog_spec("smoke");
+  spec.duration_days = 0.5;
+  std::vector<LogRecord> records = divscrape::test::records_of(spec);
   std::vector<Truth> reference;
-  LogRecord r;
-  while (scenario.next(r)) {
+  for (auto& r : records) {
     reference.push_back(r.truth);
     r.truth = Truth::kUnknown;  // scrub: the analyst's starting position
-    records.push_back(r);
   }
 
   HeuristicLabeler labeler;

@@ -7,8 +7,9 @@
 #include "detectors/baselines.hpp"
 #include "detectors/learned.hpp"
 #include "detectors/registry.hpp"
+#include "eval/run.hpp"
 #include "ml/dataset.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
 
 namespace {
 
@@ -143,9 +144,9 @@ TEST(Registry, PaperPairOrderAndNames) {
 TEST(Registry, LearnedDetectorsTrainOnScenario) {
   // A day of smoke traffic gives the tree enough labelled sessions of
   // both classes to learn a stable split.
-  auto config = divscrape::traffic::smoke_test();
-  config.duration_days = 1.0;
-  const auto learned = divscrape::detectors::make_learned_detectors(config);
+  auto spec = *divscrape::workload::catalog_entry("smoke");
+  spec.duration_days = 1.0;
+  const auto learned = divscrape::eval::make_learned_detectors(spec);
   ASSERT_EQ(learned.size(), 2u);
   EXPECT_EQ(learned[0]->name(), "naive-bayes");
   EXPECT_EQ(learned[1]->name(), "decision-tree");

@@ -6,11 +6,11 @@
 #include <memory>
 #include <vector>
 
+#include "catalog_stream.hpp"
 #include "detectors/arcane.hpp"
 #include "detectors/sentinel.hpp"
 #include "httplog/clf.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
 
 namespace {
 
@@ -23,13 +23,9 @@ using divscrape::httplog::LogRecord;
 // A captive traffic slice shared by all properties in this file.
 const std::vector<LogRecord>& captive_stream() {
   static const auto records = [] {
-    auto config = divscrape::traffic::smoke_test();
-    config.duration_days = 0.15;
-    divscrape::traffic::Scenario scenario(config);
-    std::vector<LogRecord> out;
-    LogRecord r;
-    while (scenario.next(r)) out.push_back(r);
-    return out;
+    auto spec = divscrape::test::catalog_spec("smoke");
+    spec.duration_days = 0.15;
+    return divscrape::test::records_of(spec);
   }();
   return records;
 }

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog_stream.hpp"
 #include "core/export.hpp"
 #include "core/joiner.hpp"
 #include "detectors/arcane.hpp"
@@ -27,7 +28,6 @@
 #include "httplog/session.hpp"
 #include "ml/dataset.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
 #include "util/interner.hpp"
 #include "util/state.hpp"
 
@@ -133,14 +133,8 @@ TEST(StateBounds, RateLimiterWindowsAreGarbageCollected) {
 // Mixed benign/scraper traffic with enough volume to populate per-client
 // windows, reputation entries and template tables in every detector.
 const std::vector<LogRecord>& scenario_records() {
-  static const std::vector<LogRecord> records = [] {
-    auto config = divscrape::traffic::smoke_test();
-    divscrape::traffic::Scenario scenario(config);
-    std::vector<LogRecord> out;
-    LogRecord r;
-    while (scenario.next(r)) out.push_back(r);
-    return out;
-  }();
+  static const std::vector<LogRecord> records =
+      divscrape::test::catalog_records("smoke");
   return records;
 }
 

@@ -13,11 +13,11 @@
 #include <vector>
 
 #include "capture_detector.hpp"
+#include "catalog_stream.hpp"
 #include "httplog/clf.hpp"
 #include "httplog/framing.hpp"
 #include "pipeline/replay.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
 
 namespace {
 
@@ -131,13 +131,13 @@ TEST(LineFramer, FeedWithoutDrainingKeepsUndrainedLinesIntact) {
 // every 7th line is garbage (exercises skip accounting), every 5th ends in
 // CRLF.
 std::string clf_content(std::size_t max_records, bool terminated) {
-  auto config = traffic::smoke_test();
-  config.duration_days = 0.1;
-  traffic::Scenario scenario(config);
+  auto spec = divscrape::test::catalog_spec("smoke");
+  spec.duration_days = 0.1;
+  const auto records = divscrape::test::records_of(spec);
   std::string content;
-  httplog::LogRecord record;
   std::size_t n = 0;
-  while (n < max_records && scenario.next(record)) {
+  for (const auto& record : records) {
+    if (n == max_records) break;
     ++n;
     if (n % 7 == 0) content += "not a clf line at all\n";
     content += httplog::format_clf(record);

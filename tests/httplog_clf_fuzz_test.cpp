@@ -12,10 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "catalog_stream.hpp"
 #include "httplog/clf.hpp"
 #include "httplog/record.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
 
 namespace {
 
@@ -112,14 +112,9 @@ std::vector<std::string> edge_lines() {
 
 std::vector<std::string> build_corpus() {
   std::vector<std::string> corpus = edge_lines();
-  auto config = divscrape::traffic::smoke_test();
-  divscrape::traffic::Scenario scenario(config);
-  LogRecord r;
-  std::size_t kept = 0;
-  while (scenario.next(r) && kept < 2000) {
-    corpus.push_back(format_clf(r));
-    ++kept;
-  }
+  const auto records = divscrape::test::catalog_records("smoke");
+  for (std::size_t i = 0; i < records.size() && i < 2000; ++i)
+    corpus.push_back(format_clf(records[i]));
   // Deterministic mutations of the whole corpus so far. Each base line
   // yields one mutant; the RNG decides which corruption it gets.
   divscrape::stats::Rng rng(0xC1FFD1FFull);

@@ -10,13 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "catalog_stream.hpp"
 #include "detectors/registry.hpp"
 #include "httplog/clf.hpp"
 #include "httplog/io.hpp"
 #include "httplog/record.hpp"
 #include "pipeline/replay.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
 
 namespace {
 
@@ -29,14 +29,8 @@ using divscrape::httplog::Truth;
 constexpr std::int64_t kMicrosPerSecond = 1'000'000;
 
 const std::vector<LogRecord>& generate_records() {
-  static const std::vector<LogRecord> records = [] {
-    auto config = divscrape::traffic::smoke_test();
-    divscrape::traffic::Scenario scenario(config);
-    std::vector<LogRecord> out;
-    LogRecord r;
-    while (scenario.next(r)) out.push_back(r);
-    return out;
-  }();
+  static const std::vector<LogRecord> records =
+      divscrape::test::catalog_records("smoke");
   return records;
 }
 

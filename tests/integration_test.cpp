@@ -5,26 +5,25 @@
 // absolute numbers.
 #include <gtest/gtest.h>
 
-#include "core/experiment.hpp"
 #include "core/contingency.hpp"
 #include "detectors/registry.hpp"
-#include "traffic/scenario.hpp"
+#include "eval/run.hpp"
+#include "workload/catalog.hpp"
 
 namespace {
 
 using divscrape::core::DiversityMetrics;
-using divscrape::core::ExperimentConfig;
-using divscrape::core::run_experiment;
-using divscrape::core::run_paper_experiment;
+using divscrape::detectors::make_paper_pair;
+using divscrape::eval::ExperimentOutput;
+using divscrape::eval::run_experiment;
 using divscrape::httplog::Truth;
+using divscrape::workload::catalog_entry;
 
 class PaperShape : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    ExperimentConfig config;
-    config.scenario = divscrape::traffic::amadeus_like(0.04);
-    output_ = new divscrape::core::ExperimentOutput(
-        run_paper_experiment(config));
+    output_ = new ExperimentOutput(
+        run_experiment(*catalog_entry("amadeus_like", 0.04), make_paper_pair()));
   }
   static void TearDownTestSuite() {
     delete output_;
@@ -33,10 +32,10 @@ class PaperShape : public ::testing::Test {
   static const divscrape::core::JointResults& results() {
     return output_->results;
   }
-  static divscrape::core::ExperimentOutput* output_;
+  static ExperimentOutput* output_;
 };
 
-divscrape::core::ExperimentOutput* PaperShape::output_ = nullptr;
+ExperimentOutput* PaperShape::output_ = nullptr;
 
 TEST_F(PaperShape, BotDominatedTrafficMix) {
   // The paper's deployment is bot-dominated (~84% malicious at full
@@ -158,10 +157,9 @@ TEST_F(PaperShape, ReasonAttributionMatchesMechanisms) {
 }
 
 TEST(IntegrationSmall, DeterministicAcrossRuns) {
-  ExperimentConfig config;
-  config.scenario = divscrape::traffic::smoke_test();
-  const auto a = run_paper_experiment(config);
-  const auto b = run_paper_experiment(config);
+  const auto spec = *catalog_entry("smoke");
+  const auto a = run_experiment(spec, make_paper_pair());
+  const auto b = run_experiment(spec, make_paper_pair());
   EXPECT_EQ(a.results.total_requests(), b.results.total_requests());
   EXPECT_EQ(a.results.alerts(0), b.results.alerts(0));
   EXPECT_EQ(a.results.alerts(1), b.results.alerts(1));
@@ -169,12 +167,10 @@ TEST(IntegrationSmall, DeterministicAcrossRuns) {
 }
 
 TEST(IntegrationSmall, FullPoolRunsAndEveryDetectorFires) {
-  auto scenario = divscrape::traffic::amadeus_like(0.01);
-  scenario.duration_days = 2.0;
-  const auto pool = divscrape::detectors::make_full_pool(scenario);
-  ExperimentConfig config;
-  config.scenario = scenario;
-  const auto out = run_experiment(config, pool);
+  auto spec = *catalog_entry("amadeus_like", 0.01);
+  spec.duration_days = 2.0;
+  const auto pool = divscrape::eval::make_full_pool(spec);
+  const auto out = run_experiment(spec, pool);
   ASSERT_EQ(out.results.detector_count(), 6u);
   for (std::size_t d = 0; d < out.results.detector_count(); ++d) {
     EXPECT_GT(out.results.alerts(d), 0u)

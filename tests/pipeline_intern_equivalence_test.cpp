@@ -23,15 +23,15 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hpp"
+#include "catalog_stream.hpp"
 #include "core/export.hpp"
 #include "detectors/arcane.hpp"
 #include "detectors/sentinel.hpp"
 #include "eval/run.hpp"
 #include "pipeline/record_batch.hpp"
 #include "pipeline/sharded.hpp"
-#include "traffic/scenario.hpp"
 #include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
@@ -42,14 +42,6 @@ std::vector<std::unique_ptr<detectors::Detector>> paper_pair() {
   pool.push_back(std::make_unique<detectors::SentinelDetector>());
   pool.push_back(std::make_unique<detectors::ArcaneDetector>());
   return pool;
-}
-
-std::vector<httplog::LogRecord> materialize(double scale) {
-  traffic::Scenario scenario(traffic::amadeus_like(scale));
-  std::vector<httplog::LogRecord> records;
-  httplog::LogRecord r;
-  while (scenario.next(r)) records.push_back(r);
-  return records;
 }
 
 core::JointResults run_pool(const std::vector<httplog::LogRecord>& records) {
@@ -80,7 +72,7 @@ TEST(InternEquivalence, GoldenParityWithSeedStringKeyedPath) {
 }
 
 TEST(InternEquivalence, StampedAndUnstampedRunsAreIdentical) {
-  auto stamped = materialize(0.02);
+  auto stamped = test::catalog_records("amadeus_like", 0.02);
   auto unstamped = stamped;
   for (auto& r : unstamped) r.ua_token = 0;  // force local-intern fallback
 
@@ -90,7 +82,7 @@ TEST(InternEquivalence, StampedAndUnstampedRunsAreIdentical) {
 }
 
 TEST(InternEquivalence, ShardedMatchesSequentialCopyAndMove) {
-  const auto records = materialize(0.02);
+  const auto records = test::catalog_records("amadeus_like", 0.02);
   const std::string sequential = core::to_json(run_pool(records));
 
   for (const std::size_t shards : {1u, 2u, 8u}) {
@@ -112,26 +104,19 @@ TEST(InternEquivalence, ShardedMatchesSequentialCopyAndMove) {
 }
 
 TEST(InternEquivalence, RunShardedMovePathMatchesSequential) {
-  // End-to-end: the generator writes straight into pooled batch slots and
-  // each full batch moves into the shard pipeline; results must still
-  // match a sequential run of the same scenario.
-  const auto scenario = traffic::amadeus_like(0.02);
-  core::ExperimentConfig config;
-  config.scenario = scenario;
-  const auto pool = paper_pair();
-  const auto sequential = core::run_experiment(config, pool);
+  // End-to-end: the engine fills the pipeline's pooled batches and each
+  // moves whole into the shard pipeline; results must still match a
+  // sequential run of the same scenario.
+  const auto scenario = test::catalog_spec("amadeus_like", 0.02);
+  const auto sequential = eval::run_experiment(scenario, paper_pair());
 
   pipeline::ShardedPipeline sharded([] { return paper_pair(); }, 4);
-  traffic::Scenario source(scenario);
-  pipeline::RecordBatch batch = sharded.batch_pool().acquire();
-  while (source.next(batch.append_slot())) {
-    if (batch.size() == sharded.batch_size()) {
-      sharded.process_batch(std::move(batch));
-      batch = sharded.batch_pool().acquire();
-    }
-  }
-  batch.rollback_last();
-  if (!batch.empty()) sharded.process_batch(std::move(batch));
+  workload::WorkloadEngine engine(scenario);
+  (void)engine.run_batched(
+      [&sharded](pipeline::RecordBatch&& batch) {
+        sharded.process_batch(std::move(batch));
+      },
+      sharded.batch_size(), &sharded.batch_pool());
   EXPECT_EQ(core::to_json(sharded.finish()),
             core::to_json(sequential.results));
 }

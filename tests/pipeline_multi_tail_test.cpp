@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "capture_detector.hpp"
+#include "catalog_stream.hpp"
 #include "core/export.hpp"
 #include "detectors/registry.hpp"
 #include "httplog/clf.hpp"
@@ -36,7 +37,6 @@
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/interner.hpp"
 
@@ -108,7 +108,7 @@ struct DriveResult {
   std::string reference;  ///< sorted merged parseable wire bytes
 };
 
-/// Writes an amadeus_like(scale) stream round-robin across three live log
+/// Writes the catalog amadeus_like stream at `scale` round-robin across three live log
 /// files under continuous faults while `tailer` consumes it, polling
 /// deterministically. The returned reference is what a fault-free merged
 /// log would have contained.
@@ -116,17 +116,15 @@ DriveResult drive_faulted_multi(pipeline::MultiTailer& tailer,
                                 std::vector<traffic::StreamWriter*> writers,
                                 double scale) {
   const std::size_t kFiles = writers.size();
-  traffic::Scenario scenario(traffic::amadeus_like(scale));
   stats::Rng rng(20180311);
   DriveResult out;
   std::vector<RefEntry> entries;
   std::vector<std::uint64_t> seq(kFiles, 0);
 
-  httplog::LogRecord record;
   std::uint64_t n = 0;
   bool rotated_once = false;
   bool truncated_once = false;
-  while (scenario.next(record)) {
+  for (const auto& record : test::catalog_records("amadeus_like", scale)) {
     ++n;
     const auto file = static_cast<std::uint32_t>(n % kFiles);
     traffic::StreamWriter& writer = *writers[file];
@@ -269,11 +267,8 @@ TEST(MultiTail, ShardedTailMatchesSortedBatchReplayAtOneAndTwoShards) {
 // --- record-exact merge order -------------------------------------------
 
 std::vector<httplog::LogRecord> smoke_records(std::size_t count) {
-  auto config = traffic::smoke_test();
-  traffic::Scenario scenario(config);
-  std::vector<httplog::LogRecord> records;
-  httplog::LogRecord r;
-  while (records.size() < count && scenario.next(r)) records.push_back(r);
+  auto records = test::catalog_records("smoke");
+  if (records.size() > count) records.resize(count);
   return records;
 }
 

@@ -13,13 +13,13 @@
 #include <tuple>
 #include <vector>
 
+#include "catalog_stream.hpp"
 #include "core/joiner.hpp"
 #include "detectors/registry.hpp"
 #include "httplog/io.hpp"
 #include "pipeline/decoder.hpp"
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
-#include "traffic/scenario.hpp"
 
 namespace {
 
@@ -100,12 +100,10 @@ void expect_joint_results_identical(const JointResults& a,
 // One shared CLF serialization of the smoke scenario, generated once.
 const std::string& scenario_clf_text() {
   static const std::string text = [] {
-    auto config = divscrape::traffic::smoke_test();
-    divscrape::traffic::Scenario scenario(config);
     std::ostringstream out;
     divscrape::httplog::LogWriter writer(out);
-    LogRecord r;
-    while (scenario.next(r)) writer.write(r);
+    for (const auto& r : divscrape::test::catalog_records("smoke"))
+      writer.write(r);
     return out.str();
   }();
   return text;

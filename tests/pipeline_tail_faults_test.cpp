@@ -1,8 +1,8 @@
 // Fault-injection equivalence: the tentpole claim of the live-ingest
-// subsystem. An amadeus_like(0.05) stream (~74k records) is written to a
-// live log file under continuous adversarial conditions — torn writes
-// split at arbitrary byte boundaries (including across a poll), CRLF line
-// endings, interleaved garbage lines, one mid-session rotation with a
+// subsystem. The catalog amadeus_like stream at scale 0.05 (~80k records)
+// is written to a live log file under continuous adversarial conditions —
+// torn writes split at arbitrary byte boundaries (including across a
+// poll), CRLF line endings, interleaved garbage lines, one mid-session rotation with a
 // record torn across the boundary, and one truncate-and-restart — while a
 // LogTailer feeds a ReplayEngine. The resulting JointResults must be
 // byte-identical (as serialized JSON) to a one-shot batch replay of the
@@ -14,13 +14,13 @@
 #include <sstream>
 #include <string>
 
+#include "catalog_stream.hpp"
 #include "core/export.hpp"
 #include "detectors/registry.hpp"
 #include "httplog/clf.hpp"
 #include "pipeline/replay.hpp"
 #include "pipeline/tailer.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
 #include "traffic/stream_writer.hpp"
 
 namespace {
@@ -32,7 +32,6 @@ TEST(TailFaults, FaultedLiveStreamMatchesOneShotBatchReplay) {
   const std::string log = ::testing::TempDir() + "divscrape_tail_faults.log";
   const std::string rotated = log + ".1";
 
-  traffic::Scenario scenario(traffic::amadeus_like(0.05));
   traffic::StreamWriter writer(log);
   const auto live_pool = make_paper_pair();
   pipeline::ReplayEngine engine(live_pool);
@@ -48,12 +47,11 @@ TEST(TailFaults, FaultedLiveStreamMatchesOneShotBatchReplay) {
     writer.write_bytes(wire);
   };
 
-  httplog::LogRecord record;
   std::uint64_t n = 0;
   std::uint64_t garbage = 0;
   bool rotated_once = false;
   bool truncated_once = false;
-  while (scenario.next(record)) {
+  for (const auto& record : test::catalog_records("amadeus_like", 0.05)) {
     ++n;
     if (n % 501 == 0) {  // corrupt lines: skip accounting must agree too
       ++garbage;

@@ -22,6 +22,7 @@
 #include <system_error>
 #include <vector>
 
+#include "catalog_stream.hpp"
 #include "core/export.hpp"
 #include "detectors/registry.hpp"
 #include "httplog/clf.hpp"
@@ -30,7 +31,6 @@
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
 #include "pipeline/tail_session.hpp"
-#include "traffic/scenario.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/interner.hpp"
 #include "util/state.hpp"
@@ -45,13 +45,8 @@ constexpr std::size_t kFiles = 3;
 constexpr std::size_t kMergeBatch = 64;
 
 const std::vector<httplog::LogRecord>& records() {
-  static const std::vector<httplog::LogRecord> all = [] {
-    traffic::Scenario scenario(traffic::smoke_test());
-    std::vector<httplog::LogRecord> out;
-    httplog::LogRecord r;
-    while (scenario.next(r)) out.push_back(r);
-    return out;
-  }();
+  static const std::vector<httplog::LogRecord> all =
+      test::catalog_records("smoke");
   return all;
 }
 

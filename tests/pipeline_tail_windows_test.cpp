@@ -27,12 +27,12 @@
 #include <vector>
 
 #include "capture_detector.hpp"
+#include "catalog_stream.hpp"
 #include "httplog/clf.hpp"
 #include "pipeline/checkpoint.hpp"
 #include "pipeline/replay.hpp"
 #include "pipeline/tailer.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
 #include "traffic/stream_writer.hpp"
 
 namespace {
@@ -44,11 +44,8 @@ std::string temp_path(const std::string& name) {
 }
 
 std::vector<httplog::LogRecord> smoke_records(std::size_t count) {
-  auto config = traffic::smoke_test();
-  traffic::Scenario scenario(config);
-  std::vector<httplog::LogRecord> records;
-  httplog::LogRecord r;
-  while (records.size() < count && scenario.next(r)) records.push_back(r);
+  auto records = test::catalog_records("smoke");
+  if (records.size() > count) records.resize(count);
   return records;
 }
 

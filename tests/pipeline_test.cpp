@@ -4,40 +4,40 @@
 
 #include <sstream>
 
-#include "core/experiment.hpp"
 #include "detectors/registry.hpp"
+#include "eval/run.hpp"
 #include "httplog/io.hpp"
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
-#include "traffic/scenario.hpp"
+#include "workload/catalog.hpp"
+#include "workload/engine.hpp"
 
 namespace {
 
-using divscrape::core::ExperimentConfig;
 using divscrape::core::JointResults;
-using divscrape::core::run_experiment;
 using divscrape::detectors::make_paper_pair;
+using divscrape::eval::run_experiment;
 using divscrape::pipeline::RecordBatch;
 using divscrape::pipeline::ReplayEngine;
 using divscrape::pipeline::ShardedPipeline;
 
+/// The catalog smoke spec cut to `days` of simulated time.
+divscrape::workload::ScenarioSpec smoke(double days) {
+  auto spec = *divscrape::workload::catalog_entry("smoke");
+  spec.duration_days = days;
+  return spec;
+}
+
 /// Generates the whole scenario into pooled batches of the pipeline's
 /// batch size and hands each to process_batch(); returns the record count.
-std::uint64_t feed_scenario(const divscrape::traffic::ScenarioConfig& config,
+std::uint64_t feed_scenario(const divscrape::workload::ScenarioSpec& spec,
                             ShardedPipeline& pipeline) {
-  divscrape::traffic::Scenario scenario(config);
-  std::uint64_t fed = 0;
-  RecordBatch batch = pipeline.batch_pool().acquire();
-  while (scenario.next(batch.append_slot())) {
-    ++fed;
-    if (batch.size() == pipeline.batch_size()) {
-      pipeline.process_batch(std::move(batch));
-      batch = pipeline.batch_pool().acquire();
-    }
-  }
-  batch.rollback_last();
-  if (!batch.empty()) pipeline.process_batch(std::move(batch));
-  return fed;
+  divscrape::workload::WorkloadEngine engine(spec);
+  return engine.run_batched(
+      [&pipeline](RecordBatch&& batch) {
+        pipeline.process_batch(std::move(batch));
+      },
+      pipeline.batch_size(), &pipeline.batch_pool());
 }
 
 void expect_identical(const JointResults& a, const JointResults& b) {
@@ -69,12 +69,8 @@ class ShardCountTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(ShardCountTest, ShardedEqualsSequential) {
   // The headline property: hash-partitioned parallel processing produces
   // bit-identical results to the sequential run, for any shard count.
-  const auto scenario = divscrape::traffic::smoke_test();
-
-  ExperimentConfig config;
-  config.scenario = scenario;
-  const auto pool = make_paper_pair();
-  const auto sequential = run_experiment(config, pool);
+  const auto scenario = *divscrape::workload::catalog_entry("smoke");
+  const auto sequential = run_experiment(scenario, make_paper_pair());
 
   ShardedPipeline pipeline([] { return make_paper_pair(); }, GetParam());
   (void)feed_scenario(scenario, pipeline);
@@ -97,10 +93,8 @@ TEST(Sharded, FinishTwiceThrows) {
 }
 
 TEST(Sharded, DispatchCountMatches) {
-  auto scenario = divscrape::traffic::smoke_test();
-  scenario.duration_days = 0.01;
   ShardedPipeline pipeline([] { return make_paper_pair(); }, 4);
-  const std::uint64_t fed = feed_scenario(scenario, pipeline);
+  const std::uint64_t fed = feed_scenario(smoke(0.01), pipeline);
   EXPECT_EQ(pipeline.dispatched(), fed);
   const auto results = pipeline.finish();
   EXPECT_EQ(results.total_requests(), fed);
@@ -111,32 +105,27 @@ TEST(Replay, FileReplayMatchesDirectRunOnAlerts) {
   // compare against running the same records directly. Ground truth is
   // lost on the wire (real logs are unlabelled) but alert behaviour must
   // be identical because detectors only read CLF-visible fields.
-  auto config = divscrape::traffic::smoke_test();
-  config.duration_days = 0.05;
-  divscrape::traffic::Scenario scenario(config);
-
   std::ostringstream log_text;
   divscrape::httplog::LogWriter writer(log_text);
-  const auto direct_pool = make_paper_pair();
-  divscrape::core::AlertJoiner direct(direct_pool);
-  divscrape::httplog::LogRecord r;
-  while (scenario.next(r)) {
-    writer.write(r);
-    (void)direct.process(r);
-  }
+  const auto direct = run_experiment(
+      smoke(0.05), make_paper_pair(),
+      [&writer](const divscrape::httplog::LogRecord& r,
+                divscrape::span<const divscrape::detectors::Verdict>) {
+        writer.write(r);
+      });
 
   const auto replay_pool = make_paper_pair();
   ReplayEngine engine(replay_pool);
   std::istringstream in(log_text.str());
   const auto stats = engine.replay(in);
 
-  EXPECT_EQ(stats.parsed, direct.results().total_requests());
+  EXPECT_EQ(stats.parsed, direct.results.total_requests());
   EXPECT_EQ(stats.skipped, 0u);
   for (std::size_t d = 0; d < 2; ++d) {
-    EXPECT_EQ(engine.results().alerts(d), direct.results().alerts(d));
+    EXPECT_EQ(engine.results().alerts(d), direct.results.alerts(d));
   }
   const auto& pr = engine.results().pair(0, 1);
-  const auto& pd = direct.results().pair(0, 1);
+  const auto& pd = direct.results.pair(0, 1);
   EXPECT_EQ(pr.both(), pd.both());
   EXPECT_EQ(pr.first_only(), pd.first_only());
   EXPECT_EQ(pr.second_only(), pd.second_only());

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "catalog_stream.hpp"
 #include "core/export.hpp"
 #include "detectors/registry.hpp"
 #include "httplog/clf.hpp"
@@ -24,7 +25,6 @@
 #include "pipeline/sharded.hpp"
 #include "pipeline/tailer.hpp"
 #include "stats/rng.hpp"
-#include "traffic/scenario.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/interner.hpp"
 #include "util/state.hpp"
@@ -47,14 +47,8 @@ std::string temp_path(const std::string& name) {
 // time-ordered records — enough to populate windows, reputation entries
 // and template tables in both detectors.
 const std::vector<httplog::LogRecord>& records() {
-  static const std::vector<httplog::LogRecord> all = [] {
-    auto config = traffic::smoke_test();
-    traffic::Scenario scenario(config);
-    std::vector<httplog::LogRecord> out;
-    httplog::LogRecord r;
-    while (scenario.next(r)) out.push_back(r);
-    return out;
-  }();
+  static const std::vector<httplog::LogRecord> all =
+      test::catalog_records("smoke");
   return all;
 }
 

@@ -1,63 +1,49 @@
-// Traffic-simulator tests: generator ordering and determinism, actor
+// Traffic-simulator tests: stream ordering and determinism, actor
 // behavioural properties, scenario population structure, and wire-format
-// compatibility of everything the simulator emits.
+// compatibility of everything the simulator emits — all over the catalog
+// `smoke` and `amadeus_like` streams the WorkloadEngine generates.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 
+#include "catalog_stream.hpp"
 #include "httplog/clf.hpp"
 #include "httplog/url.hpp"
 #include "httplog/useragent.hpp"
-#include "traffic/generator.hpp"
-#include "traffic/scenario.hpp"
+#include "traffic/actor.hpp"
 
 namespace {
 
-using divscrape::httplog::LogRecord;
 using divscrape::httplog::parse_clf;
 using divscrape::httplog::Timestamp;
 using divscrape::httplog::Truth;
+using divscrape::test::catalog_records;
+using divscrape::test::catalog_spec;
+using divscrape::test::records_of;
 using divscrape::traffic::ActorClass;
-using divscrape::traffic::amadeus_like;
-using divscrape::traffic::Scenario;
-using divscrape::traffic::ScenarioConfig;
-using divscrape::traffic::smoke_test;
-
-std::vector<LogRecord> drain(Scenario& scenario) {
-  std::vector<LogRecord> out;
-  LogRecord r;
-  while (scenario.next(r)) out.push_back(r);
-  return out;
-}
 
 TEST(Generator, RecordsAreTimeOrdered) {
-  Scenario scenario(smoke_test());
-  LogRecord r;
+  const auto records = catalog_records("smoke");
   Timestamp last(INT64_MIN);
-  std::uint64_t count = 0;
-  while (scenario.next(r)) {
-    ASSERT_GE(r.time, last) << "record " << count << " out of order";
-    last = r.time;
-    ++count;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    ASSERT_GE(records[i].time, last) << "record " << i << " out of order";
+    last = records[i].time;
   }
-  EXPECT_GT(count, 100u);
+  EXPECT_GT(records.size(), 100u);
 }
 
 TEST(Generator, RespectsEndTime) {
-  const auto config = smoke_test();
-  Scenario scenario(config);
-  LogRecord r;
-  while (scenario.next(r)) {
-    EXPECT_LT(r.time, config.end());
-    EXPECT_GE(r.time, config.start);
+  const auto spec = catalog_spec("smoke");
+  for (const auto& r : records_of(spec)) {
+    EXPECT_LT(r.time, spec.end());
+    EXPECT_GE(r.time, spec.start);
   }
 }
 
 TEST(Generator, DeterministicForSameSeed) {
-  Scenario a(smoke_test()), b(smoke_test());
-  const auto ra = drain(a);
-  const auto rb = drain(b);
+  const auto ra = catalog_records("smoke");
+  const auto rb = catalog_records("smoke");
   ASSERT_EQ(ra.size(), rb.size());
   for (std::size_t i = 0; i < ra.size(); ++i) {
     EXPECT_EQ(ra[i].time, rb[i].time);
@@ -68,12 +54,10 @@ TEST(Generator, DeterministicForSameSeed) {
 }
 
 TEST(Generator, DifferentSeedsDiffer) {
-  auto config = smoke_test();
-  Scenario a(config);
-  config.seed = 999;
-  Scenario b(config);
-  const auto ra = drain(a);
-  const auto rb = drain(b);
+  auto spec = catalog_spec("smoke");
+  const auto ra = records_of(spec);
+  spec.seed = 999;
+  const auto rb = records_of(spec);
   // Same populations, different randomness: sizes close but streams differ.
   bool any_difference = ra.size() != rb.size();
   for (std::size_t i = 0; !any_difference && i < std::min(ra.size(), rb.size());
@@ -84,10 +68,8 @@ TEST(Generator, DifferentSeedsDiffer) {
 }
 
 TEST(Scenario, AllActorClassesPresent) {
-  Scenario scenario(smoke_test());
   std::set<std::uint8_t> classes;
-  LogRecord r;
-  while (scenario.next(r)) classes.insert(r.actor_class);
+  for (const auto& r : catalog_records("smoke")) classes.insert(r.actor_class);
   for (const auto cls :
        {ActorClass::kHuman, ActorClass::kSearchCrawler, ActorClass::kMonitor,
         ActorClass::kScraperAggressive, ActorClass::kScraperApi}) {
@@ -97,9 +79,7 @@ TEST(Scenario, AllActorClassesPresent) {
 }
 
 TEST(Scenario, TruthMatchesActorClass) {
-  Scenario scenario(smoke_test());
-  LogRecord r;
-  while (scenario.next(r)) {
+  for (const auto& r : catalog_records("smoke")) {
     const auto cls = static_cast<ActorClass>(r.actor_class);
     EXPECT_EQ(r.truth, divscrape::traffic::truth_of(cls));
     EXPECT_NE(r.truth, Truth::kUnknown);
@@ -108,10 +88,8 @@ TEST(Scenario, TruthMatchesActorClass) {
 
 TEST(Scenario, EveryRecordSurvivesClfRoundTrip) {
   // Wire-format property: everything the simulator emits must be valid CLF.
-  Scenario scenario(smoke_test());
-  LogRecord r;
   std::uint64_t count = 0;
-  while (scenario.next(r)) {
+  for (const auto& r : catalog_records("smoke")) {
     const auto parsed = parse_clf(divscrape::httplog::format_clf(r));
     ASSERT_TRUE(parsed.ok())
         << divscrape::httplog::format_clf(r) << " -> "
@@ -123,10 +101,8 @@ TEST(Scenario, EveryRecordSurvivesClfRoundTrip) {
 }
 
 TEST(Scenario, HumansFetchAssetsAndCarryReferers) {
-  Scenario scenario(smoke_test());
-  LogRecord r;
   std::uint64_t human_requests = 0, human_assets = 0, human_referers = 0;
-  while (scenario.next(r)) {
+  for (const auto& r : catalog_records("smoke")) {
     if (r.actor_class != static_cast<std::uint8_t>(ActorClass::kHuman))
       continue;
     ++human_requests;
@@ -143,11 +119,9 @@ TEST(Scenario, HumansFetchAssetsAndCarryReferers) {
 }
 
 TEST(Scenario, AggressiveScrapersAreFastAndAssetFree) {
-  Scenario scenario(smoke_test());
-  LogRecord r;
   std::map<std::uint32_t, std::uint64_t> per_bot;
   std::uint64_t assets = 0, total = 0;
-  while (scenario.next(r)) {
+  for (const auto& r : catalog_records("smoke")) {
     if (r.actor_class !=
         static_cast<std::uint8_t>(ActorClass::kScraperAggressive))
       continue;
@@ -160,10 +134,8 @@ TEST(Scenario, AggressiveScrapersAreFastAndAssetFree) {
 }
 
 TEST(Scenario, ScrapersComeFromCampaignSubnets) {
-  Scenario scenario(smoke_test());
-  LogRecord r;
   std::uint64_t fleet = 0, in_subnet = 0;
-  while (scenario.next(r)) {
+  for (const auto& r : catalog_records("smoke")) {
     if (r.actor_class !=
         static_cast<std::uint8_t>(ActorClass::kScraperAggressive))
       continue;
@@ -176,11 +148,9 @@ TEST(Scenario, ScrapersComeFromCampaignSubnets) {
 }
 
 TEST(Scenario, CrawlerDeclaresItselfAndFetchesRobots) {
-  Scenario scenario(smoke_test());
-  LogRecord r;
   bool robots_seen = false;
   std::uint64_t crawler_requests = 0;
-  while (scenario.next(r)) {
+  for (const auto& r : catalog_records("smoke")) {
     if (r.actor_class !=
         static_cast<std::uint8_t>(ActorClass::kSearchCrawler))
       continue;
@@ -194,12 +164,10 @@ TEST(Scenario, CrawlerDeclaresItselfAndFetchesRobots) {
 }
 
 TEST(Scenario, MalformedBotsProduce400s) {
-  auto config = smoke_test();
-  config.duration_days = 0.25;
-  Scenario scenario(config);
-  LogRecord r;
+  auto spec = catalog_spec("smoke");
+  spec.duration_days = 0.25;
   std::uint64_t malformed_400 = 0;
-  while (scenario.next(r)) {
+  for (const auto& r : records_of(spec)) {
     if (r.actor_class ==
             static_cast<std::uint8_t>(ActorClass::kScraperMalformed) &&
         r.status == 400)
@@ -209,21 +177,18 @@ TEST(Scenario, MalformedBotsProduce400s) {
 }
 
 TEST(Scenario, ScaleControlsVolume) {
-  auto small = amadeus_like(0.01);
+  auto small = catalog_spec("amadeus_like", 0.01);
   small.duration_days = 0.5;
-  auto big = amadeus_like(0.05);
+  auto big = catalog_spec("amadeus_like", 0.05);
   big.duration_days = 0.5;
-  Scenario s(small), b(big);
-  const auto rs = drain(s);
-  const auto rb = drain(b);
+  const auto rs = records_of(small);
+  const auto rb = records_of(big);
   EXPECT_GT(rb.size(), rs.size());
 }
 
 TEST(Scenario, StatusMixIsDominatedBy200) {
-  Scenario scenario(smoke_test());
-  LogRecord r;
   std::uint64_t total = 0, ok = 0;
-  while (scenario.next(r)) {
+  for (const auto& r : catalog_records("smoke")) {
     ++total;
     ok += r.status == 200;
   }
@@ -231,16 +196,14 @@ TEST(Scenario, StatusMixIsDominatedBy200) {
 }
 
 TEST(Scenario, DiurnalModulationVariesHumanRate) {
-  auto config = amadeus_like(0.2);
-  config.duration_days = 1.0;
-  Scenario scenario(config);
-  LogRecord r;
+  auto spec = catalog_spec("amadeus_like", 0.2);
+  spec.duration_days = 1.0;
   std::map<int, std::uint64_t> per_hour;
-  while (scenario.next(r)) {
+  for (const auto& r : records_of(spec)) {
     if (r.actor_class != static_cast<std::uint8_t>(ActorClass::kHuman))
       continue;
     const auto hour = static_cast<int>(
-        (r.time - config.start) / divscrape::httplog::kMicrosPerHour);
+        (r.time - spec.start) / divscrape::httplog::kMicrosPerHour);
     ++per_hour[hour];
   }
   ASSERT_FALSE(per_hour.empty());

@@ -1,11 +1,12 @@
 // divscrape — command-line front end to the library.
 //
-//   divscrape generate  [opts]   write a simulated CLF access log to stdout
 //   divscrape simulate  <scenario|spec.json>  run a catalog/spec workload
-//                                through the parallel WorkloadEngine
+//                                through the parallel WorkloadEngine (the
+//                                one traffic generator; CLF on stdout)
 //   divscrape analyze   <log>    run the two detectors over a CLF file
 //   divscrape tail      <log>... follow growing CLF file(s) (deployment mode)
 //   divscrape tables    [opts]   regenerate the paper's four tables
+//                                (catalog amadeus_like at --scale)
 //   divscrape export    [opts]   run the experiment, emit JSON results
 //   divscrape label     <log>    heuristically label a CLF file (paper §V)
 //   divscrape soak      [scenario]  chaos soak: closed generate->tail loop
@@ -18,7 +19,9 @@
 // Common options:
 //   --config <file>     key=value config (see core/config.hpp header)
 //   --set k=v           inline override (repeatable)
-//   --scale <s>         shorthand for --set scenario.scale=s
+//   --scale <s>         shorthand for --set scenario.scale=s, the one
+//                       scenario key; any other scenario.* key exits 2
+//                       (edit a spec instead: simulate <name> --dump-spec)
 //   --alerts <file>     (analyze) also write a JSONL alert log
 //   --csv <prefix>      (export) also write <prefix>_{totals,pairs,status}.csv
 //
@@ -95,7 +98,6 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/experiment.hpp"
 #include "core/export.hpp"
 #include "core/labeling.hpp"
 #include "core/paper_reference.hpp"
@@ -113,7 +115,6 @@
 #include "pipeline/sharded.hpp"
 #include "pipeline/tail_session.hpp"
 #include "pipeline/tailer.hpp"
-#include "traffic/scenario.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/atomic_file.hpp"
 #include "util/interner.hpp"
@@ -160,7 +161,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: divscrape "
-      "<generate|simulate|analyze|tail|tables|export|label|soak|score> "
+      "<simulate|analyze|tail|tables|export|label|soak|score> "
       "[options]\n"
       "  score    <scenario|spec.json> [--json <file>] [--gen-threads <n>]\n"
       "  simulate <scenario|spec.json> [--list] [--dump-spec]\n"
@@ -340,10 +341,24 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
   return true;
 }
 
-traffic::ScenarioConfig scenario_from(const core::KeyValueConfig& config) {
-  auto scenario = traffic::amadeus_like(1.0);
-  core::apply_scenario_config(config, scenario);
-  return scenario;
+/// `scenario.scale` (alias --scale) is the one scenario key the CLI reads;
+/// everything else about a scenario lives in its spec. Names every other
+/// scenario.* key on one line and returns false, so a stale or mistyped key
+/// never runs a silently different experiment. Call before any key is read
+/// (unconsumed() then lists every key).
+bool scenario_keys_supported(const CliOptions& opts) {
+  std::string unread;
+  for (const auto& key : opts.config.unconsumed()) {
+    if (key.rfind("scenario.", 0) != 0 || key == "scenario.scale") continue;
+    unread += (unread.empty() ? "" : ", ") + key;
+  }
+  if (unread.empty()) return true;
+  std::fprintf(stderr,
+               "%s: unsupported config key(s) %s: only scenario.scale is "
+               "read; edit a spec instead (simulate <scenario> --dump-spec "
+               "> spec.json)\n",
+               opts.command.c_str(), unread.c_str());
+  return false;
 }
 
 std::vector<std::unique_ptr<detectors::Detector>> pair_from(
@@ -356,16 +371,6 @@ std::vector<std::unique_ptr<detectors::Detector>> pair_from(
   pool.push_back(std::make_unique<detectors::SentinelDetector>(sc));
   pool.push_back(std::make_unique<detectors::ArcaneDetector>(ac));
   return pool;
-}
-
-int cmd_generate(const CliOptions& opts) {
-  traffic::Scenario scenario(scenario_from(opts.config));
-  httplog::LogWriter writer(std::cout);
-  httplog::LogRecord record;
-  while (scenario.next(record)) writer.write(record);
-  std::fprintf(stderr, "generated %llu records\n",
-               static_cast<unsigned long long>(writer.lines_written()));
-  return 0;
 }
 
 void print_detector_summary(const core::JointResults& r);
@@ -1042,7 +1047,7 @@ int main(int argc, char** argv) {
                  opts.command.c_str());
     return usage();
   }
-  if (opts.command == "generate") return cmd_generate(opts);
+  if (!scenario_keys_supported(opts)) return 2;
   if (opts.command == "simulate") return cmd_simulate(opts);
   if (opts.command == "analyze") return cmd_analyze(opts);
   if (opts.command == "tail") return cmd_tail(opts);
