@@ -87,6 +87,9 @@ void ArcaneDetector::maybe_sweep(Timestamp now) {
 namespace {
 
 constexpr std::uint32_t kArcaneMagic = 0x4152434Eu;  // "ARCN"
+/// v2: the path-template section holds template strings only (v1 held
+/// every distinct path too, in one token space with the templates).
+constexpr std::uint32_t kArcaneVersion = 2;
 
 void put_config(util::StateWriter& w, const ArcaneConfig& c) {
   w.f64(c.window_s);
@@ -143,7 +146,7 @@ void put_config(util::StateWriter& w, const ArcaneConfig& c) {
 }  // namespace
 
 bool ArcaneDetector::save_state(util::StateWriter& w) const {
-  util::put_tag(w, kArcaneMagic, 1);
+  util::put_tag(w, kArcaneMagic, kArcaneVersion);
   put_config(w, config_);
   w.u64(evaluations_);
   local_uas_.save_state(w);
@@ -196,7 +199,7 @@ bool ArcaneDetector::load_state(util::StateReader& r) {
     reset();
     return false;
   };
-  if (!util::check_tag(r, kArcaneMagic, 1)) return false;
+  if (!util::check_tag(r, kArcaneMagic, kArcaneVersion)) return false;
   if (!config_matches(r, config_)) return fail();
   evaluations_ = r.u64();
   if (!local_uas_.load_state(r)) return fail();
@@ -269,7 +272,7 @@ Verdict ArcaneDetector::evaluate(const httplog::LogRecord& record) {
   Entry entry;
   entry.time = now;
   const auto path = record.path();
-  entry.template_token = paths_.template_token(path);
+  entry.template_token = paths_.token(path);
   entry.asset = httplog::is_static_asset(path);
   entry.referer = record.referer != "-" && !record.referer.empty();
   entry.error_4xx = record.status >= 400 && record.status < 500;

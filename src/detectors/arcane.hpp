@@ -78,9 +78,11 @@ class ArcaneDetector final : public Detector {
   void reset() override;
 
   /// Warm-checkpoint dump/restore: every live behavioural window (sorted by
-  /// session key), the path-template memo (live entries reference its
-  /// tokens, so it transfers in full), the local UA interner, and the sweep
-  /// counter. A config fingerprint guards mistuned restores.
+  /// session key), the interned path templates (live entries reference
+  /// their tokens, so they transfer in full), the local UA interner, and
+  /// the sweep counter. A config fingerprint guards mistuned restores.
+  /// The "ARCN" v1 blob carried a path memo instead of the templates; it
+  /// is rejected (cold restart).
   [[nodiscard]] bool save_state(util::StateWriter& w) const override;
   [[nodiscard]] bool load_state(util::StateReader& r) override;
 
@@ -154,12 +156,12 @@ class ArcaneDetector final : public Detector {
                      httplog::SessionKeyHash>
       clients_;
   util::StringInterner local_uas_;  ///< fallback for unstamped records
-  /// Detector-wide path -> template-token memo; exact tokens replace the
-  /// seed's raw FNV-1a template hashes, which could (theoretically)
-  /// collide. Capped (the detector lives for the whole stream and unique-id
-  /// URLs would otherwise grow it without bound); past the cap templates
-  /// degrade to the seed's hash-token behaviour.
-  httplog::PathTemplateMemo paths_{std::size_t{1} << 20};
+  /// Detector-wide path -> template-token tokenizer. It interns templates
+  /// only: most megasite paths are seen once, so a per-path memo would
+  /// hit almost never while dominating memory and the checkpoint. Capped
+  /// (the detector lives for the whole stream); past the cap new templates
+  /// degrade to hash tokens flagged with the overflow bit.
+  httplog::PathTemplateTokenizer paths_{std::size_t{1} << 20};
   std::uint64_t evaluations_ = 0;
   /// One-entry client memo: bursty traffic hits the same session on
   /// consecutive records, skipping the clients_ probe. The pointer is safe

@@ -123,19 +123,34 @@ bool is_static_asset(std::string_view path) noexcept {
          kAssetExts.end();
 }
 
-std::string path_template(std::string_view path) {
-  std::string out;
-  out.reserve(path.size());
-  out += '/';
-  for (const auto& seg : path_segments(path)) {
-    const bool numeric =
-        !seg.empty() && std::all_of(seg.begin(), seg.end(), [](unsigned char c) {
-          return std::isdigit(c);
-        });
-    out += numeric ? std::string("{n}") : seg;
-    out += '/';
+void build_path_template(std::string_view path, std::string& out) {
+  out.assign(1, '/');
+  std::size_t start = 0;
+  while (start < path.size()) {
+    const auto slash = path.find('/', start);
+    const std::size_t end = slash == std::string_view::npos ? path.size()
+                                                            : slash;
+    if (end > start) {
+      const auto seg = path.substr(start, end - start);
+      const bool numeric = std::all_of(
+          seg.begin(), seg.end(), [](char c) { return c >= '0' && c <= '9'; });
+      if (numeric) {
+        out.append("{n}");
+      } else {
+        out.append(seg);
+      }
+      out += '/';
+    }
+    if (slash == std::string_view::npos) break;
+    start = slash + 1;
   }
   if (out.size() > 1) out.pop_back();  // drop trailing slash
+}
+
+std::string path_template(std::string_view path) {
+  std::string out;
+  out.reserve(path.size() + 1);
+  build_path_template(path, out);
   return out;
 }
 

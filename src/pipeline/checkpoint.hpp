@@ -49,6 +49,21 @@
 //
 // v1 lacked sig_len/sig_hash/lost_incarnations (default 0 = "unknown", so
 // resume skips the prefix-signature check); v2 lacked the state blob.
+//
+// Inside the blob every component carries its own tag version (see
+// util/state.hpp), and a version mismatch rejects the blob, so these
+// resume *cold* (offsets still honored, kStateRejected from TailSession):
+//
+//   component blob           | written by                 | resumes
+//   -------------------------|----------------------------|--------
+//   "SHRD" v1 (sharded)      | low-bit shard routing,     | cold
+//                            | which left shards 1..N-1   |
+//                            | idle at N = 2, 4, 8        |
+//   "ARCN" v1 (Arcane)       | the per-path template memo | cold
+//   "SHRD" v2, "ARCN" v2     | current                    | warm
+//
+// A v1 sharded blob must not restore: its clients sit on the shards the
+// old routing chose, not those the current routing sends them to.
 #pragma once
 
 #include <cstdint>

@@ -8,6 +8,12 @@ namespace {
 /// Ring capacity (in batches) when the caller disables max_backlog: still
 /// bounded — rings are bounded by construction — just generously so.
 constexpr std::size_t kDefaultRingBatches = 1024;
+
+constexpr std::uint32_t kShardedMagic = 0x53485244u;  // "SHRD"
+/// v2: shard_of() routes by the high half of the /24 hash (v1 used the
+/// low bits). The clients in a v1 blob's shards are not the ones v2 routes
+/// there, so a v1 blob must not restore.
+constexpr std::uint32_t kShardedVersion = 2;
 }  // namespace
 
 ShardedPipeline::ShardedPipeline(PoolFactory factory, std::size_t shards,
@@ -72,8 +78,10 @@ ShardedPipeline::~ShardedPipeline() {
 
 std::size_t ShardedPipeline::shard_of(const httplog::LogRecord& r) const {
   // Route by /24 so every record sharing detector state lands together.
-  const auto key = httplog::Ipv4Hash{}(r.ip.prefix(24));
-  return key % shards_.size();
+  // The /24 key has eight trailing zero bits and the multiplicative hash
+  // keeps them, so only its high half is mixed (see sharded.hpp).
+  const std::uint64_t key = httplog::Ipv4Hash{}(r.ip.prefix(24));
+  return static_cast<std::size_t>((key >> 32) % shards_.size());
 }
 
 void ShardedPipeline::route_to_shard(std::size_t s,
@@ -207,6 +215,14 @@ void ShardedPipeline::drain() {
   }
 }
 
+std::vector<std::uint64_t> ShardedPipeline::shard_processed() const {
+  std::vector<std::uint64_t> out;
+  out.reserve(shards_.size());
+  for (const auto& shard : shards_)
+    out.push_back(shard->processed.load(std::memory_order_acquire));
+  return out;
+}
+
 std::uint64_t ShardedPipeline::peak_shard_backlog() const noexcept {
   std::uint64_t peak = 0;
   for (const auto& shard : shards_) {
@@ -246,7 +262,7 @@ bool ShardedPipeline::save_state(util::StateWriter& w) {
     if (!shard->joiner->save_state(blob)) return false;
     blobs.push_back(blob.take());
   }
-  util::put_tag(w, 0x53485244u /* "SHRD" */, 1);
+  util::put_tag(w, kShardedMagic, kShardedVersion);
   w.u64(shards_.size());
   w.u64(dispatched_);
   for (const std::string& blob : blobs) w.str(blob);
@@ -261,7 +277,7 @@ bool ShardedPipeline::load_state(util::StateReader& r) {
     dispatched_ = 0;
     return false;
   };
-  if (!util::check_tag(r, 0x53485244u, 1)) return fail();
+  if (!util::check_tag(r, kShardedMagic, kShardedVersion)) return fail();
   const std::uint64_t count = r.u64();
   if (!r.ok() || count != shards_.size()) return fail();
   dispatched_ = r.u64();

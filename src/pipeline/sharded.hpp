@@ -12,6 +12,20 @@
 // "partition by the state key" recipe for scaling stateful stream
 // processors.
 //
+// ## Routing uses the high bits of the hash
+//
+// shard_of() hashes the /24 prefix with Ipv4Hash (Fibonacci hashing: a
+// multiply by an odd 64-bit constant) and reduces the *high* 32 bits of
+// the product modulo the shard count. The low bits are useless here: the
+// /24 prefix has its low 8 bits zeroed, and multiplying by an odd constant
+// preserves trailing zeros, so the low byte of the product is always 0.
+// Reducing the whole product modulo 2, 4 or 8 therefore sent every record
+// to shard 0 and left the other workers idle. The high half of a
+// multiplicative hash is where the multiply mixes every input bit, so it
+// spreads subnets evenly at any shard count. The routing decides which
+// shard holds which client's state, so it is part of the save_state()
+// wire format ("SHRD" v2; a v1 blob is rejected and resumes cold).
+//
 // ## Batched, multi-dispatcher architecture
 //
 // The one ingest seam is process_batch(): records enter as whole
@@ -124,6 +138,10 @@ class ShardedPipeline {
   [[nodiscard]] std::uint64_t dispatched() const noexcept {
     return dispatched_;
   }
+  /// Records each shard's worker has evaluated since construction, in
+  /// shard order (not restored by load_state()). Exact once drain() or
+  /// finish() has returned; a live gauge otherwise.
+  [[nodiscard]] std::vector<std::uint64_t> shard_processed() const;
   /// High-water mark of any single shard's (enqueued - processed) records,
   /// sampled at enqueue time — the backpressure tests assert this stays
   /// within the configured bound.
@@ -133,10 +151,10 @@ class ShardedPipeline {
   /// per-shard results). Internally drain()s first — the workers are idle
   /// and their rings empty while the states are read, so the dump is a
   /// consistent cut of the whole pipeline. Returns false (nothing written)
-  /// if a pool member doesn't support serialization. The blob layout is
-  /// unchanged from the single-dispatcher pipeline (dispatcher count and
-  /// batch size are execution knobs, not state), so pre-batching
-  /// checkpoints restore into this pipeline and vice versa.
+  /// if a pool member doesn't support serialization. Dispatcher count and
+  /// batch size are execution knobs, not state, so a blob restores at any
+  /// setting of them; the shard count and the routing are state (the
+  /// "SHRD" tag's version names the routing).
   [[nodiscard]] bool save_state(util::StateWriter& w);
   /// Restores from save_state() output; call before any process_batch().
   /// The shard count must match the saved one (routing is count-dependent).

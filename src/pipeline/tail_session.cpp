@@ -186,4 +186,9 @@ const MultiTailer& TailSession::tailer() const noexcept {
   return *ingest_->tailer;
 }
 
+std::vector<std::uint64_t> TailSession::shard_processed() const {
+  if (!ingest_->sharded) return {};
+  return ingest_->sharded->shard_processed();
+}
+
 }  // namespace divscrape::pipeline

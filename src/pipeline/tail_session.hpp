@@ -95,6 +95,9 @@ class TailSession {
   /// (per-shard results merge only in finish()).
   [[nodiscard]] const core::JointResults* live_results() const noexcept;
   [[nodiscard]] const MultiTailer& tailer() const noexcept;
+  /// Records each shard evaluated in this incarnation (see
+  /// ShardedPipeline::shard_processed()); empty when sequential.
+  [[nodiscard]] std::vector<std::uint64_t> shard_processed() const;
 
  private:
   struct Ingest;

@@ -253,6 +253,29 @@ TEST(StateRejection, ArcaneFallsBackColdOnDamage) {
   expect_detector_rejects_damage(victim, ArcaneDetector{}, dump(original));
 }
 
+// "ARCN" v2 carries interned path templates only; a v1 blob carried a
+// path memo in one token space with them, and must resume cold. (The v2
+// round trip is ArcaneRestoresMidStream.)
+TEST(StateRejection, ArcaneV1BlobFallsBackCold) {
+  ArcaneDetector original;
+  const auto& records = scenario_records();
+  for (std::size_t i = 0; i < records.size() / 2; ++i) {
+    (void)original.evaluate(records[i]);
+  }
+  std::string v1 = dump(original);
+  {
+    divscrape::util::StateReader header(v1);
+    EXPECT_TRUE(divscrape::util::check_tag(header, 0x4152434Eu, 2));
+  }
+  v1[4] = 1;  // the little-endian u32 version after the "ARCN" magic
+
+  ArcaneDetector victim;
+  divscrape::util::StateReader r(v1);
+  EXPECT_FALSE(victim.load_state(r));
+  EXPECT_EQ(dump(victim), dump(ArcaneDetector{}));
+  EXPECT_EQ(victim.tracked_clients(), 0u);
+}
+
 TEST(StateRejection, ConfigFingerprintMismatchIsRejected) {
   SentinelDetector original;
   const auto& records = scenario_records();

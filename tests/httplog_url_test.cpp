@@ -1,7 +1,14 @@
 // Request-target parsing and path-taxonomy tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <string>
+#include <vector>
+
+#include "catalog_stream.hpp"
 #include "httplog/url.hpp"
+#include "util/state.hpp"
 
 namespace {
 
@@ -145,25 +152,106 @@ TEST(PathTemplateMemo, RepeatPathsAreMemoized) {
   EXPECT_EQ(memo.distinct_paths(), 1u);
 }
 
-TEST(PathTemplateMemo, CapBoundsGrowthButKeepsKnownTemplatesExact) {
-  using divscrape::httplog::PathTemplateMemo;
-  // Cap of 4 strings: "/offers/1", "/offers/{n}", "/a", "/b" fill it.
-  PathTemplateMemo memo(4);
-  const auto offers = memo.template_token("/offers/1");
-  (void)memo.template_token("/a");
-  (void)memo.template_token("/b");
-  EXPECT_EQ(memo.distinct_paths(), 3u);
+TEST(PathTemplateTokenizer, SweepSharesOneTemplateToken) {
+  divscrape::httplog::PathTemplateTokenizer tokenizer;
+  const auto tok = tokenizer.token("/offers/1");
+  for (int id = 2; id < 100; ++id) {
+    EXPECT_EQ(tokenizer.token("/offers/" + std::to_string(id)), tok);
+  }
+  EXPECT_NE(tokenizer.token("/search"), tok);
+  EXPECT_EQ(tokenizer.token("/offers/7"), tok);
+  EXPECT_EQ(tokenizer.templates(), 2u);  // templates only, never paths
+}
+
+TEST(PathTemplateTokenizer, CapBoundsGrowthButKeepsKnownTemplatesExact) {
+  using divscrape::httplog::PathTemplateTokenizer;
+  // Cap of 3 templates: "/offers/{n}", "/a", "/b" fill it.
+  PathTemplateTokenizer tokenizer(3);
+  const auto offers = tokenizer.token("/offers/1");
+  (void)tokenizer.token("/a");
+  (void)tokenizer.token("/b");
+  EXPECT_EQ(tokenizer.templates(), 3u);
 
   // Past the cap: a fresh sweep path still resolves to the exact, already
   // interned template token (no growth, no hash degradation).
-  EXPECT_EQ(memo.template_token("/offers/99999"), offers);
-  EXPECT_EQ(memo.distinct_paths(), 3u);  // not memoized past the cap
+  EXPECT_EQ(tokenizer.token("/offers/99999"), offers);
+  EXPECT_EQ(tokenizer.templates(), 3u);
 
   // A template never seen before the cap degrades to a stable hash token
-  // flagged with the overflow bit (never aliasing an exact token).
-  const auto overflow = memo.template_token("/unseen/path");
-  EXPECT_TRUE(overflow & PathTemplateMemo::kOverflowTokenBit);
-  EXPECT_EQ(memo.template_token("/unseen/path"), overflow);
+  // flagged with the overflow bit (never aliasing an exact token), both
+  // from the one-entry memo and when rebuilt after another path.
+  const auto overflow = tokenizer.token("/unseen/path");
+  EXPECT_TRUE(overflow & PathTemplateTokenizer::kOverflowTokenBit);
+  EXPECT_EQ(tokenizer.token("/unseen/path"), overflow);
+  (void)tokenizer.token("/a");
+  EXPECT_EQ(tokenizer.token("/unseen/path"), overflow);
+  EXPECT_EQ(tokenizer.templates(), 3u);
+}
+
+TEST(PathTemplateTokenizer, StateRoundTripKeepsTokens) {
+  using divscrape::httplog::PathTemplateTokenizer;
+  PathTemplateTokenizer a;
+  const auto offers = a.token("/offers/1");
+  const auto search = a.token("/search");
+  divscrape::util::StateWriter w;
+  a.save_state(w);
+  const std::string blob = w.take();
+
+  PathTemplateTokenizer b;
+  divscrape::util::StateReader r(blob);
+  ASSERT_TRUE(b.load_state(r));
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(b.token("/search"), search);
+  EXPECT_EQ(b.token("/offers/42"), offers);
+  divscrape::util::StateWriter again;
+  b.save_state(again);
+  EXPECT_EQ(again.take(), blob);
+}
+
+/// The segment-vector implementation path_template() had before the
+/// buffer builder: the differential oracle for build_path_template().
+std::string reference_template(std::string_view path) {
+  std::string out = "/";
+  for (const auto& seg : path_segments(path)) {
+    const bool numeric =
+        std::all_of(seg.begin(), seg.end(),
+                    [](unsigned char c) { return std::isdigit(c) != 0; });
+    out += numeric ? std::string("{n}") : seg;
+    out += '/';
+  }
+  if (out.size() > 1) out.pop_back();
+  return out;
+}
+
+/// Checks the builder against the oracle, through path_template() and
+/// through one buffer reused (dirty) across every path.
+void expect_builder_matches_reference(const std::vector<std::string>& paths) {
+  std::string reused = "stale contents from an earlier, longer template";
+  for (const auto& path : paths) {
+    const std::string expected = reference_template(path);
+    EXPECT_EQ(path_template(path), expected) << path;
+    divscrape::httplog::build_path_template(path, reused);
+    EXPECT_EQ(reused, expected) << path;
+  }
+}
+
+TEST(PathTemplateBuilder, MatchesReferenceOnUrlCorpus) {
+  expect_builder_matches_reference(
+      {"/offers/123", "/offers/987654", "/book/1/step/2", "/search", "/",
+       "", "//", "/a//b/", "/a/b/c", "/static/app-1.js", "/static/theme.css",
+       "/img/logo.png", "/fonts/x.woff2", "/robots.txt", "/data.json",
+       "/offers/12a", "/1/2/3/", "///7///", "/-1/+2/0x10", "/v1/items/0",
+       "noslash/42", "/x/\xd9\xa3/9"});
+}
+
+TEST(PathTemplateBuilder, MatchesReferenceOnMegasiteSample) {
+  const auto records =
+      divscrape::test::catalog_records("megasite", 0.002);
+  ASSERT_GT(records.size(), 1000u);
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < records.size(); i += 7)
+    paths.emplace_back(records[i].path());
+  expect_builder_matches_reference(paths);
 }
 
 }  // namespace

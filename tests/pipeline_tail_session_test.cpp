@@ -281,6 +281,55 @@ TEST(TailSession, ShardedSessionResumedSequentiallyIsCold) {
   EXPECT_EQ(ingested(*session), records().size());
 }
 
+/// Rewrites every `magic` component tag of version 2 in a persisted
+/// sharded session blob to version 1, i.e. the blob an older build wrote,
+/// then requires the resume to be cold from the per-log checkpoints.
+void expect_v1_component_resumes_cold(const std::string& tag,
+                                      std::uint32_t magic) {
+  const std::size_t split = halves().front();
+  Fixture fx(tag);
+  fx.write_range(0, split);
+  {
+    auto session = fx.session(2, 2);
+    (void)session->resume();
+    (void)session->poll();
+    session->persist();
+  }
+  auto saved = pipeline::TailSessionState::load(fx.session_file());
+  ASSERT_TRUE(saved.has_value());
+  util::StateWriter v2_tag;
+  util::put_tag(v2_tag, magic, 2);
+  const std::string needle = v2_tag.take();
+  std::size_t patched = 0;
+  for (auto pos = saved->state.find(needle); pos != std::string::npos;
+       pos = saved->state.find(needle, pos + needle.size())) {
+    saved->state[pos + 4] = 1;  // the little-endian u32 version
+    ++patched;
+  }
+  ASSERT_GT(patched, 0u);
+  ASSERT_TRUE(saved->save(fx.session_file()));
+
+  auto session = fx.session(2, 2);
+  const auto resumed = session->resume();
+  EXPECT_EQ(resumed.outcome, Outcome::kStateRejected);
+  for (std::size_t i = 0; i < kFiles; ++i) {
+    EXPECT_EQ(resumed.logs[i].from,
+              pipeline::checkpoint_file_for(fx.cp_dir, fx.paths[i]));
+    EXPECT_TRUE(resumed.logs[i].honored);
+  }
+  fx.write_range(split, records().size());
+  (void)session->poll();
+  EXPECT_EQ(ingested(*session), records().size());
+}
+
+TEST(TailSession, V1ShardRoutingSessionResumesCold) {
+  expect_v1_component_resumes_cold("v1_shrd", 0x53485244u /* "SHRD" */);
+}
+
+TEST(TailSession, V1ArcaneStateSessionResumesCold) {
+  expect_v1_component_resumes_cold("v1_arcn", 0x4152434Eu /* "ARCN" */);
+}
+
 /// Regression for the half-restored consumer: a session blob with one
 /// trailing byte restores every component and only then fails at_end().
 /// The session must report cold AND end equal to a fresh consumer resumed

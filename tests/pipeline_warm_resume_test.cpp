@@ -522,6 +522,68 @@ TEST(WarmResumeSharded, BatchedKillWithInFlightBatchesIsByteIdentical) {
   }
 }
 
+/// A 2-shard pipeline that has processed the first half of the stream.
+void feed_half(pipeline::ShardedPipeline& sharded,
+               util::StringInterner& ua_tokens) {
+  const auto& all = records();
+  pipeline::RecordBatch batch = sharded.batch_pool().acquire();
+  for (std::size_t i = 0; i < all.size() / 2; ++i) {
+    auto& slot = batch.append_slot();
+    slot = all[i];
+    slot.ua_token = ua_tokens.intern(slot.user_agent);
+  }
+  sharded.process_batch(std::move(batch));
+}
+
+std::string sharded_blob(pipeline::ShardedPipeline& sharded) {
+  util::StateWriter w;
+  EXPECT_TRUE(sharded.save_state(w));
+  return w.take();
+}
+
+// "SHRD" v2 names the high-bits routing. Under v2 a restored pipeline
+// serializes to the same bytes it was restored from.
+TEST(WarmResumeSharded, StateRoundTripIsByteStable) {
+  util::StringInterner ua_tokens;
+  pipeline::ShardedPipeline original(
+      [] { return detectors::make_paper_pair(); }, kShards);
+  feed_half(original, ua_tokens);
+  const std::string blob = sharded_blob(original);
+  {
+    util::StateReader header(blob);
+    EXPECT_TRUE(util::check_tag(header, 0x53485244u, 2));
+  }
+
+  pipeline::ShardedPipeline restored(
+      [] { return detectors::make_paper_pair(); }, kShards);
+  util::StateReader r(blob);
+  ASSERT_TRUE(restored.load_state(r));
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(sharded_blob(restored), blob);
+  EXPECT_EQ(restored.dispatched(), original.dispatched());
+}
+
+// A v1 sharded blob was routed by the low bits of the /24 hash, so its
+// per-shard states belong to other shards than v2 routes those clients
+// to: it must resume cold, never warm into the wrong shards.
+TEST(WarmResumeSharded, V1RoutingBlobFallsBackCold) {
+  util::StringInterner ua_tokens;
+  pipeline::ShardedPipeline original(
+      [] { return detectors::make_paper_pair(); }, kShards);
+  feed_half(original, ua_tokens);
+  std::string v1 = sharded_blob(original);
+  v1[4] = 1;  // the little-endian u32 version after the "SHRD" magic
+
+  pipeline::ShardedPipeline victim(
+      [] { return detectors::make_paper_pair(); }, kShards);
+  util::StateReader r(v1);
+  EXPECT_FALSE(victim.load_state(r));
+  EXPECT_EQ(victim.dispatched(), 0u);
+  pipeline::ShardedPipeline fresh(
+      [] { return detectors::make_paper_pair(); }, kShards);
+  EXPECT_EQ(sharded_blob(victim), sharded_blob(fresh));
+}
+
 // A sharded blob must not restore into a pipeline with a different shard
 // count — per-/24 state would land on the wrong workers.
 TEST(WarmResumeSharded, ShardCountMismatchFallsBackCold) {

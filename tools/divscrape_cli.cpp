@@ -717,6 +717,11 @@ int cmd_tail_multi(const CliOptions& opts) {
       static_cast<unsigned long long>(tailer.forced_emits()));
   const auto results = session.finish();
   flush_results(results, opts.results_path);
+  const auto per_shard = session.shard_processed();
+  for (std::size_t s = 0; s < per_shard.size(); ++s) {
+    std::printf("shard %zu: %s records\n", s,
+                core::with_thousands(per_shard[s]).c_str());
+  }
   print_detector_summary(results);
   return 0;
 }
