@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "httplog/url.hpp"
-#include "httplog/useragent.hpp"
 
 namespace divscrape::detectors {
 
@@ -54,6 +53,7 @@ void ArcaneDetector::ClientState::drop_template(std::uint32_t token) {
 void ArcaneDetector::reset() {
   clients_.clear();
   local_uas_.clear();
+  ua_info_.clear();
   paths_.clear();
   evaluations_ = 0;
   last_state_ = nullptr;
@@ -260,7 +260,7 @@ Verdict ArcaneDetector::evaluate(const httplog::LogRecord& record) {
   ClientState& state = *last_state_;
   state.last_seen = now;
   if (!state.ua_classified) {
-    const auto ua = httplog::classify_user_agent(record.user_agent);
+    const auto& ua = ua_info_.get(key.ua_token, record.user_agent);
     state.scripted = ua.scripted;
     state.declared_bot = ua.declared_bot;
     state.browser = ua.family == httplog::UaFamily::kBrowser;

@@ -126,7 +126,8 @@ class ArcaneDetector final : public Detector {
     /// Distinct in-window templates with counts; unsorted, linear-scanned.
     std::vector<std::pair<std::uint32_t, int>> templates;
     httplog::Timestamp last_seen{0};
-    // UA facts are per-client constants (the key includes the UA).
+    // UA facts are per-client constants (the key includes the UA), read
+    // from the detector's UaInfoCache when the client is first seen.
     bool scripted = false;
     bool declared_bot = false;
     bool browser = false;
@@ -156,6 +157,10 @@ class ArcaneDetector final : public Detector {
                      httplog::SessionKeyHash>
       clients_;
   util::StringInterner local_uas_;  ///< fallback for unstamped records
+  /// A new client's UA flags come from here: one classification per
+  /// distinct UA, not per client (a megasite day has ~100k clients over a
+  /// few dozen UAs). A memo, not state; reset() and load_state() clear it.
+  httplog::UaInfoCache ua_info_;
   /// Detector-wide path -> template-token tokenizer. It interns templates
   /// only: most megasite paths are seen once, so a per-path memo would
   /// hit almost never while dominating memory and the checkpoint. Capped

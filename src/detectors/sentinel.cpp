@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "httplog/session.hpp"  // kMaxLocalUaTokens
+#include "httplog/session.hpp"
 #include "httplog/useragent.hpp"
 
 namespace divscrape::detectors {
@@ -57,35 +57,9 @@ void SentinelDetector::reset() {
   ips_.clear();
   subnets_.clear();
   local_uas_.clear();
-  stamped_ua_cache_.clear();
-  local_ua_cache_.clear();
+  ua_info_.clear();
   evaluations_ = 0;
   now_ = Timestamp{0};
-}
-
-const httplog::UserAgentInfo& SentinelDetector::ua_info_for(
-    const httplog::LogRecord& record) {
-  // One shared token policy: ua_key_token handles the stamped/local split
-  // and the growth cap; this function only maps tokens to cached results.
-  const std::uint32_t key = httplog::ua_key_token(record, local_uas_);
-  const bool local = (key & httplog::kLocalUaTokenBit) != 0;
-  const std::uint32_t token = key & ~httplog::kLocalUaTokenBit;
-  if ((key & httplog::kHashedUaTokenBit) != 0 ||
-      token > httplog::kMaxLocalUaTokens) {
-    // Past either cap (local interner full, or a stamped stream with more
-    // distinct UAs than we dense-cache): classify directly — the seed's
-    // per-record behaviour — rather than growing state.
-    uncached_ua_info_ = httplog::classify_user_agent(record.user_agent);
-    return uncached_ua_info_;
-  }
-  auto& cache = local ? local_ua_cache_ : stamped_ua_cache_;
-  if (cache.size() < token) cache.resize(token);
-  UaCacheEntry& entry = cache[token - 1];
-  if (!entry.valid) {
-    entry.info = httplog::classify_user_agent(record.user_agent);
-    entry.valid = true;
-  }
-  return entry.info;
 }
 
 std::size_t SentinelDetector::flagged_ips() const noexcept {
@@ -248,7 +222,8 @@ Verdict SentinelDetector::evaluate(const httplog::LogRecord& record) {
   now_ = now;
   maybe_sweep(now);
 
-  const auto& ua = ua_info_for(record);
+  const auto& ua = ua_info_.get(httplog::ua_key_token(record, local_uas_),
+                                record.user_agent);
   // Good-bot allowlist: declared crawlers pass (verified out-of-band in
   // real deployments).
   if (ua.family == UaFamily::kDeclaredBot) return {};

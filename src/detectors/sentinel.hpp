@@ -31,8 +31,8 @@
 
 #include "detectors/detector.hpp"
 #include "httplog/ip.hpp"
+#include "httplog/session.hpp"
 #include "httplog/timestamp.hpp"
-#include "httplog/useragent.hpp"
 #include "util/interner.hpp"
 
 namespace divscrape::detectors {
@@ -66,9 +66,9 @@ class SentinelDetector final : public Detector {
 
   /// Warm-checkpoint dump/restore: the reputation maps (sorted for
   /// deterministic bytes), the local UA interner, and the sweep counters.
-  /// The UA classification caches are recomputable memos and are NOT
-  /// serialized. A config fingerprint guards restores into a differently
-  /// tuned instance.
+  /// The UA classification cache (httplog::UaInfoCache) is a recomputable
+  /// memo and is NOT serialized; reset() and load_state() clear it. A
+  /// config fingerprint guards restores into a differently tuned instance.
   [[nodiscard]] bool save_state(util::StateWriter& w) const override;
   [[nodiscard]] bool load_state(util::StateReader& r) override;
 
@@ -123,28 +123,13 @@ class SentinelDetector final : public Detector {
 
   void flag_ip(IpState& state, httplog::Ipv4 ip, httplog::Timestamp now);
   void maybe_sweep(httplog::Timestamp now);
-  /// Token-memoized UA classification: the ~20 case-insensitive substring
-  /// scans of classify_user_agent() run once per distinct UA, not once per
-  /// record. Stamped and locally-interned tokens live in separate dense
-  /// caches (their token spaces are independent). UA cardinality is
-  /// attacker-controlled, so both caches are capped at kMaxLocalUaTokens;
-  /// past the cap the record is classified directly (the seed's per-record
-  /// behaviour) instead of growing state.
-  [[nodiscard]] const httplog::UserAgentInfo& ua_info_for(
-      const httplog::LogRecord& record);
-
-  struct UaCacheEntry {
-    httplog::UserAgentInfo info;
-    bool valid = false;
-  };
-
   SentinelConfig config_;
   std::unordered_map<httplog::Ipv4, IpState, httplog::Ipv4Hash> ips_;
   std::unordered_map<httplog::Ipv4, SubnetState, httplog::Ipv4Hash> subnets_;
   util::StringInterner local_uas_;
-  std::vector<UaCacheEntry> stamped_ua_cache_;  ///< index: ua_token - 1
-  std::vector<UaCacheEntry> local_ua_cache_;    ///< index: local token - 1
-  httplog::UserAgentInfo uncached_ua_info_;     ///< past-cap scratch result
+  /// UA classification once per distinct UA, not once per record (see
+  /// httplog::UaInfoCache for the stamped/local split and the cap).
+  httplog::UaInfoCache ua_info_;
   std::uint64_t evaluations_ = 0;
   httplog::Timestamp now_{0};
 };

@@ -18,6 +18,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -87,6 +88,38 @@ inline constexpr std::size_t kMaxLocalUaTokens = std::size_t{1} << 18;
   }
   return token | kLocalUaTokenBit;
 }
+
+/// The UA classification behind a ua_key_token() result, computed once per
+/// distinct UA. classify_user_agent() is a scan for ~20 markers, and the
+/// per-client detectors would otherwise run it once per record (Sentinel)
+/// or once per new client (Arcane) although a megasite day has a few dozen
+/// distinct UAs for hundreds of thousands of clients. Stamped and locally
+/// interned tokens are indexed in separate dense caches (their token
+/// spaces are independent). UA cardinality is attacker-controlled, so
+/// both caches stop at kMaxLocalUaTokens: a hashed token, or a stamped
+/// token past the cap, is classified directly on every call instead of
+/// growing state. A memo only, never serialized: the result is a pure
+/// function of the UA string, so an owner clears it wherever its token
+/// spaces may change meaning (reset, load_state) and it refills with
+/// identical contents.
+class UaInfoCache {
+ public:
+  /// Classification of `user_agent`, whose key token is `key` (the
+  /// ua_key_token() of the same record; 0 is classified uncached). The
+  /// reference stays valid until the next get() or clear().
+  [[nodiscard]] const UserAgentInfo& get(std::uint32_t key,
+                                         std::string_view user_agent);
+  void clear() noexcept;
+
+ private:
+  struct Entry {
+    UserAgentInfo info;
+    bool valid = false;
+  };
+  std::vector<Entry> stamped_;  ///< index: stamped token - 1
+  std::vector<Entry> local_;    ///< index: local token - 1
+  UserAgentInfo uncached_;      ///< past-cap scratch result
+};
 
 /// Aggregate view of one client session.
 class Session {

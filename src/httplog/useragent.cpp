@@ -1,24 +1,12 @@
 #include "httplog/useragent.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cctype>
 #include <charconv>
+#include <string>
 
 namespace divscrape::httplog {
 
 namespace {
-
-bool contains_icase(std::string_view haystack, std::string_view needle) {
-  if (needle.empty() || haystack.size() < needle.size()) return false;
-  const auto it = std::search(
-      haystack.begin(), haystack.end(), needle.begin(), needle.end(),
-      [](char a, char b) {
-        return std::tolower(static_cast<unsigned char>(a)) ==
-               std::tolower(static_cast<unsigned char>(b));
-      });
-  return it != haystack.end();
-}
 
 // Extracts the integer right after "token/" (e.g. "Chrome/64.0" -> 64).
 int version_after(std::string_view ua, std::string_view token) {
@@ -31,17 +19,36 @@ int version_after(std::string_view ua, std::string_view token) {
   return ec == std::errc{} && next != begin ? value : 0;
 }
 
-constexpr std::array<std::string_view, 8> kDeclaredBots = {
-    "Googlebot", "bingbot",    "Slurp",        "DuckDuckBot",
-    "Baiduspider", "YandexBot", "AhrefsBot",   "UptimeRobot"};
+// Markers are matched case-insensitively: the UA is lowercased once and
+// searched for these lowercase forms. The named crawlers that contain
+// "bot" or "spider" (Googlebot, bingbot, DuckDuckBot, Baiduspider,
+// YandexBot, AhrefsBot, UptimeRobot) are caught by the generic markers,
+// which classify them identically, so only "slurp" needs its own entry.
+constexpr std::array<std::string_view, 4> kDeclaredBotMarkers = {
+    "slurp", "bot", "spider", "crawler"};
 
 constexpr std::array<std::string_view, 9> kScriptMarkers = {
-    "curl/",      "python-requests", "Python-urllib", "Scrapy",
-    "Go-http-client", "Java/",       "okhttp",        "libwww-perl",
-    "Wget"};
+    "curl/",          "python-requests", "python-urllib", "scrapy",
+    "go-http-client", "java/",           "okhttp",        "libwww-perl",
+    "wget"};
 
 constexpr std::array<std::string_view, 3> kHeadlessMarkers = {
-    "HeadlessChrome", "PhantomJS", "SlimerJS"};
+    "headlesschrome", "phantomjs", "slimerjs"};
+
+/// ASCII lowercasing: what std::tolower does in the "C" locale the program
+/// runs in, without its per-character call.
+char ascii_lower(char c) noexcept {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+template <std::size_t N>
+bool contains_any(std::string_view lower,
+                  const std::array<std::string_view, N>& markers) {
+  for (const auto marker : markers) {
+    if (lower.find(marker) != std::string_view::npos) return true;
+  }
+  return false;
+}
 
 }  // namespace
 
@@ -63,34 +70,35 @@ UserAgentInfo classify_user_agent(std::string_view ua) {
     info.family = UaFamily::kEmpty;
     return info;
   }
-  for (const auto marker : kHeadlessMarkers) {
-    if (contains_icase(ua, marker)) {
-      info.family = UaFamily::kHeadless;
-      info.scripted = true;
-      info.browser_major = version_after(ua, "HeadlessChrome/");
-      return info;
-    }
+  // Lowercase once; every marker is then a plain substring search. UAs
+  // are a few hundred bytes at most, so the stack buffer nearly always
+  // suffices.
+  char small[512];
+  std::string large;
+  char* buffer = small;
+  if (ua.size() > sizeof small) {
+    large.resize(ua.size());
+    buffer = large.data();
   }
-  for (const auto bot : kDeclaredBots) {
-    if (contains_icase(ua, bot)) {
-      info.family = UaFamily::kDeclaredBot;
-      info.declared_bot = true;
-      return info;
-    }
+  for (std::size_t i = 0; i < ua.size(); ++i) buffer[i] = ascii_lower(ua[i]);
+  const std::string_view lower(buffer, ua.size());
+
+  if (contains_any(lower, kHeadlessMarkers)) {
+    info.family = UaFamily::kHeadless;
+    info.scripted = true;
+    info.browser_major = version_after(ua, "HeadlessChrome/");
+    return info;
   }
-  // Generic self-declared crawlers ("FooBot/1.2", "...spider...").
-  if (contains_icase(ua, "bot") || contains_icase(ua, "spider") ||
-      contains_icase(ua, "crawler")) {
+  // Named and generic self-declared crawlers ("FooBot/1.2", "...spider...").
+  if (contains_any(lower, kDeclaredBotMarkers)) {
     info.family = UaFamily::kDeclaredBot;
     info.declared_bot = true;
     return info;
   }
-  for (const auto marker : kScriptMarkers) {
-    if (contains_icase(ua, marker)) {
-      info.family = UaFamily::kScriptClient;
-      info.scripted = true;
-      return info;
-    }
+  if (contains_any(lower, kScriptMarkers)) {
+    info.family = UaFamily::kScriptClient;
+    info.scripted = true;
+    return info;
   }
   if (ua.find("Mozilla/") != std::string_view::npos) {
     info.family = UaFamily::kBrowser;

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "core/json.hpp"
 #include "core/json_parse.hpp"
@@ -50,20 +52,89 @@ std::optional<std::string_view> find_str(std::string_view json,
   return json.substr(begin, close - begin);
 }
 
-// The checkpoint's scalar fields, written into an already-open object —
-// shared between the standalone serialization and the per-log embeddings
-// inside a TailSessionState.
-void write_fields(core::JsonWriter& json, const Checkpoint& cp) {
-  json.key("inode").value(cp.inode);
-  json.key("offset").value(cp.offset);
-  json.key("sig_len").value(cp.sig_len);
-  json.key("sig_hash").value(cp.sig_hash);
-  json.key("lines").value(cp.lines);
-  json.key("parsed").value(cp.parsed);
-  json.key("skipped").value(cp.skipped);
-  json.key("rotations").value(cp.rotations);
-  json.key("truncations").value(cp.truncations);
-  json.key("lost_incarnations").value(cp.lost_incarnations);
+// The writers build each document in one pass into one string reserved
+// up front: the base64 blob is encoded straight into it (its alphabet
+// needs no JSON escaping) and a file's trailing newline is appended in
+// place, so the multi-megabyte blob is never copied. The bytes are the
+// ones core::JsonWriter produced (compact, members in this order), so
+// the schemas are unchanged; tests/pipeline_checkpoint_test.cpp pins them.
+
+/// Room for a document's fixed members, one log entry's scalar fields, and
+/// the closing newline (numbers are at most 20 digits).
+constexpr std::size_t kMembersBytes = 512;
+
+void append_u64(std::string& out, std::uint64_t value) {
+  char digits[20];
+  const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+  out.append(digits, end);
+}
+
+// The checkpoint's scalar fields, each with its leading comma — shared
+// between the standalone serialization and the per-log embeddings inside
+// a TailSessionState.
+void append_fields(std::string& out, const Checkpoint& cp) {
+  const std::pair<std::string_view, std::uint64_t> fields[] = {
+      {"inode", cp.inode},
+      {"offset", cp.offset},
+      {"sig_len", cp.sig_len},
+      {"sig_hash", cp.sig_hash},
+      {"lines", cp.lines},
+      {"parsed", cp.parsed},
+      {"skipped", cp.skipped},
+      {"rotations", cp.rotations},
+      {"truncations", cp.truncations},
+      {"lost_incarnations", cp.lost_incarnations},
+  };
+  for (const auto& [name, value] : fields) {
+    out += ",\"";
+    out += name;
+    out += "\":";
+    append_u64(out, value);
+  }
+}
+
+// The closing member shared by both documents, then the closing brace.
+void append_state(std::string& out, std::string_view state) {
+  out += ",\"state_b64\":\"";
+  util::base64_append(out, state);
+  out += "\"}";
+}
+
+std::string checkpoint_json(const Checkpoint& cp, bool newline) {
+  std::string out;
+  out.reserve(kMembersBytes + util::base64_size(cp.state.size()));
+  out += "{\"schema\":\"";
+  out += kSchema;
+  out += '"';
+  append_fields(out, cp);
+  append_state(out, cp.state);
+  if (newline) out += '\n';
+  return out;
+}
+
+std::string session_json(const TailSessionState& session, bool newline) {
+  std::size_t size = kMembersBytes + util::base64_size(session.state.size());
+  for (const auto& entry : session.logs) {
+    // json_escape grows a byte to at most six ("\u001f").
+    size += kMembersBytes + 6 * entry.first.size();
+  }
+  std::string out;
+  out.reserve(size);
+  out += "{\"schema\":\"";
+  out += kSessionSchema;
+  out += "\",\"logs\":[";
+  for (std::size_t i = 0; i < session.logs.size(); ++i) {
+    const auto& [path, cp] = session.logs[i];
+    out += i == 0 ? "{\"path\":\"" : ",{\"path\":\"";
+    out += core::json_escape(path);
+    out += '"';
+    append_fields(out, cp);
+    out += '}';
+  }
+  out += ']';
+  append_state(out, session.state);
+  if (newline) out += '\n';
+  return out;
 }
 
 // Reads the scalar fields back from a parsed DOM object (TailSessionState
@@ -86,14 +157,7 @@ Checkpoint checkpoint_from_dom(const core::JsonValue& obj) {
 }  // namespace
 
 std::string Checkpoint::to_json() const {
-  std::ostringstream os;
-  core::JsonWriter json(os);
-  json.begin_object();
-  json.key("schema").value(kSchema);
-  write_fields(json, *this);
-  json.key("state_b64").value(util::base64_encode(state));
-  json.end_object();
-  return os.str();
+  return checkpoint_json(*this, /*newline=*/false);
 }
 
 std::optional<Checkpoint> Checkpoint::from_json(std::string_view json) {
@@ -142,7 +206,8 @@ std::optional<Checkpoint> Checkpoint::from_json(std::string_view json) {
 }
 
 bool Checkpoint::save(const std::string& path) const {
-  return util::write_file_atomic(path, to_json() + "\n");
+  return util::write_file_atomic(path,
+                                 checkpoint_json(*this, /*newline=*/true));
 }
 
 std::optional<Checkpoint> Checkpoint::load(const std::string& path) {
@@ -154,21 +219,7 @@ std::optional<Checkpoint> Checkpoint::load(const std::string& path) {
 }
 
 std::string TailSessionState::to_json() const {
-  std::ostringstream os;
-  core::JsonWriter json(os);
-  json.begin_object();
-  json.key("schema").value(kSessionSchema);
-  json.key("logs").begin_array();
-  for (const auto& [path, cp] : logs) {
-    json.begin_object();
-    json.key("path").value(path);
-    write_fields(json, cp);
-    json.end_object();
-  }
-  json.end_array();
-  json.key("state_b64").value(util::base64_encode(state));
-  json.end_object();
-  return os.str();
+  return session_json(*this, /*newline=*/false);
 }
 
 std::optional<TailSessionState> TailSessionState::from_json(
@@ -192,7 +243,8 @@ std::optional<TailSessionState> TailSessionState::from_json(
 }
 
 bool TailSessionState::save(const std::string& path) const {
-  return util::write_file_atomic(path, to_json() + "\n");
+  return util::write_file_atomic(path,
+                                 session_json(*this, /*newline=*/true));
 }
 
 std::optional<TailSessionState> TailSessionState::load(

@@ -30,9 +30,9 @@
 // *What stays cold even on a warm resume:*
 //   - the pacing anchor (a resumed live tail re-anchors wall-clock pacing
 //     at its first record; irrelevant for as-fast-as-possible replay);
-//   - recomputable memo caches (Sentinel's UA-classification caches) —
-//     excluded from the blob by design, they repopulate on demand with
-//     identical contents;
+//   - recomputable memo caches (the httplog::UaInfoCache classification
+//     memo in Sentinel and Arcane) — excluded from the blob by design,
+//     they repopulate on demand with identical contents;
 //   - everything, when the blob is absent, truncated, or carries a
 //     mismatched component version or config fingerprint: the loader
 //     rejects the blob, the caller counts a warning, and detection
@@ -64,6 +64,15 @@
 //
 // A v1 sharded blob must not restore: its clients sit on the shards the
 // old routing chose, not those the current routing sends them to.
+//
+// ## Writer
+//
+// to_json() and save() build the document in one pass into one string
+// (the base64 blob encoded in place, no stream, no escaped copy). The
+// bytes are exactly those of the streaming core::JsonWriter serialization
+// the v3 schemas were defined with, so this writer carries no schema
+// version of its own: v3 files load whichever writer produced them.
+// tests/pipeline_checkpoint_test.cpp ("CheckpointBytes") pins the bytes.
 #pragma once
 
 #include <cstdint>

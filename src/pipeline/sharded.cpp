@@ -1,6 +1,7 @@
 #include "pipeline/sharded.hpp"
 
 #include <stdexcept>
+#include <system_error>
 
 namespace divscrape::pipeline {
 
@@ -253,19 +254,36 @@ core::JointResults ShardedPipeline::finish() {
 bool ShardedPipeline::save_state(util::StateWriter& w) {
   // The drain barrier leaves every worker blocked on an empty ring, and
   // the idle_mutex handshakes order the workers' joiner writes before our
-  // reads.
+  // reads. Each shard then cuts its own section at the barrier (the
+  // barrier snapshot of Carbone et al.): the joiners share nothing, so
+  // shard 0 serializes on the caller and the others on helper threads,
+  // joined before any blob is read. Thread start orders our reads after
+  // the drain; the blobs are concatenated in shard order, so the bytes do
+  // not depend on the concurrency.
   drain();
-  std::vector<std::string> blobs;
-  blobs.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    util::StateWriter blob;
-    if (!shard->joiner->save_state(blob)) return false;
-    blobs.push_back(blob.take());
+  std::vector<util::StateWriter> blobs(shards_.size());
+  std::vector<char> saved(shards_.size(), 0);  // not vector<bool>: racy bits
+  const auto save_shard = [&](std::size_t s) {
+    saved[s] = shards_[s]->joiner->save_state(blobs[s]) ? 1 : 0;
+  };
+  std::vector<std::thread> helpers;
+  helpers.reserve(shards_.size() - 1);
+  for (std::size_t s = 1; s < shards_.size(); ++s) {
+    try {
+      helpers.emplace_back(save_shard, s);
+    } catch (const std::system_error&) {
+      save_shard(s);  // no thread to spare: serialize it here
+    }
+  }
+  save_shard(0);
+  for (std::thread& helper : helpers) helper.join();
+  for (const char ok : saved) {
+    if (ok == 0) return false;
   }
   util::put_tag(w, kShardedMagic, kShardedVersion);
   w.u64(shards_.size());
   w.u64(dispatched_);
-  for (const std::string& blob : blobs) w.str(blob);
+  for (const util::StateWriter& blob : blobs) w.str(blob.buffer());
   return true;
 }
 

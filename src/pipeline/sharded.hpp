@@ -150,8 +150,11 @@ class ShardedPipeline {
   /// Warm-checkpoint dump of every shard's joiner (detector states +
   /// per-shard results). Internally drain()s first — the workers are idle
   /// and their rings empty while the states are read, so the dump is a
-  /// consistent cut of the whole pipeline. Returns false (nothing written)
-  /// if a pool member doesn't support serialization. Dispatcher count and
+  /// consistent cut of the whole pipeline. The shards serialize
+  /// concurrently (one on the caller, the rest on helper threads joined
+  /// before return) and are concatenated in shard order, so the bytes
+  /// equal a one-by-one dump. Returns false (nothing written) if a pool
+  /// member doesn't support serialization. Dispatcher count and
   /// batch size are execution knobs, not state, so a blob restores at any
   /// setting of them; the shard count and the routing are state (the
   /// "SHRD" tag's version names the routing).

@@ -1,6 +1,16 @@
 // Shared hashing primitives: a proper boost-style hash_combine for composite
 // keys (the seed's `h1 ^ (h2 << 1)` folded most of h2's entropy onto itself)
-// and the 32-bit FNV-1a string hash used by the interner.
+// and the FNV-1a string hashes.
+//
+// Persisted hashes — never change them. fnv1a32 values reach state blobs
+// (hashed past-cap UA tokens in session keys, overflow path-template
+// tokens) and name the per-log checkpoint files; fnv1a64 is the tailer's
+// file-prefix signature in every checkpoint. A different value there
+// breaks warm resume of every existing file.
+//
+// In-memory only: StringInterner's probe hash (private to interner.cpp)
+// places strings in its open-addressing table and is never written
+// anywhere, so it is free to trade portability for speed.
 #pragma once
 
 #include <cstddef>

@@ -20,32 +20,34 @@ std::uint8_t decode_one(char c) noexcept {
 
 std::string base64_encode(std::string_view bytes) {
   std::string out;
-  out.reserve((bytes.size() + 2) / 3 * 4);
+  base64_append(out, bytes);
+  return out;
+}
+
+void base64_append(std::string& out, std::string_view bytes) {
+  const std::size_t start = out.size();
+  out.resize(start + base64_size(bytes.size()));
+  char* dst = out.data() + start;
+  const auto byte = [&](std::size_t i) {
+    return static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[i]));
+  };
   std::size_t i = 0;
-  for (; i + 3 <= bytes.size(); i += 3) {
-    const std::uint32_t v = (std::uint32_t(std::uint8_t(bytes[i])) << 16) |
-                            (std::uint32_t(std::uint8_t(bytes[i + 1])) << 8) |
-                            std::uint32_t(std::uint8_t(bytes[i + 2]));
-    out.push_back(kAlphabet[(v >> 18) & 63]);
-    out.push_back(kAlphabet[(v >> 12) & 63]);
-    out.push_back(kAlphabet[(v >> 6) & 63]);
-    out.push_back(kAlphabet[v & 63]);
+  for (; i + 3 <= bytes.size(); i += 3, dst += 4) {
+    const std::uint32_t v = (byte(i) << 16) | (byte(i + 1) << 8) | byte(i + 2);
+    dst[0] = kAlphabet[(v >> 18) & 63];
+    dst[1] = kAlphabet[(v >> 12) & 63];
+    dst[2] = kAlphabet[(v >> 6) & 63];
+    dst[3] = kAlphabet[v & 63];
   }
   const std::size_t rest = bytes.size() - i;
-  if (rest == 1) {
-    const std::uint32_t v = std::uint32_t(std::uint8_t(bytes[i])) << 16;
-    out.push_back(kAlphabet[(v >> 18) & 63]);
-    out.push_back(kAlphabet[(v >> 12) & 63]);
-    out.append("==");
-  } else if (rest == 2) {
-    const std::uint32_t v = (std::uint32_t(std::uint8_t(bytes[i])) << 16) |
-                            (std::uint32_t(std::uint8_t(bytes[i + 1])) << 8);
-    out.push_back(kAlphabet[(v >> 18) & 63]);
-    out.push_back(kAlphabet[(v >> 12) & 63]);
-    out.push_back(kAlphabet[(v >> 6) & 63]);
-    out.push_back('=');
+  if (rest != 0) {
+    const std::uint32_t v =
+        (byte(i) << 16) | (rest == 2 ? byte(i + 1) << 8 : 0);
+    dst[0] = kAlphabet[(v >> 18) & 63];
+    dst[1] = kAlphabet[(v >> 12) & 63];
+    dst[2] = rest == 2 ? kAlphabet[(v >> 6) & 63] : '=';
+    dst[3] = '=';
   }
-  return out;
 }
 
 std::optional<std::string> base64_decode(std::string_view text) {

@@ -198,6 +198,17 @@ inline void put_value(StateWriter& w, const std::string& v) { w.str(v); }
 /// characters, so encoded blobs embed in JSON strings verbatim.
 [[nodiscard]] std::string base64_encode(std::string_view bytes);
 
+/// Length of the base64 encoding of `bytes` bytes (padding included).
+[[nodiscard]] constexpr std::size_t base64_size(std::size_t bytes) noexcept {
+  return (bytes + 2) / 3 * 4;
+}
+
+/// Appends the base64 encoding of `bytes` to `out` in place, growing it by
+/// exactly base64_size(bytes.size()) — the one encoder behind
+/// base64_encode() and the checkpoint writers, which reserve the whole
+/// document up front and so never copy the encoded blob.
+void base64_append(std::string& out, std::string_view bytes);
+
 /// Strict decode of what base64_encode produces; nullopt on any character
 /// outside the alphabet, bad length, or bad padding.
 [[nodiscard]] std::optional<std::string> base64_decode(std::string_view text);

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "detectors/arcane.hpp"
+#include "util/state.hpp"
 
 namespace {
 
@@ -223,6 +225,45 @@ TEST(Arcane, ScoreCappedAtOne) {
         req(ip, i * 0.5, "/offers/1", "curl/7.58.0", i % 2 ? 400 : 204));
     ASSERT_LE(v.score, 1.0);
   }
+}
+
+// A new client's UA flags come from the detector's UaInfoCache, keyed by
+// token. reset() and load_state() must clear it: once stamped token 1 is a
+// browser, a client on it must score like a browser (no scripted-UA weight)
+// even though token 1 was a script client before.
+TEST(Arcane, ResetAndLoadStateClearTheUaCache) {
+  const auto stamped = [](LogRecord r) {
+    r.ua_token = 1;
+    return r;
+  };
+  const auto scores = [&](ArcaneDetector& arcane) {
+    std::vector<double> out;
+    for (int i = 0; i < 12; ++i) {
+      out.push_back(arcane
+                        .evaluate(stamped(req(Ipv4(5, 6, 7, 8), 100.0 + i,
+                                              "/offers/" + std::to_string(i))))
+                        .score);
+    }
+    return out;
+  };
+  ArcaneDetector reference;
+  const std::vector<double> browser_scores = scores(reference);
+
+  ArcaneDetector reset_one;
+  (void)reset_one.evaluate(
+      stamped(req(Ipv4(1, 2, 3, 4), 0.0, "/", "curl/7.58.0")));
+  reset_one.reset();
+  EXPECT_EQ(scores(reset_one), browser_scores);
+
+  ArcaneDetector fresh;
+  divscrape::util::StateWriter w;
+  ASSERT_TRUE(fresh.save_state(w));
+  ArcaneDetector loaded;
+  (void)loaded.evaluate(
+      stamped(req(Ipv4(1, 2, 3, 4), 0.0, "/", "curl/7.58.0")));
+  divscrape::util::StateReader r(w.buffer());
+  ASSERT_TRUE(loaded.load_state(r));
+  EXPECT_EQ(scores(loaded), browser_scores);
 }
 
 }  // namespace

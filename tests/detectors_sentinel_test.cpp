@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "detectors/sentinel.hpp"
+#include "util/state.hpp"
 
 namespace {
 
@@ -207,6 +208,35 @@ TEST(Sentinel, ScoreGradedBelowThreshold) {
     EXPECT_GE(v.score, prev);  // progress toward the tripwire
     prev = v.score;
   }
+}
+
+// The UA classification memo (httplog::UaInfoCache) is keyed by token. A
+// token means a different UA after reset() or a restore, so both must clear
+// it: a stamped token 1 that was curl must not keep classifying as a script
+// client once token 1 is a browser.
+TEST(Sentinel, ResetAndLoadStateClearTheUaCache) {
+  const auto stamped = [](LogRecord r) {
+    r.ua_token = 1;
+    return r;
+  };
+  SentinelDetector sentinel;
+  EXPECT_TRUE(
+      sentinel.evaluate(stamped(req(Ipv4(1, 2, 3, 4), 0.0, "curl/7.58.0")))
+          .alert);
+  sentinel.reset();
+  EXPECT_FALSE(
+      sentinel.evaluate(stamped(req(Ipv4(5, 6, 7, 8), 1.0, kBrowserUa))).alert);
+
+  SentinelDetector fresh;
+  divscrape::util::StateWriter w;
+  ASSERT_TRUE(fresh.save_state(w));
+  SentinelDetector used;
+  EXPECT_TRUE(
+      used.evaluate(stamped(req(Ipv4(1, 2, 3, 4), 0.0, "curl/7.58.0"))).alert);
+  divscrape::util::StateReader r(w.buffer());
+  ASSERT_TRUE(used.load_state(r));
+  EXPECT_FALSE(
+      used.evaluate(stamped(req(Ipv4(5, 6, 7, 8), 1.0, kBrowserUa))).alert);
 }
 
 }  // namespace

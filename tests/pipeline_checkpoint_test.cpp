@@ -9,11 +9,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "capture_detector.hpp"
 #include "catalog_stream.hpp"
+#include "core/json.hpp"
 #include "httplog/clf.hpp"
 #include "pipeline/checkpoint.hpp"
 #include "pipeline/replay.hpp"
@@ -21,6 +23,7 @@
 #include "stats/rng.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/atomic_file.hpp"
+#include "util/state.hpp"
 
 namespace {
 
@@ -176,6 +179,182 @@ TEST(TailSessionState, RejectsMalformedInput) {
                    "{\"schema\":\"divscrape.tail_session.v3\","
                    "\"logs\":[{\"offset\":1}],\"state_b64\":\"\"}")
                    .has_value());
+}
+
+// --- Writer bytes ---------------------------------------------------------
+//
+// The checkpoint writers build their JSON in one pass into one string. The
+// files must stay byte-identical to what the streaming core::JsonWriter
+// path wrote (the schemas did not change), so that path is kept here as the
+// reference, and a few outputs it produced are pinned as literals.
+
+void reference_fields(core::JsonWriter& json, const pipeline::Checkpoint& cp) {
+  json.key("inode").value(cp.inode);
+  json.key("offset").value(cp.offset);
+  json.key("sig_len").value(cp.sig_len);
+  json.key("sig_hash").value(cp.sig_hash);
+  json.key("lines").value(cp.lines);
+  json.key("parsed").value(cp.parsed);
+  json.key("skipped").value(cp.skipped);
+  json.key("rotations").value(cp.rotations);
+  json.key("truncations").value(cp.truncations);
+  json.key("lost_incarnations").value(cp.lost_incarnations);
+}
+
+std::string reference_json(const pipeline::Checkpoint& cp) {
+  std::ostringstream os;
+  core::JsonWriter json(os);
+  json.begin_object();
+  json.key("schema").value("divscrape.checkpoint.v3");
+  reference_fields(json, cp);
+  json.key("state_b64").value(util::base64_encode(cp.state));
+  json.end_object();
+  return os.str();
+}
+
+std::string reference_json(const pipeline::TailSessionState& session) {
+  std::ostringstream os;
+  core::JsonWriter json(os);
+  json.begin_object();
+  json.key("schema").value("divscrape.tail_session.v3");
+  json.key("logs").begin_array();
+  for (const auto& [path, cp] : session.logs) {
+    json.begin_object();
+    json.key("path").value(path);
+    reference_fields(json, cp);
+    json.end_object();
+  }
+  json.end_array();
+  json.key("state_b64").value(util::base64_encode(session.state));
+  json.end_object();
+  return os.str();
+}
+
+// `n` bytes that walk through every byte value, NUL and high bytes included.
+std::string byte_blob(std::size_t n) {
+  std::string blob(n, '\0');
+  for (std::size_t i = 0; i < n; ++i)
+    blob[i] = static_cast<char>((i * 37 + 11) & 0xFF);
+  return blob;
+}
+
+pipeline::Checkpoint numbered_checkpoint(std::uint64_t seed) {
+  pipeline::Checkpoint cp;
+  cp.inode = 1000 + seed;
+  cp.offset = 4096 * seed;
+  cp.sig_len = seed == 0 ? 0 : 64;
+  cp.sig_hash = 0xfedcba9876543210ULL ^ seed;
+  cp.lines = 10 * seed + 1;
+  cp.parsed = 9 * seed;
+  cp.skipped = seed;
+  cp.rotations = seed / 2;
+  cp.truncations = seed / 3;
+  cp.lost_incarnations = seed / 4;
+  return cp;
+}
+
+// Every padding case (length mod 3 = 0, 1, 2), short and long blobs.
+TEST(CheckpointBytes, ToJsonMatchesTheJsonWriterPath) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (std::size_t n : {3000, 3001, 3002, 65536, 65537, 65538})
+    lengths.push_back(n);
+  for (const std::size_t n : lengths) {
+    pipeline::Checkpoint cp = numbered_checkpoint(n);
+    cp.state = byte_blob(n);
+    EXPECT_EQ(cp.to_json(), reference_json(cp)) << "blob length " << n;
+
+    pipeline::TailSessionState session;
+    session.logs.emplace_back("/var/log/www.log", numbered_checkpoint(n + 1));
+    session.logs.emplace_back("m.log", numbered_checkpoint(n + 2));
+    session.state = byte_blob(n);
+    EXPECT_EQ(session.to_json(), reference_json(session))
+        << "blob length " << n;
+  }
+  // No logs at all is a valid (empty) session.
+  pipeline::TailSessionState empty;
+  EXPECT_EQ(empty.to_json(), reference_json(empty));
+}
+
+TEST(CheckpointBytes, SessionLogPathsAreEscapedLikeJsonWriter) {
+  pipeline::TailSessionState session;
+  session.logs.emplace_back("dir/\"quoted\"\\back\tslash\n\x01\x1f\x7f.log",
+                            numbered_checkpoint(3));
+  session.logs.emplace_back("caf\xc3\xa9/\xe2\x82\xac.log",
+                            numbered_checkpoint(4));
+  session.state = byte_blob(5);
+  EXPECT_EQ(session.to_json(), reference_json(session));
+  const auto parsed = pipeline::TailSessionState::from_json(session.to_json());
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->logs[0].first, session.logs[0].first);
+  EXPECT_EQ(parsed->logs[1].first, session.logs[1].first);
+}
+
+TEST(CheckpointBytes, PinnedCheckpointBytes) {
+  const std::string pinned[] = {
+      "{\"schema\":\"divscrape.checkpoint.v3\",\"inode\":1000,"
+      "\"offset\":0,\"sig_len\":0,\"sig_hash\":18364758544493064720,"
+      "\"lines\":1,\"parsed\":0,\"skipped\":0,\"rotations\":0,"
+      "\"truncations\":0,\"lost_incarnations\":0,\"state_b64\":\"\"}",
+      "{\"schema\":\"divscrape.checkpoint.v3\",\"inode\":1001,"
+      "\"offset\":4096,\"sig_len\":64,\"sig_hash\":18364758544493064721,"
+      "\"lines\":11,\"parsed\":9,\"skipped\":1,\"rotations\":0,"
+      "\"truncations\":0,\"lost_incarnations\":0,\"state_b64\":\"Cw==\"}",
+      "{\"schema\":\"divscrape.checkpoint.v3\",\"inode\":1002,"
+      "\"offset\":8192,\"sig_len\":64,\"sig_hash\":18364758544493064722,"
+      "\"lines\":21,\"parsed\":18,\"skipped\":2,\"rotations\":1,"
+      "\"truncations\":0,\"lost_incarnations\":0,\"state_b64\":\"CzA=\"}",
+      "{\"schema\":\"divscrape.checkpoint.v3\",\"inode\":1003,"
+      "\"offset\":12288,\"sig_len\":64,\"sig_hash\":18364758544493064723,"
+      "\"lines\":31,\"parsed\":27,\"skipped\":3,\"rotations\":1,"
+      "\"truncations\":1,\"lost_incarnations\":0,\"state_b64\":\"CzBV\"}",
+  };
+  for (std::size_t n = 0; n < 4; ++n) {
+    pipeline::Checkpoint cp = numbered_checkpoint(n);
+    cp.state = byte_blob(n);
+    EXPECT_EQ(cp.to_json(), pinned[n]) << "blob length " << n;
+  }
+}
+
+TEST(CheckpointBytes, PinnedSessionBytes) {
+  pipeline::TailSessionState session;
+  session.logs.emplace_back("logs/\"a\"\\b\t.log", numbered_checkpoint(1));
+  session.logs.emplace_back("b.log", numbered_checkpoint(2));
+  session.state = byte_blob(7);
+  const std::string pinned =
+      "{\"schema\":\"divscrape.tail_session.v3\",\"logs\":["
+      "{\"path\":\"logs/\\\"a\\\"\\\\b\\t.log\",\"inode\":1001,\"offset\":4096,"
+      "\"sig_len\":64,\"sig_hash\":18364758544493064721,"
+      "\"lines\":11,\"parsed\":9,\"skipped\":1,\"rotations\":0,"
+      "\"truncations\":0,\"lost_incarnations\":0},{\"path\":\"b.log\","
+      "\"inode\":1002,\"offset\":8192,\"sig_len\":64,"
+      "\"sig_hash\":18364758544493064722,\"lines\":21,"
+      "\"parsed\":18,\"skipped\":2,\"rotations\":1,\"truncations\":0,"
+      "\"lost_incarnations\":0}],\"state_b64\":\"CzBVep/E6Q==\"}";
+  EXPECT_EQ(session.to_json(), pinned);
+}
+
+TEST(CheckpointBytes, SaveWritesTheJsonAndOneNewline) {
+  const auto read_all = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+  };
+  const auto cp_path = temp_path("bytes_cp.json");
+  pipeline::Checkpoint cp = numbered_checkpoint(5);
+  cp.state = byte_blob(1000);
+  ASSERT_TRUE(cp.save(cp_path));
+  EXPECT_EQ(read_all(cp_path), reference_json(cp) + "\n");
+
+  const auto session_path = temp_path("bytes_session.json");
+  pipeline::TailSessionState session;
+  session.logs.emplace_back("a \"b\".log", numbered_checkpoint(6));
+  session.state = byte_blob(1001);
+  ASSERT_TRUE(session.save(session_path));
+  EXPECT_EQ(read_all(session_path), reference_json(session) + "\n");
+  std::remove(cp_path.c_str());
+  std::remove(session_path.c_str());
 }
 
 TEST(TailSessionState, TornCommitPreservesPreviousSession) {

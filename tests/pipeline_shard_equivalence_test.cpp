@@ -15,11 +15,13 @@
 
 #include "catalog_stream.hpp"
 #include "core/joiner.hpp"
+#include "httplog/ip.hpp"
 #include "detectors/registry.hpp"
 #include "httplog/io.hpp"
 #include "pipeline/decoder.hpp"
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
+#include "util/state.hpp"
 
 namespace {
 
@@ -167,6 +169,69 @@ INSTANTIATE_TEST_SUITE_P(
       return "s" + std::to_string(std::get<0>(info.param)) + "d" +
              std::to_string(std::get<1>(info.param)) + "b" +
              std::to_string(std::get<2>(info.param));
+    });
+
+// save_state() serializes the shards concurrently. Its blob must still be
+// exactly the one-by-one dump: the "SHRD" v2 header, then each shard's
+// joiner state in shard order, where shard s holds a joiner that saw
+// exactly the records routed to it (the /24 hash's high half modulo the
+// shard count, as sharded.hpp documents). Checked mid-stream and at the
+// end of the stream, so windows, reputation and results are all non-empty.
+class ShardedSaveStateTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ShardedSaveStateTest, ParallelSaveEqualsOneByOneDump) {
+  const std::size_t shards = GetParam();
+  const auto records = divscrape::test::catalog_records("smoke");
+  ASSERT_GT(records.size(), 4096u);
+
+  ShardedPipeline pipeline([] { return make_paper_pair(); }, shards, 512);
+  std::vector<std::vector<std::unique_ptr<divscrape::detectors::Detector>>>
+      pools;
+  std::vector<std::unique_ptr<divscrape::core::AlertJoiner>> joiners;
+  for (std::size_t s = 0; s < shards; ++s) {
+    pools.push_back(make_paper_pair());
+    joiners.push_back(
+        std::make_unique<divscrape::core::AlertJoiner>(pools.back()));
+  }
+
+  const auto expect_same_dump = [&](std::size_t dispatched) {
+    divscrape::util::StateWriter parallel;
+    ASSERT_TRUE(pipeline.save_state(parallel));
+    divscrape::util::StateWriter one_by_one;
+    divscrape::util::put_tag(one_by_one, 0x53485244u /* "SHRD" */, 2);
+    one_by_one.u64(shards);
+    one_by_one.u64(dispatched);
+    for (const auto& joiner : joiners) {
+      divscrape::util::StateWriter blob;
+      ASSERT_TRUE(joiner->save_state(blob));
+      one_by_one.str(blob.buffer());
+    }
+    EXPECT_EQ(parallel.buffer(), one_by_one.buffer())
+        << shards << " shards after " << dispatched << " records";
+  };
+
+  const std::size_t half = records.size() / 2;
+  RecordBatch batch = pipeline.batch_pool().acquire();
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const LogRecord& record = records[i];
+    const std::uint64_t hash =
+        divscrape::httplog::Ipv4Hash{}(record.ip.prefix(24));
+    (void)joiners[(hash >> 32) % shards]->process(record);
+    batch.append_slot() = record;
+    if (batch.size() == 512 || i + 1 == half || i + 1 == records.size()) {
+      pipeline.process_batch(std::move(batch));
+      batch = pipeline.batch_pool().acquire();
+    }
+    if (i + 1 == half) expect_same_dump(half);
+  }
+  expect_same_dump(records.size());
+  (void)pipeline.finish();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shards, ShardedSaveStateTest, ::testing::Values(1, 2, 3, 8),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "s" + std::to_string(info.param);
     });
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include "util/hash.hpp"
 #include "util/interner.hpp"
+#include "util/state.hpp"
 
 namespace {
 
@@ -120,6 +121,53 @@ TEST(HashCombine, OrderAndValueSensitive) {
   }
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(std::unique(seen.begin(), seen.end()), seen.end());
+}
+
+// Probe-hash stress: keys that differ only after a long shared prefix (so
+// only the last word mixed into the hash differs), and keys of every length
+// 0-40 (every tail size of the word-at-a-time hash). Tokens must stay dense
+// and first-seen ordered, find()/lookup() must agree, and save_state must
+// round-trip to the identical token assignment.
+TEST(StringInterner, StressSharedPrefixesAndEveryLength) {
+  std::vector<std::string> keys;
+  const std::string prefix(64, 'p');
+  for (int i = 0; i < 10'000; ++i) {
+    std::string digits = std::to_string(i);
+    keys.push_back(prefix + std::string(6 - digits.size(), '0') + digits);
+  }
+  for (std::size_t n = 0; n <= 40; ++n) {
+    keys.push_back(std::string(n, 'a'));
+    std::string varied(n, '\0');  // NUL bytes are data, not terminators
+    for (std::size_t i = 0; i < n; ++i) varied[i] = static_cast<char>(i * 7);
+    keys.push_back(varied);
+  }
+  keys.push_back(std::string(40, 'b'));
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());  // "" twice
+
+  StringInterner interner;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(interner.intern(keys[i]), i + 1) << "key " << i;
+  }
+  ASSERT_EQ(interner.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(interner.intern(keys[i]), i + 1);
+    EXPECT_EQ(interner.find(keys[i]), i + 1);
+    EXPECT_EQ(interner.lookup(static_cast<std::uint32_t>(i + 1)), keys[i]);
+  }
+  EXPECT_EQ(interner.find(prefix + "x"), StringInterner::kInvalidToken);
+
+  divscrape::util::StateWriter w;
+  interner.save_state(w);
+  StringInterner restored;
+  divscrape::util::StateReader r(w.buffer());
+  ASSERT_TRUE(restored.load_state(r));
+  ASSERT_EQ(restored.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(restored.find(keys[i]), i + 1);
+  }
+  divscrape::util::StateWriter again;
+  restored.save_state(again);
+  EXPECT_EQ(again.buffer(), w.buffer());
 }
 
 }  // namespace
