@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/report.hpp"
 #include "detectors/arcane.hpp"
 #include "detectors/detector.hpp"
 #include "detectors/sentinel.hpp"

@@ -1,12 +1,6 @@
-// Shared plumbing for the table benches: scale parsing, the paper-pair
-// experiment on the catalog amadeus_like spec, and paper-vs-measured row
-// printing.
-//
-// Every table bench accepts an optional scale argument (default 1.0 =
-// paper-sized, ~1.47M requests, a few seconds) and prints, for each row of
-// the corresponding paper table: the published count, the measured count
-// (linearly rescaled to paper scale when scale < 1 so the comparison stays
-// readable), the relative deviation, and a factor-of-two shape verdict.
+// Shared plumbing for the benches: scale and flag parsing, the catalog
+// amadeus_like spec, and the machine-readable throughput document. The
+// paper's tables themselves are `divscrape_cli tables`.
 #pragma once
 
 #include <cstdint>
@@ -18,10 +12,6 @@
 #include <vector>
 
 #include "core/json.hpp"
-#include "core/paper_reference.hpp"
-#include "core/report.hpp"
-#include "detectors/registry.hpp"
-#include "eval/run.hpp"
 #include "util/rss.hpp"
 #include "workload/catalog.hpp"
 
@@ -153,38 +143,6 @@ inline bool write_throughput_json(const std::string& path,
 /// The paper workload: the catalog amadeus_like spec at `scale`.
 inline workload::ScenarioSpec paper_spec(double scale) {
   return *workload::catalog_entry("amadeus_like", scale);
-}
-
-/// Runs the paper deployment on the amadeus_like scenario at `scale`.
-inline eval::ExperimentOutput run_paper(double scale) {
-  const auto spec = paper_spec(scale);
-  std::printf("# divscrape :: scenario=amadeus_like scale=%.3f seed=%llu\n",
-              scale, static_cast<unsigned long long>(spec.seed));
-  auto out = eval::run_experiment(spec, detectors::make_paper_pair());
-  std::printf("# processed %s records in %.2fs (%.0f records/s)\n\n",
-              core::with_thousands(out.records).c_str(), out.wall_seconds,
-              out.throughput_rps());
-  return out;
-}
-
-/// One paper-vs-measured row; the measured count is scaled back up to
-/// paper scale for display.
-inline void add_comparison_row(core::TextTable& table, const std::string& row,
-                               std::uint64_t paper, std::uint64_t measured,
-                               double scale) {
-  const auto scaled =
-      scale >= 1.0 ? measured
-                   : static_cast<std::uint64_t>(
-                         static_cast<double>(measured) / scale + 0.5);
-  table.add_row({row, core::with_thousands(paper),
-                 core::with_thousands(scaled),
-                 core::deviation(scaled, paper),
-                 core::shape_verdict(scaled, paper)});
-}
-
-inline core::TextTable comparison_table(const std::string& first_header) {
-  return core::TextTable(
-      {first_header, "paper", "measured", "dev", "shape"});
 }
 
 }  // namespace divscrape::bench

@@ -12,8 +12,8 @@
 
 #include "bench_common.hpp"
 #include "detectors/registry.hpp"
+#include "eval/run.hpp"
 #include "eval/scorer.hpp"
-#include "ml/metrics.hpp"
 
 int main(int argc, char** argv) {
   using namespace divscrape;
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
                 column.name.c_str(), column.auc,
                 static_cast<unsigned long long>(score.records));
     const auto curve =
-        ml::roc_curve(scorer.column_scores(d), scorer.labels());
+        eval::roc_curve(scorer.column_scores(d), scorer.labels());
     // Print a decimated view: ~12 evenly spaced operating points.
     std::printf("  %10s %10s %10s\n", "threshold", "TPR", "FPR");
     const std::size_t step = curve.size() > 12 ? curve.size() / 12 : 1;

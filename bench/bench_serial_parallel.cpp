@@ -30,6 +30,7 @@
 #include "detectors/arcane.hpp"
 #include "detectors/registry.hpp"
 #include "detectors/sentinel.hpp"
+#include "eval/run.hpp"
 #include "pipeline/record_batch.hpp"
 #include "pipeline/sharded.hpp"
 #include "workload/engine.hpp"

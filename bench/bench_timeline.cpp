@@ -10,7 +10,9 @@
 #include "bench_common.hpp"
 #include "core/timeseries.hpp"
 #include "stats/running_stats.hpp"
+#include "core/report.hpp"
 #include "detectors/registry.hpp"
+#include "eval/run.hpp"
 
 int main(int argc, char** argv) {
   using namespace divscrape;

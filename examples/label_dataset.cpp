@@ -53,7 +53,7 @@ int main() {
       "mislabels; the default margin 2 keeps purity high while covering\n"
       "most of the stream; margins 3-4 approach manual-review purity at\n"
       "the cost of leaving ambiguous sessions unknown. With labels in\n"
-      "hand, run bench_adjudication on the labelled stream to produce the\n"
-      "paper's Section V tables.\n");
+      "hand, `divscrape_cli tables` prints the paper's Section V analysis:\n"
+      "sensitivity and specificity of each tool, 1oo2 and 2oo2.\n");
   return 0;
 }

@@ -1,5 +1,6 @@
-// The published numbers from the paper's Tables 1-4, used by the bench
-// harnesses to print paper-vs-measured rows and by EXPERIMENTS.md.
+// The published numbers from the paper's Tables 1-4, used by
+// `divscrape_cli tables` and the quickstart example to print
+// paper-vs-measured rows.
 //
 // Source: Marques et al., "Using Diverse Detectors for Detecting Malicious
 // Web Scraping Activity", DSN 2018 — Amadeus production traffic, March

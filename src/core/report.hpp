@@ -1,4 +1,4 @@
-// Plain-text table rendering for the bench harnesses and examples: aligned
+// Plain-text table rendering for the CLI, benches and examples: aligned
 // columns, thousands separators, and paper-vs-measured comparison rows.
 #pragma once
 

@@ -1,4 +1,4 @@
-// The detector abstraction both reproduced tools and all baselines
+// The detector abstraction both reproduced tools (and any custom detector)
 // implement.
 //
 // A detector is a *streaming* classifier: it sees the log one record at a

@@ -1,6 +1,4 @@
-// Detector factory: the reproduced two-tool deployment. The wider pool of
-// the diversity-metric experiments, whose learned members train on a
-// generated stream, is eval::make_full_pool.
+// Detector factory: the reproduced two-tool deployment.
 #pragma once
 
 #include <memory>

@@ -1,19 +1,11 @@
 #include "eval/run.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
 
-#include "detectors/baselines.hpp"
-#include "detectors/learned.hpp"
 #include "detectors/registry.hpp"
-#include "httplog/session.hpp"
-#include "ml/decision_tree.hpp"
-#include "ml/features.hpp"
-#include "ml/naive_bayes.hpp"
 #include "pipeline/record_batch.hpp"
-#include "stats/rng.hpp"
 #include "workload/engine.hpp"
 
 namespace divscrape::eval {
@@ -43,42 +35,6 @@ ExperimentOutput run_experiment(
   const auto t1 = std::chrono::steady_clock::now();
   return {joiner.results(), records,
           std::chrono::duration<double>(t1 - t0).count()};
-}
-
-std::vector<std::unique_ptr<detectors::Detector>> make_learned_detectors(
-    const workload::ScenarioSpec& training) {
-  std::vector<httplog::Session> sessions;
-  httplog::Sessionizer sessionizer(
-      1800.0,
-      [&sessions](httplog::Session&& s) { sessions.push_back(std::move(s)); });
-  workload::WorkloadEngine engine(training);
-  (void)engine.run(
-      [&sessionizer](httplog::LogRecord&& record) { sessionizer.add(record); });
-  sessionizer.flush_all();
-
-  const ml::Dataset data = ml::build_session_dataset(sessions);
-  std::vector<std::unique_ptr<detectors::Detector>> out;
-  out.push_back(std::make_unique<detectors::LearnedDetector>(
-      "naive-bayes",
-      std::make_shared<ml::NaiveBayes>(ml::NaiveBayes::train(data))));
-  out.push_back(std::make_unique<detectors::LearnedDetector>(
-      "decision-tree",
-      std::make_shared<ml::DecisionTree>(ml::DecisionTree::train(data))));
-  return out;
-}
-
-std::vector<std::unique_ptr<detectors::Detector>> make_full_pool(
-    const workload::ScenarioSpec& spec) {
-  auto pool = detectors::make_paper_pair();
-  pool.push_back(std::make_unique<detectors::RateLimitDetector>());
-  pool.push_back(std::make_unique<detectors::TrapDetector>());
-
-  workload::ScenarioSpec training = spec;
-  training.seed = stats::mix_seed(spec.seed, 0x7261696eULL);
-  training.scale = std::min(spec.scale, 0.02);
-  for (auto& detector : make_learned_detectors(training))
-    pool.push_back(std::move(detector));
-  return pool;
 }
 
 ScenarioScore score_scenario(const workload::ScenarioSpec& spec,

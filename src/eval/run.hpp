@@ -1,6 +1,6 @@
 // The experiment runner: the one loop that generates a declarative scenario
 // through the WorkloadEngine's batched seam and streams it through a
-// detector pool via an AlertJoiner. The table benches, the examples,
+// detector pool via an AlertJoiner. The benches, the examples,
 // `divscrape_cli tables/export/score` and bench_detection all sit on top of
 // it, so every consumer sees the same stream the same way.
 #pragma once
@@ -49,19 +49,6 @@ using RecordObserver = std::function<void(
     const workload::ScenarioSpec& spec,
     const std::vector<std::unique_ptr<detectors::Detector>>& pool,
     const RecordObserver& observe = {}, const RunOptions& options = {});
-
-/// Trains the learning-based related-work detectors (naive Bayes, decision
-/// tree) on the engine's stream of `training`, sessionized and labelled by
-/// majority ground truth — which stands in for the paper's "Amadeus team is
-/// currently labelling the dataset" step.
-[[nodiscard]] std::vector<std::unique_ptr<detectors::Detector>>
-make_learned_detectors(const workload::ScenarioSpec& training);
-
-/// Full pool: Sentinel, Arcane, rate-limit, trap, naive-Bayes, decision
-/// tree. Learned members are trained on a scaled-down sibling of `spec`
-/// (scale at most 0.02) with a different seed: no training-on-test leakage.
-[[nodiscard]] std::vector<std::unique_ptr<detectors::Detector>>
-make_full_pool(const workload::ScenarioSpec& spec);
 
 /// Runs `spec` through a fresh paper detector pair and returns the scored
 /// outcome.

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/json.hpp"
 #include "core/json_parse.hpp"
-#include "ml/metrics.hpp"
 #include "util/atomic_file.hpp"
 
 namespace divscrape::eval {
@@ -20,6 +20,11 @@ constexpr std::string_view kEnsembleName = "ensemble_1oo2";
 bool set_error(std::string* error, std::string why) {
   if (error) *error = std::move(why);
   return false;
+}
+
+double ratio(std::uint64_t num, std::uint64_t den) noexcept {
+  return den == 0 ? 0.0
+                  : static_cast<double>(num) / static_cast<double>(den);
 }
 
 /// Nearest-rank percentile of an ascending-sorted sample.
@@ -200,6 +205,45 @@ std::optional<DetectionDocument> DetectionDocument::load(
   return from_json(text.str(), error);
 }
 
+std::vector<RocPoint> roc_curve(divscrape::span<const double> scores,
+                                divscrape::span<const int> labels) {
+  const std::size_t n = std::min(scores.size(), labels.size());
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return scores[a] > scores[b];
+  });
+  std::uint64_t total_pos = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    total_pos += static_cast<std::uint64_t>(labels[i] != 0);
+  const std::uint64_t total_neg = n - total_pos;
+
+  std::vector<RocPoint> curve;
+  curve.push_back({1.0 + 1e-9, 0.0, 0.0});
+  std::uint64_t tp = 0, fp = 0;
+  std::size_t i = 0;
+  while (i < n) {
+    const double t = scores[order[i]];
+    // Consume all samples tied at this threshold together.
+    while (i < n && scores[order[i]] == t) {
+      labels[order[i]] != 0 ? ++tp : ++fp;
+      ++i;
+    }
+    curve.push_back({t, ratio(tp, total_pos), ratio(fp, total_neg)});
+  }
+  return curve;
+}
+
+double auc(divscrape::span<const double> scores, divscrape::span<const int> labels) {
+  const auto curve = roc_curve(scores, labels);
+  double area = 0.0;
+  for (std::size_t i = 1; i < curve.size(); ++i) {
+    const double dx = curve[i].fpr - curve[i - 1].fpr;
+    area += dx * 0.5 * (curve[i].tpr + curve[i - 1].tpr);
+  }
+  return area;
+}
+
 Scorer::Scorer(std::vector<std::string> detector_names)
     : names_(std::move(detector_names)), columns_(names_.size() + 1) {
   if (names_.empty())
@@ -273,7 +317,7 @@ ScenarioScore Scorer::finish(std::string scenario_name, double scale) const {
     score.fp = column.fp;
     score.tn = column.tn;
     score.fn = column.fn;
-    score.auc = ml::auc(column.scores, labels_);
+    score.auc = auc(column.scores, labels_);
     score.actors_detected = column.first_alert_us.size();
     if (c < n) {
       for (const auto& [actor, when] : column.first_alert_us) {

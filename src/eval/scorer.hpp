@@ -145,6 +145,21 @@ struct DetectionDocument {
   }
 };
 
+/// One ROC point.
+struct RocPoint {
+  double threshold = 0.0;
+  double tpr = 0.0;
+  double fpr = 0.0;
+};
+
+/// ROC curve from scores; points are sorted by descending threshold.
+[[nodiscard]] std::vector<RocPoint> roc_curve(divscrape::span<const double> scores,
+                                              divscrape::span<const int> labels);
+
+/// Area under the ROC curve via the rank statistic (handles ties).
+[[nodiscard]] double auc(divscrape::span<const double> scores,
+                         divscrape::span<const int> labels);
+
 /// Streaming scorer for one scenario run. Feed every record (in time
 /// order) together with the verdict vector the detector pool produced for
 /// it; call finish() once at the end.

@@ -28,8 +28,6 @@
 // write and straddling a rotation).
 //
 // *What stays cold even on a warm resume:*
-//   - the pacing anchor (a resumed live tail re-anchors wall-clock pacing
-//     at its first record; irrelevant for as-fast-as-possible replay);
 //   - recomputable memo caches (the httplog::UaInfoCache classification
 //     memo in Sentinel and Arcane) — excluded from the blob by design,
 //     they repopulate on demand with identical contents;

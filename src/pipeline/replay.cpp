@@ -1,5 +1,7 @@
 #include "pipeline/replay.hpp"
 
+#include <chrono>
+
 namespace divscrape::pipeline {
 
 namespace {
@@ -10,16 +12,14 @@ constexpr std::size_t kReplayBatchRecords = 1024;
 }  // namespace
 
 ReplayEngine::ReplayEngine(
-    const std::vector<std::unique_ptr<detectors::Detector>>& pool,
-    double time_scale)
+    const std::vector<std::unique_ptr<detectors::Detector>>& pool)
     : joiner_(pool),
       decoder_(
           [this](RecordBatch&& batch) {
             process_batch(batch);
             batch_pool_.recycle(std::move(batch));
           },
-          kReplayBatchRecords, &batch_pool_),
-      time_scale_(time_scale) {
+          kReplayBatchRecords, &batch_pool_) {
   for (const auto& detector : pool) detector->reset();
 }
 
@@ -28,7 +28,6 @@ void ReplayEngine::process_batch(RecordBatch& batch) {
     // Parsed records carry no token; stamp here so every detector keys its
     // state by the token instead of re-hashing the UA string.
     record.ua_token = ua_tokens_.intern(record.user_agent);
-    pacer_.wait_until(record.time, time_scale_);
     (void)joiner_.process(record);
   }
 }

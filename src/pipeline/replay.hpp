@@ -1,6 +1,6 @@
 // ReplayEngine: drives a detector pool from a recorded CLF log — the
 // deployment mode the paper's tools actually ran in (tailing Apache access
-// logs). Two ingest surfaces share one stamping/pacing/dispatch path:
+// logs). Two ingest surfaces share one stamping/dispatch path:
 //
 //   * replay(istream): batch mode over a complete stream. At EOF a final
 //     line without a trailing newline is flushed as a complete line — the
@@ -9,7 +9,7 @@
 //   * process_batch(batch): the seam for producers that parsed elsewhere
 //     (the multi-file merge layer decodes each log with its own
 //     LineDecoder and emits one time-ordered batch stream). The engine
-//     stamps, paces and dispatches exactly as it does for records it
+//     stamps and dispatches exactly as it does for records it
 //     parsed itself, so "N decoders + merge + engine" equals "one engine
 //     fed the merged bytes".
 //
@@ -21,12 +21,9 @@
 // the partial — tail mode never calls it while the file may still grow.
 //
 // The byte-level framing/parsing lives in LineDecoder (decoder.hpp); the
-// engine owns the dispatch stage: UA-token stamping, pacing, and the
-// AlertJoiner. Both surfaces support as-fast-as-possible replay and
-// time-scaled pacing for live demos.
+// engine owns the dispatch stage: UA-token stamping and the AlertJoiner.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <istream>
 #include <memory>
@@ -34,7 +31,6 @@
 
 #include "core/joiner.hpp"
 #include "detectors/detector.hpp"
-#include "httplog/pacer.hpp"
 #include "pipeline/decoder.hpp"
 #include "util/interner.hpp"
 
@@ -42,10 +38,6 @@ namespace divscrape::pipeline {
 
 class ReplayEngine {
  public:
-  /// `time_scale`: 0 replays as fast as possible; x > 0 sleeps so that one
-  /// simulated second takes 1/x wall seconds (e.g. 60 = minute-per-second).
-  /// Pacing is anchored at the first record the engine ever ingests.
-  ///
   /// The pool is reset() on construction (mirroring eval::run_experiment):
   /// the engine stamps records with tokens from its own interner, and any
   /// token-keyed detector state from a previous source would be meaningless
@@ -53,8 +45,7 @@ class ReplayEngine {
   /// replay()/decoder() ingests on one engine share the interner and
   /// accumulate state (the multi-file log-tailing use case).
   explicit ReplayEngine(
-      const std::vector<std::unique_ptr<detectors::Detector>>& pool,
-      double time_scale = 0.0);
+      const std::vector<std::unique_ptr<detectors::Detector>>& pool);
 
   ReplayEngine(const ReplayEngine&) = delete;
   ReplayEngine& operator=(const ReplayEngine&) = delete;
@@ -64,7 +55,7 @@ class ReplayEngine {
   /// this stream (wall_seconds covers just this call).
   ReplayStats replay(std::istream& in);
 
-  /// Batch-level ingest: stamps the UA token, paces, and dispatches every
+  /// Batch-level ingest: stamps the UA token and dispatches every
   /// record of the batch in order. The caller keeps the batch (records are
   /// read in place; only ua_token is stamped), so it can recycle the
   /// arena. This is the engine's own inner loop — replay() and decoder()
@@ -96,8 +87,7 @@ class ReplayEngine {
   /// Warm-checkpoint dump of the dispatch stage: the stamping interner (its
   /// tokens key every detector's per-client state, so it MUST travel with
   /// them) plus the joiner (detector states + results). Ingest-side decoder
-  /// accounting is the tailer checkpoint's job, and the pacing anchor stays
-  /// cold (a resumed live tail re-anchors at its first record). Returns
+  /// accounting is the tailer checkpoint's job. Returns
   /// false — writing nothing — when a pool member doesn't support state
   /// serialization.
   [[nodiscard]] bool save_state(util::StateWriter& w) const;
@@ -113,8 +103,6 @@ class ReplayEngine {
   /// steady state reuses one warm batch.
   BatchPool batch_pool_;
   LineDecoder decoder_;
-  httplog::Pacer pacer_;
-  double time_scale_;
 };
 
 }  // namespace divscrape::pipeline

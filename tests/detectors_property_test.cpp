@@ -1,6 +1,8 @@
 // Parameterized property sweeps over the detector configuration space:
 // alert volume must respond monotonically to thresholds, determinism must
 // hold per configuration, and parsers must never crash on mutated input.
+// Also pins the paper pair's order and names, which every result index
+// relies on.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +10,7 @@
 
 #include "catalog_stream.hpp"
 #include "detectors/arcane.hpp"
+#include "detectors/registry.hpp"
 #include "detectors/sentinel.hpp"
 #include "httplog/clf.hpp"
 #include "stats/rng.hpp"
@@ -200,6 +203,13 @@ TEST(DetectorFuzz, DetectorsToleratGarbageRecordsInTimeOrder) {
     (void)arcane.evaluate(r);
   }
   SUCCEED();
+}
+
+TEST(Registry, PaperPairOrderAndNames) {
+  const auto pool = divscrape::detectors::make_paper_pair();
+  ASSERT_EQ(pool.size(), 2u);
+  EXPECT_EQ(pool[0]->name(), "sentinel");
+  EXPECT_EQ(pool[1]->name(), "arcane");
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // eval::Scorer on hand-built verdict streams with metrics known in
-// advance, plus the DetectionDocument round-trip and schema pin the CI
-// smoke gate depends on.
+// advance, the ROC/AUC sweep it scores with, plus the DetectionDocument
+// round-trip and schema pin the CI smoke gate depends on.
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -8,6 +8,7 @@
 
 #include "eval/scorer.hpp"
 #include "gtest/gtest.h"
+#include "stats/rng.hpp"
 
 namespace {
 
@@ -261,6 +262,55 @@ TEST(EvalScorerDocument, RejectsMalformedScenarioEntries) {
   EXPECT_FALSE(
       eval::DetectionDocument::from_json(unnamed_column, &error).has_value());
   EXPECT_NE(error.find("name"), std::string::npos) << error;
+}
+
+TEST(Auc, PerfectRankingIsOne) {
+  const std::vector<double> scores = {0.9, 0.8, 0.2, 0.1};
+  const std::vector<int> labels = {1, 1, 0, 0};
+  EXPECT_DOUBLE_EQ(eval::auc(scores, labels), 1.0);
+}
+
+TEST(Auc, ReversedRankingIsZero) {
+  const std::vector<double> scores = {0.1, 0.2, 0.8, 0.9};
+  const std::vector<int> labels = {1, 1, 0, 0};
+  EXPECT_DOUBLE_EQ(eval::auc(scores, labels), 0.0);
+}
+
+TEST(Auc, RandomScoresNearHalf) {
+  stats::Rng rng(8);
+  std::vector<double> scores;
+  std::vector<int> labels;
+  for (int i = 0; i < 20'000; ++i) {
+    scores.push_back(rng.uniform());
+    labels.push_back(rng.bernoulli(0.5) ? 1 : 0);
+  }
+  EXPECT_NEAR(eval::auc(scores, labels), 0.5, 0.02);
+}
+
+TEST(Auc, TiesHandled) {
+  const std::vector<double> scores = {0.5, 0.5, 0.5, 0.5};
+  const std::vector<int> labels = {1, 0, 1, 0};
+  EXPECT_DOUBLE_EQ(eval::auc(scores, labels), 0.5);
+}
+
+TEST(Roc, MonotoneAndAnchored) {
+  stats::Rng rng(9);
+  std::vector<double> scores;
+  std::vector<int> labels;
+  for (int i = 0; i < 500; ++i) {
+    const int label = rng.bernoulli(0.4) ? 1 : 0;
+    scores.push_back(rng.normal(label == 1 ? 1.0 : 0.0, 1.0));
+    labels.push_back(label);
+  }
+  const auto curve = eval::roc_curve(scores, labels);
+  ASSERT_GE(curve.size(), 2u);
+  EXPECT_DOUBLE_EQ(curve.front().tpr, 0.0);
+  EXPECT_DOUBLE_EQ(curve.back().tpr, 1.0);
+  EXPECT_DOUBLE_EQ(curve.back().fpr, 1.0);
+  for (std::size_t i = 1; i < curve.size(); ++i) {
+    EXPECT_GE(curve[i].tpr, curve[i - 1].tpr);
+    EXPECT_GE(curve[i].fpr, curve[i - 1].fpr);
+  }
 }
 
 }  // namespace

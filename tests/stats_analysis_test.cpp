@@ -1,14 +1,18 @@
 // Tests for the analysis-side statistics: online moments, windows,
-// histograms, proportion intervals and the paired-rater association
-// measures the diversity framework is built on.
+// histograms, proportion intervals, the paired-rater association
+// measures the diversity framework is built on, and the double-fault pair
+// accounting the ensemble analysis sits on.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <vector>
 
+#include "core/joiner.hpp"
 #include "stats/association.hpp"
 #include "stats/histogram.hpp"
 #include "stats/intervals.hpp"
+#include "stats/rng.hpp"
 #include "stats/running_stats.hpp"
 
 namespace {
@@ -270,6 +274,68 @@ TEST(ChiSquare1, KnownQuantiles) {
   EXPECT_NEAR(chi_square1_sf(3.841), 0.05, 0.002);
   EXPECT_NEAR(chi_square1_sf(6.635), 0.01, 0.001);
   EXPECT_EQ(chi_square1_sf(0.0), 1.0);
+}
+
+TEST(DoubleFault, ZeroWhenAtLeastOneToolAlwaysRight) {
+  using divscrape::stats::double_fault;
+  using divscrape::stats::PairedCounts;
+  EXPECT_DOUBLE_EQ(double_fault(PairedCounts{0, 10, 10, 80}), 0.0);
+  EXPECT_DOUBLE_EQ(double_fault(PairedCounts{25, 0, 0, 75}), 0.25);
+  EXPECT_DOUBLE_EQ(double_fault(PairedCounts{}), 0.0);
+}
+
+TEST(DoubleFault, JointResultsFaultPairTracksSimultaneousErrors) {
+  using divscrape::core::JointResults;
+  using divscrape::httplog::Truth;
+  using Verdict = divscrape::detectors::Verdict;
+
+  JointResults results({"a", "b"});
+  const auto feed = [&results](bool alert_a, bool alert_b, Truth truth) {
+    divscrape::httplog::LogRecord r;
+    r.truth = truth;
+    const std::array<Verdict, 2> verdicts = {
+        Verdict{alert_a, 1.0, divscrape::detectors::AlertReason::kTrap},
+        Verdict{alert_b, 1.0, divscrape::detectors::AlertReason::kTrap}};
+    results.observe(r, verdicts);
+  };
+  feed(false, false, Truth::kMalicious);  // both wrong (double fault)
+  feed(true, false, Truth::kMalicious);   // only b wrong
+  feed(true, true, Truth::kMalicious);    // both right
+  feed(true, true, Truth::kBenign);       // both wrong (double fault)
+  feed(false, false, Truth::kUnknown);    // excluded
+
+  const auto& faults = results.fault_pair(0, 1);
+  EXPECT_EQ(faults.total(), 4u);
+  EXPECT_EQ(faults.both(), 2u);        // simultaneous errors
+  EXPECT_EQ(faults.second_only(), 1u); // b wrong alone
+  EXPECT_EQ(faults.neither(), 1u);     // both right
+  EXPECT_DOUBLE_EQ(divscrape::stats::double_fault(faults.counts()), 0.5);
+}
+
+TEST(DoubleFault, BoundsAnyAdjudicationScheme) {
+  // Property: the k-of-2 adjudication error count can never drop below
+  // the double-fault mass — with both tools wrong, no vote can be right.
+  using divscrape::core::JointResults;
+  using divscrape::httplog::Truth;
+  using Verdict = divscrape::detectors::Verdict;
+
+  JointResults results({"a", "b"});
+  divscrape::stats::Rng rng(11);
+  for (int i = 0; i < 2000; ++i) {
+    divscrape::httplog::LogRecord r;
+    r.truth = rng.bernoulli(0.7) ? Truth::kMalicious : Truth::kBenign;
+    const std::array<Verdict, 2> verdicts = {
+        Verdict{rng.bernoulli(0.8), 1.0,
+                divscrape::detectors::AlertReason::kTrap},
+        Verdict{rng.bernoulli(0.75), 1.0,
+                divscrape::detectors::AlertReason::kTrap}};
+    results.observe(r, verdicts);
+  }
+  const auto double_faults = results.fault_pair(0, 1).both();
+  for (std::size_t k = 1; k <= 2; ++k) {
+    const auto& cm = results.k_of_n_confusion(k);
+    EXPECT_GE(cm.fp + cm.fn, double_faults) << "k=" << k;
+  }
 }
 
 }  // namespace

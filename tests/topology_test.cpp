@@ -5,15 +5,13 @@
 #include <memory>
 
 #include "core/topology.hpp"
-#include "detectors/baselines.hpp"
+#include "detectors/detector.hpp"
 
 namespace {
 
 using divscrape::core::ParallelDeployment;
 using divscrape::core::SerialDeployment;
 using divscrape::detectors::Detector;
-using divscrape::detectors::RateLimitDetector;
-using divscrape::detectors::TrapDetector;
 using divscrape::detectors::Verdict;
 using divscrape::httplog::Ipv4;
 using divscrape::httplog::LogRecord;
@@ -134,14 +132,20 @@ TEST(Serial, OrderMattersForLoad) {
 }
 
 TEST(Serial, ResetPropagates) {
-  SerialDeployment cascade(
-      std::make_unique<RateLimitDetector>(
-          RateLimitDetector::Config{10.0, 3}),
-      std::make_unique<TrapDetector>());
+  auto filter = std::make_unique<TokenDetector>("f", "alpha");
+  auto analyzer = std::make_unique<TokenDetector>("a", "beta");
+  auto* filter_raw = filter.get();
+  auto* analyzer_raw = analyzer.get();
+  SerialDeployment cascade(std::move(filter), std::move(analyzer));
   for (int i = 0; i < 5; ++i)
-    (void)cascade.evaluate(req(Ipv4(1, 1, 1, 1), i * 0.1));
+    (void)cascade.evaluate(req(Ipv4(1, 1, 1, 1), i * 0.1, "/gamma"));
+  ASSERT_EQ(cascade.total_load(), 5u);
+  ASSERT_EQ(analyzer_raw->seen(), 5u);
   cascade.reset();
   EXPECT_EQ(cascade.total_load(), 0u);
+  EXPECT_EQ(cascade.analyzer_load(), 0u);
+  EXPECT_EQ(filter_raw->seen(), 0u);    // reset reached the filter
+  EXPECT_EQ(analyzer_raw->seen(), 0u);  // and the analyzer
   EXPECT_FALSE(cascade.evaluate(req(Ipv4(1, 1, 1, 1), 100.0)).alert);
 }
 

@@ -5,8 +5,11 @@
 //                                one traffic generator; CLF on stdout)
 //   divscrape analyze   <log>    run the two detectors over a CLF file
 //   divscrape tail      <log>... follow growing CLF file(s) (deployment mode)
-//   divscrape tables    [opts]   regenerate the paper's four tables
-//                                (catalog amadeus_like at --scale)
+//   divscrape tables    [opts]   regenerate the paper's four tables next
+//                                to the paper's values, plus diversity
+//                                metrics, 1oo2/2oo2 adjudication and the
+//                                causes of single-tool alerts (catalog
+//                                amadeus_like at --scale)
 //   divscrape export    [opts]   run the experiment, emit JSON results
 //   divscrape label     <log>    heuristically label a CLF file (paper §V)
 //   divscrape soak      [scenario]  chaos soak: closed generate->tail loop
@@ -20,7 +23,8 @@
 //   --config <file>     key=value config (see core/config.hpp header)
 //   --set k=v           inline override (repeatable)
 //   --scale <s>         shorthand for --set scenario.scale=s, the one
-//                       scenario key; any other scenario.* key exits 2
+//                       scenario key: a finite number > 0, else exit 2;
+//                       any other scenario.* key exits 2
 //                       (edit a spec instead: simulate <name> --dump-spec)
 //   --alerts <file>     (analyze) also write a JSONL alert log
 //   --csv <prefix>      (export) also write <prefix>_{totals,pairs,status}.csv
@@ -83,14 +87,17 @@
 //                       for any value — the determinism contract)
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -98,6 +105,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/contingency.hpp"
 #include "core/export.hpp"
 #include "core/labeling.hpp"
 #include "core/paper_reference.hpp"
@@ -115,6 +123,8 @@
 #include "pipeline/sharded.hpp"
 #include "pipeline/tail_session.hpp"
 #include "pipeline/tailer.hpp"
+#include "stats/association.hpp"
+#include "traffic/actor.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/atomic_file.hpp"
 #include "util/interner.hpp"
@@ -172,7 +182,7 @@ int usage() {
       "           [--chaos-seed <n>] [--rss-limit-mb <n>]\n"
       "  --config <file>       load key=value configuration\n"
       "  --set k=v             inline config override (repeatable)\n"
-      "  --scale <s>           scenario scale in (0,1]\n"
+      "  --scale <s>           scenario scale, a number > 0\n"
       "  --alerts <file>       (analyze) write JSONL alert log\n"
       "  --csv <prefix>        (export) also write CSV files\n"
       "  --checkpoint <file>   (tail, 1 log) resume/persist ingest position\n"
@@ -361,6 +371,23 @@ bool scenario_keys_supported(const CliOptions& opts) {
   return false;
 }
 
+/// `scenario.scale`, when set, must parse in full as a finite number > 0:
+/// a typo must not fall back to scale 1, and NaN must not run. Call after
+/// scenario_keys_supported (reading a key consumes it).
+bool scale_supported(const CliOptions& opts) {
+  const auto text = opts.config.get("scenario.scale");
+  if (!text) return true;
+  const char* begin = text->c_str();
+  char* end = nullptr;
+  const double scale = std::strtod(begin, &end);
+  if (end != begin && *end == '\0' && std::isfinite(scale) && scale > 0.0)
+    return true;
+  std::fprintf(stderr,
+               "%s: --scale must be a finite number > 0 (got \"%s\")\n",
+               opts.command.c_str(), text->c_str());
+  return false;
+}
+
 std::vector<std::unique_ptr<detectors::Detector>> pair_from(
     const core::KeyValueConfig& config) {
   detectors::SentinelConfig sc;
@@ -386,11 +413,6 @@ std::optional<workload::ScenarioSpec> resolve_spec(const CliOptions& opts,
                                                   const std::string& input) {
   const bool scale_set = opts.config.get("scenario.scale").has_value();
   const double scale = opts.config.get_double("scenario.scale", 1.0);
-  if (scale_set && scale <= 0.0) {
-    std::fprintf(stderr, "%s: --scale must be > 0 (got %g)\n",
-                 opts.command.c_str(), scale);
-    return std::nullopt;
-  }
   if (auto spec = workload::catalog_entry(input, scale)) return spec;
   std::string error;
   auto spec = workload::ScenarioSpec::load(input, &error);
@@ -946,41 +968,219 @@ int cmd_score(const CliOptions& opts) {
   return 0;
 }
 
+/// One paper-vs-measured row: the measured count, then that count scaled
+/// by 1/scale back to paper size with its deviation and shape verdict.
+void add_comparison_row(core::TextTable& table, const std::string& row,
+                        std::uint64_t paper, std::uint64_t measured,
+                        double scale) {
+  const auto scaled =
+      static_cast<std::uint64_t>(static_cast<double>(measured) / scale + 0.5);
+  table.add_row({row, core::with_thousands(paper),
+                 core::with_thousands(measured), core::with_thousands(scaled),
+                 core::deviation(scaled, paper),
+                 core::shape_verdict(scaled, paper)});
+}
+
+core::TextTable comparison_table(const std::string& first_header) {
+  return core::TextTable(
+      {first_header, "paper", "measured", "scaled", "dev", "shape"});
+}
+
+/// The paper's status rows in its order, then statuses only we measured.
+void print_status_table(const std::string& title,
+                        const core::paper::StatusRows& paper_rows,
+                        const stats::Counter<int>& measured, double scale) {
+  std::printf("%s\n", title.c_str());
+  auto table = comparison_table("HTTP status");
+  for (const auto& [status, paper_count] : paper_rows) {
+    add_comparison_row(table, httplog::status_label(status), paper_count,
+                       measured.count(status), scale);
+  }
+  for (const auto& [status, count] : measured.by_count()) {
+    bool in_paper = false;
+    for (const auto& row : paper_rows) in_paper |= row.first == status;
+    if (!in_paper) {
+      add_comparison_row(table, httplog::status_label(status), 0, count,
+                         scale);
+    }
+  }
+  table.print(std::cout);
+  std::printf("\n");
+}
+
+double status_rate(const stats::Counter<int>& counts, int status) {
+  const auto total = counts.total();
+  return total == 0 ? 0.0
+                    : static_cast<double>(counts.count(status)) /
+                          static_cast<double>(total);
+}
+
+const char* yes_no(bool b) { return b ? "yes" : "NO"; }
+
+/// The paper's Tables 1-4 next to the measured run, then the analyses the
+/// paper proposes on top of them: pairwise diversity metrics, 1oo2/2oo2
+/// adjudication against ground truth, and the causes of single-tool alerts.
 int cmd_tables(const CliOptions& opts) {
+  namespace paper = core::paper;
   const auto spec = resolve_spec(opts, "amadeus_like");
   if (!spec) return 1;
+  const double scale = spec->scale;
   const auto pool = pair_from(opts.config);
-  const auto out = eval::run_experiment(*spec, pool);
+  eval::Scorer scorer(
+      {std::string(pool[0]->name()), std::string(pool[1]->name())});
+  // Single-tool alerts per tool, by ground-truth actor population.
+  std::map<std::uint8_t, std::uint64_t> unique_by_class[2];
+  const auto out = eval::run_experiment(
+      *spec, pool,
+      [&](const httplog::LogRecord& record,
+          divscrape::span<const detectors::Verdict> verdicts) {
+        scorer.observe(record, verdicts);
+        if (verdicts[0].alert != verdicts[1].alert)
+          ++unique_by_class[verdicts[0].alert ? 0 : 1][record.actor_class];
+      });
   const auto& r = out.results;
   const auto& pair = r.pair(0, 1);
+  const auto score = scorer.finish(spec->name, scale);
 
-  std::printf("Table 1\n");
-  std::printf("  total    %12s (paper %s)\n",
-              core::with_thousands(r.total_requests()).c_str(),
-              core::with_thousands(core::paper::kTotalRequests).c_str());
-  std::printf("  sentinel %12s (paper %s)\n",
-              core::with_thousands(r.alerts(0)).c_str(),
-              core::with_thousands(core::paper::kDistilAlerts).c_str());
-  std::printf("  arcane   %12s (paper %s)\n",
-              core::with_thousands(r.alerts(1)).c_str(),
-              core::with_thousands(core::paper::kArcaneAlerts).c_str());
-  std::printf("Table 2\n");
-  std::printf("  both %s | neither %s | arcane-only %s | sentinel-only %s\n",
-              core::with_thousands(pair.both()).c_str(),
-              core::with_thousands(pair.neither()).c_str(),
-              core::with_thousands(pair.second_only()).c_str(),
-              core::with_thousands(pair.first_only()).c_str());
-  std::printf("Tables 3/4 (status: alerted / unique)\n");
+  std::printf("# %s scale=%.3f seed=%llu: %s records in %.2fs; scaled = "
+              "measured / scale\n\n",
+              spec->name.c_str(), scale,
+              static_cast<unsigned long long>(spec->seed),
+              core::with_thousands(out.records).c_str(), out.wall_seconds);
+
+  std::printf("Table 1 - HTTP requests alerted by the two tools\n");
+  auto table1 = comparison_table("row");
+  add_comparison_row(table1, "Total HTTP requests", paper::kTotalRequests,
+                     r.total_requests(), scale);
+  add_comparison_row(table1, "alerted by Distil-role (sentinel)",
+                     paper::kDistilAlerts, r.alerts(0), scale);
+  add_comparison_row(table1, "alerted by Arcane (arcane)",
+                     paper::kArcaneAlerts, r.alerts(1), scale);
+  table1.print(std::cout);
+  std::printf("shape: Distil-role alerts most (paper: yes; measured: %s)\n\n",
+              yes_no(r.alerts(0) > r.alerts(1)));
+
+  std::printf("Table 2 - Diversity in the alerting behaviour\n");
+  auto table2 = comparison_table("alerted as malicious by");
+  add_comparison_row(table2, "Both Distil-role and Arcane", paper::kBoth,
+                     pair.both(), scale);
+  add_comparison_row(table2, "Neither", paper::kNeither, pair.neither(),
+                     scale);
+  add_comparison_row(table2, "Arcane only", paper::kArcaneOnly,
+                     pair.second_only(), scale);
+  add_comparison_row(table2, "Distil-role only", paper::kDistilOnly,
+                     pair.first_only(), scale);
+  table2.print(std::cout);
+  const auto metrics = core::DiversityMetrics::from(pair.counts());
+  const auto paper_metrics = core::DiversityMetrics::from(
+      {paper::kBoth, paper::kDistilOnly, paper::kArcaneOnly,
+       paper::kNeither});
+  std::printf("\nPairwise diversity metrics        paper      measured\n");
+  std::printf("  Yule Q statistic             %9.4f     %9.4f\n",
+              paper_metrics.q_statistic, metrics.q_statistic);
+  std::printf("  phi correlation              %9.4f     %9.4f\n",
+              paper_metrics.phi, metrics.phi);
+  std::printf("  disagreement                 %9.4f     %9.4f\n",
+              paper_metrics.disagreement, metrics.disagreement);
+  std::printf("  Cohen kappa                  %9.4f     %9.4f\n",
+              paper_metrics.kappa, metrics.kappa);
+  std::printf("  McNemar chi2 (b vs c)        %9.0f     %9.0f\n",
+              paper_metrics.mcnemar.statistic, metrics.mcnemar.statistic);
+  // The paper has no ground truth, so no double-fault figure of its own.
+  std::printf("  double-fault (ground truth)          -     %9.5f\n",
+              stats::double_fault(r.fault_pair(0, 1).counts()));
+  std::printf(
+      "shape: unique-alert asymmetry Distil-only/Arcane-only = %.2f "
+      "(paper: %.2f)\n\n",
+      pair.second_only() == 0
+          ? 0.0
+          : static_cast<double>(pair.first_only()) /
+                static_cast<double>(pair.second_only()),
+      static_cast<double>(paper::kDistilOnly) /
+          static_cast<double>(paper::kArcaneOnly));
+
+  std::printf("Table 3 - Alerted requests by HTTP status (overall counts)\n");
+  print_status_table("Arcane", paper::table3_arcane(), r.alerted_status(1),
+                     scale);
+  print_status_table("Distil-role (sentinel)", paper::table3_distil(),
+                     r.alerted_status(0), scale);
+  const auto arcane_rows = r.alerted_status(1).by_count();
+  std::printf("shape: 200 then 302 dominate alerted statuses: %s\n\n",
+              yes_no(arcane_rows.size() >= 2 && arcane_rows[0].first == 200 &&
+                     arcane_rows[1].first == 302));
+
+  std::printf(
+      "Table 4 - Alerted requests by HTTP status, single-tool alerts only\n");
+  const auto& arcane_only = r.unique_alert_status(1);
+  const auto& distil_only = r.unique_alert_status(0);
+  print_status_table("Arcane only", paper::table4_arcane_only(), arcane_only,
+                     scale);
+  print_status_table("Distil-role only", paper::table4_distil_only(),
+                     distil_only, scale);
+  std::printf("shape checks:\n");
+  std::printf("  Arcane-only 400-rate > Distil-only 400-rate: %s\n",
+              yes_no(status_rate(arcane_only, 400) >
+                     status_rate(distil_only, 400)));
+  std::printf("  Arcane-only 204-rate > Distil-only 204-rate: %s\n",
+              yes_no(status_rate(arcane_only, 204) >
+                     status_rate(distil_only, 204)));
+  std::printf("  Distil-only dominated by 200s (>90%%): %s\n\n",
+              yes_no(status_rate(distil_only, 200) > 0.9));
+
+  std::printf("Adjudication against ground truth (Wilson 95%% intervals)\n");
+  const auto print_confusion = [](const char* name,
+                                   const core::ConfusionMatrix& cm) {
+    const auto sens = cm.sensitivity_ci();
+    const auto spec_ci = cm.specificity_ci();
+    std::printf(
+        "  %-22s sens %.4f [%.4f, %.4f]   spec %.4f [%.4f, %.4f]   "
+        "FP %8llu  FN %8llu\n",
+        name, sens.point, sens.lo, sens.hi, spec_ci.point, spec_ci.lo,
+        spec_ci.hi, static_cast<unsigned long long>(cm.fp),
+        static_cast<unsigned long long>(cm.fn));
+  };
+  const auto& one_of_two = r.k_of_n_confusion(1);
+  const auto& two_of_two = r.k_of_n_confusion(2);
+  print_confusion("sentinel (Distil role)", r.confusion(0));
+  print_confusion("arcane", r.confusion(1));
+  print_confusion("1oo2 (either alerts)", one_of_two);
+  print_confusion("2oo2 (both must alert)", two_of_two);
+  const double best_sens =
+      std::max(r.confusion(0).sensitivity(), r.confusion(1).sensitivity());
+  std::printf("shape: 1oo2 sensitivity >= max(individual): %s\n",
+              yes_no(one_of_two.sensitivity() >= best_sens));
+  std::printf("shape: 2oo2 specificity >= max(individual): %s\n",
+              yes_no(two_of_two.specificity() >=
+                     std::max(r.confusion(0).specificity(),
+                              r.confusion(1).specificity())));
+  std::printf(
+      "diversity buys %.2f points of sensitivity via 1oo2 at a cost of %llu "
+      "false positives over 2oo2\n\n",
+      100.0 * (one_of_two.sensitivity() - best_sens),
+      static_cast<unsigned long long>(one_of_two.fp - two_of_two.fp));
+
+  std::printf("Unique-alert causes\n");
   for (std::size_t d = 0; d < 2; ++d) {
-    std::printf("  %s:\n", r.names()[d].c_str());
-    for (const auto& [status, count] : r.alerted_status(d).by_count()) {
-      std::printf("    %-28s %10s %10s\n",
-                  httplog::status_label(status).c_str(),
-                  core::with_thousands(count).c_str(),
-                  core::with_thousands(
-                      r.unique_alert_status(d).count(status))
-                      .c_str());
+    std::printf("%s-only alerts: %s total\n", r.names()[d].c_str(),
+                core::with_thousands(r.unique_alert_status(d).total())
+                    .c_str());
+    std::printf("  by detector reason (truth-malicious traffic):\n");
+    for (const auto& reason : score.columns[d].unique_reasons) {
+      std::printf("    %-20s %10s\n", reason.reason.c_str(),
+                  core::with_thousands(reason.count).c_str());
     }
+    std::printf("  by (ground-truth) actor population:\n");
+    for (const auto& [actor_class, count] : unique_by_class[d]) {
+      std::printf(
+          "    %-20s %10s\n",
+          std::string(traffic::to_string(
+                          static_cast<traffic::ActorClass>(actor_class)))
+              .c_str(),
+          core::with_thousands(count).c_str());
+    }
+    std::printf("  attacking actors this tool alone detected: %llu\n",
+                static_cast<unsigned long long>(
+                    score.columns[d].actors_unique));
   }
   return 0;
 }
@@ -1052,7 +1252,7 @@ int main(int argc, char** argv) {
                  opts.command.c_str());
     return usage();
   }
-  if (!scenario_keys_supported(opts)) return 2;
+  if (!scenario_keys_supported(opts) || !scale_supported(opts)) return 2;
   if (opts.command == "simulate") return cmd_simulate(opts);
   if (opts.command == "analyze") return cmd_analyze(opts);
   if (opts.command == "tail") return cmd_tail(opts);
