@@ -3,6 +3,7 @@
 // paper's tables themselves are `divscrape_cli tables`.
 #pragma once
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -17,11 +18,23 @@
 
 namespace divscrape::bench {
 
-/// Parses argv[1] as the scenario scale; exits on nonsense.
+/// Parses the whole of `text` as a number in (lo, hi] — an integer when
+/// `integral` — or returns false. "nan", "inf", "1.5x" and "" all fail.
+inline bool parse_bounded(const char* text, double lo, double hi,
+                          bool integral, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = integral ? static_cast<double>(std::strtol(text, &end, 10))
+                 : std::strtod(text, &end);
+  // Every comparison with NaN is false, so the range test rejects it.
+  return end != text && *end == '\0' && errno == 0 && out > lo && out <= hi;
+}
+
+/// Parses argv[1] as the scenario scale; exits 1 with the usage on
+/// anything but a number in (0, 1].
 inline double parse_scale(int argc, char** argv, double fallback = 1.0) {
-  if (argc < 2) return fallback;
-  const double scale = std::atof(argv[1]);
-  if (scale <= 0.0 || scale > 1.0) {
+  double scale = fallback;
+  if (argc >= 2 && !parse_bounded(argv[1], 0.0, 1.0, false, scale)) {
     std::fprintf(stderr, "usage: %s [scale in (0,1]]\n", argv[0]);
     std::exit(1);
   }
@@ -40,10 +53,11 @@ struct BenchArgs {
   std::size_t repeat = 1;
 };
 
-/// Parses `[scale] [--json <path>] [--repeat <n>]`; exits with a usage
-/// message on unknown flags, a missing flag value, or a scale outside
-/// (0, 1] — nothing is silently ignored, so the JSON document always
-/// records what actually ran.
+/// Parses `[scale] [--json <path>] [--repeat <n>]`; exits 1 with a usage
+/// message on unknown flags, a missing flag value, a scale that is not a
+/// number in (0, 1] or a repeat that is not an integer in [1, 100] —
+/// nothing is silently ignored, so the JSON document always records what
+/// actually ran.
 inline BenchArgs parse_bench_args(int argc, char** argv,
                                   double fallback_scale) {
   const auto usage = [&]() {
@@ -60,15 +74,14 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
       if (i + 1 >= argc) usage();
       args.json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--repeat") == 0) {
-      if (i + 1 >= argc) usage();
-      const long n = std::atol(argv[++i]);
-      if (n < 1 || n > 100) usage();
+      double n = 0.0;
+      if (i + 1 >= argc || !parse_bounded(argv[++i], 0.0, 100.0, true, n))
+        usage();
       args.repeat = static_cast<std::size_t>(n);
     } else if (argv[i][0] == '-') {
       usage();  // unknown flag
     } else if (!have_scale) {
-      args.scale = std::atof(argv[i]);
-      if (args.scale <= 0.0 || args.scale > 1.0) usage();
+      if (!parse_bounded(argv[i], 0.0, 1.0, false, args.scale)) usage();
       have_scale = true;
     } else {
       usage();
@@ -83,7 +96,6 @@ struct ThroughputRun {
   std::size_t shards = 0;  ///< 0 for sequential
   std::uint64_t records = 0;
   double wall_s = 0.0;
-  std::size_t dispatchers = 0;    ///< 0 when not a multi-dispatcher run
   std::size_t batch_records = 0;  ///< 0 when not a batched run
 
   [[nodiscard]] double records_per_sec() const noexcept {
@@ -124,8 +136,6 @@ inline bool write_throughput_json(const std::string& path,
     json.begin_object();
     json.key("mode").value(run.mode);
     json.key("shards").value(std::uint64_t{run.shards});
-    if (run.dispatchers != 0)
-      json.key("dispatchers").value(std::uint64_t{run.dispatchers});
     if (run.batch_records != 0)
       json.key("batch_records").value(std::uint64_t{run.batch_records});
     json.key("records").value(run.records);

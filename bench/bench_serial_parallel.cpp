@@ -7,8 +7,7 @@
 //
 // Part 2 (PR 9) revives the bench as the scaling harness for the batched
 // pipeline: serial (sequential engine) vs parallel (ShardedPipeline) runs
-// of the SAME deployment across (shards × dispatchers × batch size)
-// combinations. Every timed combo row is identity-gated first — the
+// of the SAME deployment across (shards × batch size) combinations. Every timed combo row is identity-gated first — the
 // combo's JointResults must serialize byte-identically to the sequential
 // engine's at a cheap gate scale, and the timed full-scale pass is
 // compared again — so a wrong-but-fast pipeline reports failure here
@@ -114,7 +113,6 @@ void run_e6_topologies(const workload::ScenarioSpec& spec) {
 
 struct Combo {
   std::size_t shards;
-  std::size_t dispatchers;
   std::size_t batch;
   // Run-ahead bound in records. Also the circulating arena footprint
   // (ring slots x batch bytes), which is why the default is modest: on a
@@ -133,8 +131,7 @@ struct ComboResult {
 // The engine fills the pipeline's own pooled batches (the arena loop).
 ComboResult run_combo(const workload::ScenarioSpec& spec, const Combo& combo) {
   pipeline::ShardedPipeline pipe([] { return detectors::make_paper_pair(); },
-                                 combo.shards, combo.batch, combo.backlog,
-                                 combo.dispatchers);
+                                 combo.shards, combo.batch, combo.backlog);
   workload::EngineConfig config;
   config.gen_threads = eval::RunOptions().gen_threads;  // as the sequential
   workload::WorkloadEngine engine(spec, config);
@@ -177,11 +174,10 @@ int run_scaling_sweep(double scale, const std::string& json_path,
                   sequential.wall_seconds});
 
   const Combo combos[] = {
-      {1, 1, 1024}, {2, 1, 1024}, {2, 2, 256},
-      {4, 2, 1024}, {4, 4, 64},   {8, 4, 1024},
+      {1, 1024}, {2, 1024}, {2, 256}, {4, 1024}, {4, 64}, {8, 1024},
   };
 
-  std::printf("  %-24s %10s %14s %10s %10s\n", "combo (s/d/b)", "wall(s)",
+  std::printf("  %-24s %10s %14s %10s %10s\n", "combo (s/b)", "wall(s)",
               "records/s", "speedup", "identical");
   std::printf("  %-24s %10.2f %14.0f %10s %10s\n", "sequential",
               sequential.wall_seconds, sequential.throughput_rps(), "1.00x",
@@ -194,9 +190,9 @@ int run_scaling_sweep(double scale, const std::string& json_path,
     const auto gated = run_combo(gate_scenario, combo);
     if (core::to_json(gated.results) != gate_json) {
       std::fprintf(stderr,
-                   "identity gate FAILED at shards=%zu dispatchers=%zu "
-                   "batch=%zu — not timing a wrong pipeline\n",
-                   combo.shards, combo.dispatchers, combo.batch);
+                   "identity gate FAILED at shards=%zu batch=%zu — not "
+                   "timing a wrong pipeline\n",
+                   combo.shards, combo.batch);
       return 1;
     }
     auto timed = run_combo(scenario, combo);
@@ -209,14 +205,14 @@ int run_scaling_sweep(double scale, const std::string& json_path,
     }
     all_identical = all_identical && identical;
     char label[64];
-    std::snprintf(label, sizeof label, "sharded %zu/%zu/%zu", combo.shards,
-                  combo.dispatchers, combo.batch);
+    std::snprintf(label, sizeof label, "sharded %zu/%zu", combo.shards,
+                  combo.batch);
     std::printf("  %-24s %10.2f %14.0f %9.2fx %10s\n", label, timed.wall_s,
                 static_cast<double>(timed.records) / timed.wall_s,
                 sequential.wall_seconds / timed.wall_s,
                 identical ? "yes" : "NO");
     runs.push_back({"sharded_batched", combo.shards, timed.records,
-                    timed.wall_s, combo.dispatchers, combo.batch});
+                    timed.wall_s, combo.batch});
   }
 
   std::printf(
@@ -243,6 +239,6 @@ int main(int argc, char** argv) {
               args.scale);
   run_e6_topologies(bench::paper_spec(args.scale));
 
-  std::printf("# batched pipeline scaling: shards x dispatchers x batch\n\n");
+  std::printf("# batched pipeline scaling: shards x batch\n\n");
   return run_scaling_sweep(args.scale, args.json_path, args.repeat);
 }

@@ -14,8 +14,6 @@ std::string_view to_string(AlertReason r) noexcept {
     case AlertReason::kProtocolAnomaly: return "protocol-anomaly";
     case AlertReason::kApiAbuse: return "api-abuse";
     case AlertReason::kCacheSweep: return "cache-sweep";
-    case AlertReason::kLearnedModel: return "learned-model";
-    case AlertReason::kTrap: return "trap";
   }
   return "?";
 }

@@ -30,8 +30,6 @@ enum class AlertReason : std::uint8_t {
   kProtocolAnomaly,   ///< malformed requests / 4xx pattern
   kApiAbuse,          ///< availability-API polling pattern
   kCacheSweep,        ///< conditional-GET sweep pattern
-  kLearnedModel,      ///< ML classifier score
-  kTrap,              ///< honeypot path touched
 };
 
 [[nodiscard]] std::string_view to_string(AlertReason r) noexcept;

@@ -4,8 +4,8 @@
 //
 // ## Why batches
 //
-// Moving records one at a time between layers (generator -> dispatcher ->
-// shard queue) pays a per-record handoff cost that dominates once decode
+// Moving records one at a time between layers (decoder -> merge -> shard
+// ring) pays a per-record handoff cost that dominates once decode
 // and detection are fast: a mutex op, a push_back, and usually five string
 // allocations per record per hop. A batch amortizes every one of those
 // over ~a thousand records, and the consumer walks a contiguous array in

@@ -1,5 +1,6 @@
 #include "pipeline/sharded.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <system_error>
 
@@ -26,6 +27,8 @@ ShardedPipeline::ShardedPipeline(PoolFactory factory, std::size_t shards,
     throw std::invalid_argument("ShardedPipeline: shards must be >= 1");
   if (!factory)
     throw std::invalid_argument("ShardedPipeline: null factory");
+  if (dispatchers != 1)  // the compatibility slot (see sharded.hpp)
+    throw std::invalid_argument("ShardedPipeline: dispatchers must be 1");
   const std::size_t ring_batches =
       max_backlog == 0
           ? kDefaultRingBatches
@@ -38,42 +41,20 @@ ShardedPipeline::ShardedPipeline(PoolFactory factory, std::size_t shards,
     shard->joiner = std::make_unique<core::AlertJoiner>(shard->pool);
     shards_.push_back(std::move(shard));
   }
-
-  const std::size_t m =
-      std::min(dispatchers == 0 ? std::size_t{1} : dispatchers, shards);
-  dispatchers_.reserve(m);
-  shard_owner_.resize(shards);
-  for (std::size_t d = 0; d < m; ++d) {
-    auto disp = std::make_unique<Dispatcher>(ring_batches);
-    // Contiguous shard-key ranges: dispatcher d owns [d*S/m, (d+1)*S/m).
-    disp->first_shard = d * shards / m;
-    disp->last_shard = (d + 1) * shards / m;
-    for (std::size_t s = disp->first_shard; s < disp->last_shard; ++s)
-      shard_owner_[s] = static_cast<std::uint32_t>(d);
-    dispatchers_.push_back(std::move(disp));
-  }
-
   workers_.reserve(shards);
-  for (auto& shard : shards_) {
-    workers_.emplace_back([this, &shard] { worker_loop(*shard); });
-  }
-  for (auto& disp : dispatchers_) {
-    disp->thread = std::thread([this, &disp] { dispatcher_loop(*disp); });
+  for (std::size_t s = 0; s < shards; ++s) {
+    workers_.emplace_back([this, s] { worker_loop(s); });
   }
 }
 
-ShardedPipeline::~ShardedPipeline() {
-  if (!finished_) {
-    // Abort path: close the input rings so dispatchers drain, flush, close
-    // their shard rings and exit; workers follow. Caller-side pending
-    // batches are dropped (nothing committed them).
-    for (auto& disp : dispatchers_) disp->ring.close();
-    for (auto& disp : dispatchers_) {
-      if (disp->thread.joinable()) disp->thread.join();
-    }
-    for (auto& w : workers_) {
-      if (w.joinable()) w.join();
-    }
+// Abort path (no finish()): the workers drain what the rings hold and
+// exit; nothing reads their results.
+ShardedPipeline::~ShardedPipeline() { stop_workers(); }
+
+void ShardedPipeline::stop_workers() {
+  for (auto& shard : shards_) shard->ring.close();
+  for (auto& w : workers_) {
+    if (w.joinable()) w.join();
   }
 }
 
@@ -85,133 +66,75 @@ std::size_t ShardedPipeline::shard_of(const httplog::LogRecord& r) const {
   return static_cast<std::size_t>((key >> 32) % shards_.size());
 }
 
-void ShardedPipeline::route_to_shard(std::size_t s,
-                                     const httplog::LogRecord& record) {
+ShardedPipeline::Slot* ShardedPipeline::acquire_slot() {
+  std::lock_guard lock(slots_mutex_);
+  if (free_slots_.empty()) {
+    slots_.push_back(std::make_unique<Slot>());
+    return slots_.back().get();
+  }
+  Slot* slot = free_slots_.back();
+  free_slots_.pop_back();
+  return slot;
+}
+
+void ShardedPipeline::release_slot(Slot* slot) {
+  pool_.recycle(std::move(slot->batch));
+  std::lock_guard lock(slots_mutex_);
+  free_slots_.push_back(slot);
+}
+
+void ShardedPipeline::worker_loop(std::size_t s) {
   Shard& shard = *shards_[s];
-  // Copy-assign into a warm slot: zero allocations in steady state (the
-  // arena contract), and the source batch keeps its storage for recycling.
-  shard.pending.append_slot() = record;
-  if (shard.pending.size() >= batch_size_) flush_shard_pending(shard);
-}
-
-void ShardedPipeline::push_shard_batch(Shard& shard, RecordBatch&& batch) {
-  const std::uint64_t n = batch.size();
-  const std::uint64_t enq =
-      shard.enqueued.fetch_add(n, std::memory_order_relaxed) + n;
-  const std::uint64_t done = shard.processed.load(std::memory_order_acquire);
-  const std::uint64_t backlog = enq - done;
-  if (backlog > shard.peak_backlog.load(std::memory_order_relaxed))
-    shard.peak_backlog.store(backlog, std::memory_order_relaxed);
-  shard.ring.push(std::move(batch));  // blocks when full: backpressure
-}
-
-void ShardedPipeline::flush_shard_pending(Shard& shard) {
-  if (shard.pending.empty()) return;
-  push_shard_batch(shard, std::move(shard.pending));
-  shard.pending = pool_.acquire();
-}
-
-void ShardedPipeline::dispatcher_loop(Dispatcher& d) {
-  DispatchItem item;
-  while (d.ring.pop(item)) {
-    if (item.flush_seq != 0) {
-      // In-band flush marker: every batch the caller pushed before it has
-      // already been re-routed (FIFO), so flushing the per-shard pendings
-      // and acking makes "everything up to the marker is in shard rings"
-      // true at the ack.
-      for (std::size_t s = d.first_shard; s < d.last_shard; ++s)
-        flush_shard_pending(*shards_[s]);
-      {
-        std::lock_guard lock(d.ack_mutex);
-        d.flush_acked = item.flush_seq;
-      }
-      d.ack_cv.notify_all();
-      continue;
-    }
-    if (d.last_shard - d.first_shard == 1) {
-      // The caller routes records to the dispatcher that owns their shard,
-      // so with exactly one owned shard every record in this batch already
-      // belongs to it: forward the batch whole instead of re-copying each
-      // record. (Flush first to keep per-shard FIFO order.)
-      Shard& shard = *shards_[d.first_shard];
-      flush_shard_pending(shard);
-      push_shard_batch(shard, std::move(item.batch));
-      continue;
-    }
-    for (const auto& record : item.batch) {
-      route_to_shard(shard_of(record), record);
-    }
-    pool_.recycle(std::move(item.batch));
-  }
-  // Input ring closed: end-of-stream. Flush what's pending, then close the
-  // owned shard rings so workers drain and exit.
-  for (std::size_t s = d.first_shard; s < d.last_shard; ++s) {
-    flush_shard_pending(*shards_[s]);
-    shards_[s]->ring.close();
-  }
-}
-
-void ShardedPipeline::worker_loop(Shard& shard) {
-  RecordBatch batch;
-  while (shard.ring.pop(batch)) {
-    for (const auto& record : batch) {
+  const bool every_record = shards_.size() == 1;
+  Slot* slot = nullptr;
+  while (shard.ring.pop(slot)) {
+    const std::uint64_t scanned = slot->batch.size();
+    std::uint64_t evaluated = 0;
+    for (const auto& record : slot->batch) {
+      if (!every_record && shard_of(record) != s) continue;
       (void)shard.joiner->process(record);
+      ++evaluated;
     }
-    shard.processed.fetch_add(batch.size(), std::memory_order_release);
+    // Recycle before publishing progress, so a batch is back in the pool
+    // by the time drain() returns.
+    if (slot->readers.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      release_slot(slot);
+    shard.processed.fetch_add(evaluated, std::memory_order_release);
+    shard.scanned.fetch_add(scanned, std::memory_order_release);
     // Empty critical section pairs the notify with the waiter's predicate
-    // check (drain() rechecks `processed` under idle_mutex), so the wakeup
+    // check (drain() rechecks `scanned` under idle_mutex), so the wakeup
     // cannot be lost.
     { std::lock_guard lock(shard.idle_mutex); }
     shard.idle.notify_all();
-    pool_.recycle(std::move(batch));
   }
-}
-
-void ShardedPipeline::flush_caller_pending(Dispatcher& d) {
-  if (d.pending.empty()) return;
-  d.ring.push(DispatchItem{std::move(d.pending), 0});
-  d.pending = pool_.acquire();
 }
 
 void ShardedPipeline::process_batch(RecordBatch&& batch) {
   if (finished_)
     throw std::logic_error("ShardedPipeline: process_batch() after finish()");
-  dispatched_ += batch.size();
-  if (dispatchers_.size() == 1) {
-    // Zero-copy fast path: the whole batch moves into the ring untouched.
-    dispatchers_.front()->ring.push(DispatchItem{std::move(batch), 0});
-    return;
+  const std::uint64_t n = batch.size();
+  dispatched_ += n;
+  Slot* const slot = acquire_slot();
+  slot->batch = std::move(batch);
+  slot->readers.store(shards_.size(), std::memory_order_relaxed);
+  for (auto& shard : shards_) {
+    shard->enqueued += n;
+    const std::uint64_t backlog =
+        shard->enqueued - shard->scanned.load(std::memory_order_acquire);
+    shard->peak_backlog = std::max(shard->peak_backlog, backlog);
+    // Blocks when full: backpressure. Every ring gets the same slot.
+    shard->ring.push(static_cast<Slot*>(slot));
   }
-  for (const auto& record : batch) {
-    Dispatcher& d = *dispatchers_[shard_owner_[shard_of(record)]];
-    d.pending.append_slot() = record;
-    if (d.pending.size() >= batch_size_) flush_caller_pending(d);
-  }
-  pool_.recycle(std::move(batch));
 }
 
 void ShardedPipeline::drain() {
   if (finished_)
     throw std::logic_error("ShardedPipeline: drain() after finish()");
-  for (auto& disp : dispatchers_) flush_caller_pending(*disp);
-  for (auto& disp : dispatchers_) {
-    ++disp->flush_requested;
-    disp->ring.push(DispatchItem{RecordBatch{}, disp->flush_requested});
-  }
-  for (auto& disp : dispatchers_) {
-    std::unique_lock lock(disp->ack_mutex);
-    disp->ack_cv.wait(
-        lock, [&] { return disp->flush_acked >= disp->flush_requested; });
-  }
-  // Dispatchers are quiescent for our stream prefix: every record is in a
-  // shard ring and `enqueued` is final for this barrier. Wait the workers
-  // down to it.
   for (auto& shard : shards_) {
-    const std::uint64_t target =
-        shard->enqueued.load(std::memory_order_acquire);
     std::unique_lock lock(shard->idle_mutex);
     shard->idle.wait(lock, [&] {
-      return shard->processed.load(std::memory_order_acquire) >= target;
+      return shard->scanned.load(std::memory_order_acquire) >=
+             shard->enqueued;
     });
   }
 }
@@ -226,10 +149,7 @@ std::vector<std::uint64_t> ShardedPipeline::shard_processed() const {
 
 std::uint64_t ShardedPipeline::peak_shard_backlog() const noexcept {
   std::uint64_t peak = 0;
-  for (const auto& shard : shards_) {
-    const auto p = shard->peak_backlog.load(std::memory_order_relaxed);
-    if (p > peak) peak = p;
-  }
+  for (const auto& shard : shards_) peak = std::max(peak, shard->peak_backlog);
   return peak;
 }
 
@@ -237,12 +157,7 @@ core::JointResults ShardedPipeline::finish() {
   if (finished_)
     throw std::logic_error("ShardedPipeline: finish() called twice");
   finished_ = true;
-  for (auto& disp : dispatchers_) {
-    flush_caller_pending(*disp);
-    disp->ring.close();
-  }
-  for (auto& disp : dispatchers_) disp->thread.join();
-  for (auto& w : workers_) w.join();
+  stop_workers();
 
   core::JointResults merged = shards_.front()->joiner->results();
   for (std::size_t s = 1; s < shards_.size(); ++s) {

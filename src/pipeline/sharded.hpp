@@ -26,34 +26,18 @@
 // shard holds which client's state, so it is part of the save_state()
 // wire format ("SHRD" v2; a v1 blob is rejected and resumes cold).
 //
-// ## Batched, multi-dispatcher architecture
+// ## Broadcast batches: every worker scans, each evaluates its own
 //
-// The one ingest seam is process_batch(): records enter as whole
-// RecordBatches and move between threads over bounded SPSC rings; nothing
-// is handed over one record at a time:
-//
-//   caller ──batches──> dispatcher ring ──> dispatcher d ──batches──>
-//     per-shard SPSC ring ──> shard worker (detector pool)
-//
-// With one dispatcher (the default) the caller's batch is moved into the
-// dispatcher ring untouched — a pointer-swap handoff. With M > 1
-// dispatchers (shards are partitioned across them in contiguous key
-// ranges: dispatcher d owns shards [d*S/M, (d+1)*S/M)) the caller routes
-// each record by its /24 shard key into a pending batch for the
-// dispatcher that owns its shard. Each dispatcher consumes its input ring,
-// re-routes the batch's records into per-shard pending batches, and pushes
-// full ones into that shard's ring; a dispatcher that owns exactly one
-// shard forwards batches whole instead. Shard s therefore has exactly one
-// producer (its owning dispatcher) and one consumer (its worker) — every
-// ring in the graph is SPSC, and per-shard record order equals input order
-// by FIFO composition, which is what makes JointResults byte-identical to
-// the sequential engine at EVERY (shards, dispatchers, batch size)
-// setting.
-//
-// Batches are recycled through one shared BatchPool (consumers return,
-// producers acquire), so the steady state allocates nothing: strings are
-// byte-copied into warm slots (see record_batch.hpp). Backpressure is
-// structural — rings are bounded, so a caller that outruns detection
+// process_batch() is the one ingest seam. The caller moves its batch into
+// a shared slot whose countdown is the shard count and pushes that slot
+// into every shard's bounded SPSC ring; it touches no record. Worker s
+// walks the batch in input order and evaluates only the records with
+// shard_of(r) == s (every record when there is one shard), so results are
+// byte-identical to the sequential engine at every (shards, batch size)
+// setting, and a running pipeline owns exactly one thread per shard. The
+// worker that brings the countdown to zero recycles the batch into the
+// BatchPool and the slot into a free list, so the steady state allocates
+// nothing. Rings are bounded, so a caller that outruns the slowest worker
 // blocks in process_batch() instead of buffering the stream.
 //
 // Note the one caveat: JointResults' k-of-N adjudication and pairwise
@@ -85,17 +69,17 @@ class ShardedPipeline {
  public:
   /// `shards` >= 1. The factory is invoked `shards` times up front.
   ///
-  /// `batch_size` is the records-per-batch granularity of every handoff.
+  /// `batch_size` is the records-per-batch granularity producers fill.
   ///
-  /// `max_backlog` bounds each shard's unprocessed run-ahead in records:
-  /// it is realized as the shard ring's capacity in batches
-  /// (max(1, max_backlog / batch_size)), so a dispatcher that outpaces a
+  /// `max_backlog` bounds each shard's unscanned run-ahead in records: it
+  /// is realized as the shard ring's capacity in batches
+  /// (max(1, max_backlog / batch_size)), so a caller that outpaces a
   /// worker blocks on the ring instead of buffering the stream. 0 picks a
   /// generous-but-bounded default (rings are bounded by construction).
   ///
-  /// `dispatchers` (clamped to [1, shards]) is the number of dispatcher
-  /// threads the shard set is range-partitioned across. Purely an
-  /// execution knob: results are identical for any value.
+  /// `dispatchers` is a compatibility slot for callers written against the
+  /// retired dispatcher tier: it must be 1, anything else throws
+  /// std::invalid_argument. Leave it defaulted.
   ShardedPipeline(PoolFactory factory, std::size_t shards,
                   std::size_t batch_size = 1024,
                   std::size_t max_backlog = 16 * 1024,
@@ -105,12 +89,10 @@ class ShardedPipeline {
   ShardedPipeline(const ShardedPipeline&) = delete;
   ShardedPipeline& operator=(const ShardedPipeline&) = delete;
 
-  /// The ingest seam: hands a whole batch to the pipeline, which takes
-  /// ownership (the batch is recycled into the internal pool after its
-  /// shard workers finish). Called from one caller thread only. With 1
-  /// dispatcher the batch is moved into the dispatcher ring without
-  /// touching a record; with M > 1 its records are split into
-  /// per-dispatcher pending batches. Producers should acquire batches from
+  /// The ingest seam: hands a whole batch to every shard worker without
+  /// touching a record. The pipeline takes ownership and recycles the
+  /// batch into batch_pool() once every worker has scanned it. Called from
+  /// one caller thread only; producers should acquire batches from
   /// batch_pool() to close the recycle loop.
   void process_batch(RecordBatch&& batch);
 
@@ -118,22 +100,18 @@ class ShardedPipeline {
   /// recycled batches (with warm string storage) come back around.
   [[nodiscard]] BatchPool& batch_pool() noexcept { return pool_; }
 
-  /// Barrier: flushes every pending batch through the dispatchers and
-  /// blocks until every worker has *processed* everything enqueued so far.
-  /// Checkpointing callers need this — a persisted offset must not cover
-  /// records still sitting in a ring, or a crash loses them from the
-  /// results while resume skips them. The pipeline stays usable
-  /// afterwards.
+  /// Barrier: blocks until every worker has scanned (and so evaluated its
+  /// share of) everything enqueued so far. Checkpointing callers need this
+  /// — a persisted offset must not cover records still sitting in a ring,
+  /// or a crash loses them from the results while resume skips them. The
+  /// pipeline stays usable afterwards.
   void drain();
 
-  /// Flushes rings, joins dispatchers and workers, merges shard results.
+  /// Closes the rings, joins the workers and merges shard results.
   /// Must be called exactly once; process_batch() is illegal afterwards.
   [[nodiscard]] core::JointResults finish();
 
   [[nodiscard]] std::size_t shards() const noexcept { return shards_.size(); }
-  [[nodiscard]] std::size_t dispatchers() const noexcept {
-    return dispatchers_.size();
-  }
   [[nodiscard]] std::size_t batch_size() const noexcept { return batch_size_; }
   [[nodiscard]] std::uint64_t dispatched() const noexcept {
     return dispatched_;
@@ -142,7 +120,7 @@ class ShardedPipeline {
   /// shard order (not restored by load_state()). Exact once drain() or
   /// finish() has returned; a live gauge otherwise.
   [[nodiscard]] std::vector<std::uint64_t> shard_processed() const;
-  /// High-water mark of any single shard's (enqueued - processed) records,
+  /// High-water mark of any single shard's (enqueued - scanned) records,
   /// sampled at enqueue time — the backpressure tests assert this stays
   /// within the configured bound.
   [[nodiscard]] std::uint64_t peak_shard_backlog() const noexcept;
@@ -154,10 +132,10 @@ class ShardedPipeline {
   /// concurrently (one on the caller, the rest on helper threads joined
   /// before return) and are concatenated in shard order, so the bytes
   /// equal a one-by-one dump. Returns false (nothing written) if a pool
-  /// member doesn't support serialization. Dispatcher count and
-  /// batch size are execution knobs, not state, so a blob restores at any
-  /// setting of them; the shard count and the routing are state (the
-  /// "SHRD" tag's version names the routing).
+  /// member doesn't support serialization. Batch size is an execution
+  /// knob, not state, so a blob restores at any batch size; the shard
+  /// count and the routing are state (the "SHRD" tag's version names the
+  /// routing).
   [[nodiscard]] bool save_state(util::StateWriter& w);
   /// Restores from save_state() output; call before any process_batch().
   /// The shard count must match the saved one (routing is count-dependent).
@@ -165,69 +143,49 @@ class ShardedPipeline {
   [[nodiscard]] bool load_state(util::StateReader& r);
 
  private:
-  /// Dispatcher-ring item: a data batch, or a flush marker (control flows
-  /// in-band through the same FIFO, so a marker's arrival proves every
-  /// earlier batch was already re-routed).
-  struct DispatchItem {
+  /// One caller batch, shared by every shard ring. `readers` counts the
+  /// workers that have not finished scanning it.
+  struct Slot {
     RecordBatch batch;
-    std::uint64_t flush_seq = 0;  ///< nonzero = flush marker, no data
+    std::atomic<std::size_t> readers{0};
   };
 
   struct Shard {
     explicit Shard(std::size_t ring_batches) : ring(ring_batches) {}
-    SpscRing<RecordBatch> ring;
+    SpscRing<Slot*> ring;
     std::unique_ptr<core::AlertJoiner> joiner;
     std::vector<std::unique_ptr<detectors::Detector>> pool;
-    RecordBatch pending;  ///< dispatcher-side accumulation for this shard
-    /// Records ever pushed into the ring (owning dispatcher only writes;
-    /// read by drain() after the dispatcher acked a flush, so no torn
-    /// reads matter — but keep it atomic for TSan-visible correctness).
-    std::atomic<std::uint64_t> enqueued{0};
-    /// Dispatcher-observed high water of enqueued - processed (relaxed:
-    /// an instrumentation gauge, not a synchronization point).
-    std::atomic<std::uint64_t> peak_backlog{0};
+    /// Records ever pushed into the ring, and the high water of
+    /// (enqueued - scanned) at push time (caller thread only).
+    std::uint64_t enqueued = 0;
+    std::uint64_t peak_backlog = 0;
     std::mutex idle_mutex;
     std::condition_variable idle;
-    /// Records evaluated by the worker. Atomic so drain()'s predicate can
-    /// read it; the worker's empty idle_mutex critical section before
-    /// notify pairs the update with the waiter's locked predicate check.
+    /// Records the worker has scanned, and of those evaluated. Atomic so
+    /// drain()'s predicate and shard_processed() can read them; the
+    /// worker's empty idle_mutex critical section before notify pairs the
+    /// update with the waiter's locked predicate check.
+    std::atomic<std::uint64_t> scanned{0};
     std::atomic<std::uint64_t> processed{0};
   };
 
-  struct Dispatcher {
-    explicit Dispatcher(std::size_t ring_batches) : ring(ring_batches) {}
-    SpscRing<DispatchItem> ring;
-    std::size_t first_shard = 0;  ///< owned range [first_shard, last_shard)
-    std::size_t last_shard = 0;
-    RecordBatch pending;  ///< caller-side accumulation (M > 1 routing)
-    std::uint64_t flush_requested = 0;  ///< caller-side sequence
-    std::mutex ack_mutex;
-    std::condition_variable ack_cv;
-    std::uint64_t flush_acked = 0;  ///< dispatcher-side (under ack_mutex)
-    std::thread thread;
-  };
-
-  void dispatcher_loop(Dispatcher& d);
-  void worker_loop(Shard& shard);
-  /// Routes one record into shard s's pending batch (dispatcher thread).
-  void route_to_shard(std::size_t s, const httplog::LogRecord& record);
-  /// Pushes shard s's pending batch into its ring (dispatcher thread).
-  void flush_shard_pending(Shard& shard);
-  /// Accounts `batch` against the shard's backlog gauges and pushes it
-  /// into the shard ring (dispatcher thread).
-  void push_shard_batch(Shard& shard, RecordBatch&& batch);
+  void worker_loop(std::size_t s);
   [[nodiscard]] std::size_t shard_of(const httplog::LogRecord& r) const;
-  /// Flushes the caller-side pending batch of dispatcher d into its ring.
-  void flush_caller_pending(Dispatcher& d);
+  [[nodiscard]] Slot* acquire_slot();
+  /// Recycles the slot's batch and shelves the slot (last reader only).
+  void release_slot(Slot* slot);
+  /// Closes every ring and joins the workers; idempotent.
+  void stop_workers();
 
   std::size_t batch_size_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<Dispatcher>> dispatchers_;
-  std::vector<std::uint32_t> shard_owner_;  ///< shard index -> dispatcher
-  std::vector<std::thread> workers_;
   BatchPool pool_;
+  std::mutex slots_mutex_;
+  std::vector<std::unique_ptr<Slot>> slots_;  ///< every slot ever made
+  std::vector<Slot*> free_slots_;
   std::uint64_t dispatched_ = 0;
   bool finished_ = false;
+  std::vector<std::thread> workers_;  ///< last: they use every member above
 };
 
 }  // namespace divscrape::pipeline

@@ -40,7 +40,7 @@ struct TailSession::Ingest {
     if (config.shards > 1) {
       sharded = std::make_unique<ShardedPipeline>(
           config.factory, config.shards, kBatchRecords,
-          /*max_backlog=*/16 * 1024, config.dispatchers);
+          /*max_backlog=*/16 * 1024);
       recycle = &sharded->batch_pool();
       sink = [this](RecordBatch&& batch) {
         for (auto& record : batch)

@@ -4,7 +4,7 @@
 // soak's kill-and-resume oracle covers the code the CLI ships.
 //
 // Ingest is the MultiTailer batch sink; the consumer is the sequential
-// ReplayEngine, or with shards > 1 a ShardedPipeline behind a dispatch
+// ReplayEngine, or with shards > 1 a ShardedPipeline fed by a caller-side
 // StringInterner. Under `checkpoint_dir` a persist writes one
 // checkpoint_file_for() file per log, then tail_session.state.json last
 // (TailSessionState; its blob is one mode byte — 0 = engine, 1 = interner
@@ -40,7 +40,6 @@ struct TailSessionConfig {
   std::string checkpoint_dir;      ///< empty = nothing resumed or persisted
   PoolFactory factory;             ///< one detector pool (per shard)
   std::size_t shards = 1;          ///< > 1 = ShardedPipeline consumer
-  std::size_t dispatchers = 1;
   std::int64_t reorder_window_us = 2 * httplog::kMicrosPerSecond;
 };
 

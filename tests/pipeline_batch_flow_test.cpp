@@ -1,16 +1,20 @@
 // Batch-flow unit coverage: the RecordBatch arena contract, the BatchPool
 // recycle loop, SpscRing FIFO/close/backpressure semantics, the
 // LineDecoder batch-mode flush invariant, MultiTailer batch framing, and
-// the ShardedPipeline's backpressure bound and batch-size unobservability.
+// the ShardedPipeline's backpressure bound, batch-size unobservability and
+// broadcast handoff (one-subnet routing, empty batches, batch recycling).
 // The full results-identity matrix lives in
 // pipeline_shard_equivalence_test.cpp; this file pins the building blocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/export.hpp"
+#include "core/joiner.hpp"
 #include "detectors/registry.hpp"
 #include "httplog/clf.hpp"
 #include "httplog/record.hpp"
@@ -203,8 +207,7 @@ TEST(ShardedBatchFlow, BacklogStaysWithinConfiguredBound) {
   constexpr std::size_t kBatch = 8;
   constexpr std::size_t kMaxBacklog = 32;
   ShardedPipeline pipeline([] { return detectors::make_paper_pair(); },
-                           /*shards=*/2, kBatch, kMaxBacklog,
-                           /*dispatchers=*/2);
+                           /*shards=*/2, kBatch, kMaxBacklog);
   RecordBatch batch = pipeline.batch_pool().acquire();
   for (int i = 0; i < 5000; ++i) {
     batch.append_slot() = make_record(i);
@@ -224,9 +227,9 @@ TEST(ShardedBatchFlow, BacklogStaysWithinConfiguredBound) {
 TEST(ShardedBatchFlow, BatchSizeIsNotObservableInResults) {
   // The degenerate 1-record-per-batch pipeline and a large-batch pipeline
   // must produce byte-identical JSON — batch size is an execution knob.
-  const auto run_with = [](std::size_t batch_size, std::size_t dispatchers) {
+  const auto run_with = [](std::size_t batch_size) {
     ShardedPipeline pipeline([] { return detectors::make_paper_pair(); },
-                             /*shards=*/3, batch_size, 16 * 1024, dispatchers);
+                             /*shards=*/3, batch_size);
     RecordBatch batch = pipeline.batch_pool().acquire();
     for (int i = 0; i < 2000; ++i) {
       batch.append_slot() = make_record(i);
@@ -239,10 +242,101 @@ TEST(ShardedBatchFlow, BatchSizeIsNotObservableInResults) {
     if (!batch.empty()) pipeline.process_batch(std::move(batch));
     return core::to_json(pipeline.finish());
   };
-  const std::string one_record = run_with(1, 1);
-  EXPECT_EQ(run_with(1024, 1), one_record);
-  EXPECT_EQ(run_with(7, 2), one_record);
-  EXPECT_EQ(run_with(256, 3), one_record);
+  const std::string one_record = run_with(1);
+  EXPECT_EQ(run_with(1024), one_record);
+  EXPECT_EQ(run_with(7), one_record);
+  EXPECT_EQ(run_with(256), one_record);
+}
+
+// ---------------------------------------------------------------------------
+// The broadcast handoff: every worker scans each shared batch and evaluates
+// only the records of its own /24s.
+
+/// Feeds `records` to `pipeline` in batches of `batch` from its pool.
+void feed(ShardedPipeline& pipeline,
+          const std::vector<httplog::LogRecord>& records, std::size_t batch) {
+  RecordBatch out = pipeline.batch_pool().acquire();
+  for (const auto& record : records) {
+    out.append_slot() = record;
+    if (out.size() == batch) {
+      pipeline.process_batch(std::move(out));
+      out = pipeline.batch_pool().acquire();
+    }
+  }
+  pipeline.process_batch(std::move(out));  // possibly empty
+}
+
+std::string sequential_json(const std::vector<httplog::LogRecord>& records) {
+  const auto pool = detectors::make_paper_pair();
+  core::AlertJoiner joiner(pool);
+  for (const auto& record : records) (void)joiner.process(record);
+  return core::to_json(joiner.results());
+}
+
+TEST(ShardedBroadcast, OneSubnetIsEvaluatedByOneShardOnly) {
+  std::vector<httplog::LogRecord> records;
+  for (int i = 0; i < 3000; ++i) {
+    records.push_back(make_record(i));
+    records.back().ip = httplog::Ipv4(10, 0, 3, 1 + i % 200);
+  }
+  constexpr std::size_t kShards = 4;
+  ShardedPipeline pipeline([] { return detectors::make_paper_pair(); },
+                           kShards, /*batch_size=*/64);
+  feed(pipeline, records, 64);
+  pipeline.drain();
+  auto per_shard = pipeline.shard_processed();
+  std::sort(per_shard.begin(), per_shard.end());
+  const std::vector<std::uint64_t> one_busy_shard = {0, 0, 0, records.size()};
+  EXPECT_EQ(per_shard, one_busy_shard);
+  EXPECT_EQ(core::to_json(pipeline.finish()), sequential_json(records));
+}
+
+TEST(ShardedBroadcast, EmptyBatchesChangeNothing) {
+  std::vector<httplog::LogRecord> records;
+  for (int i = 0; i < 500; ++i) records.push_back(make_record(i));
+  ShardedPipeline pipeline([] { return detectors::make_paper_pair(); },
+                           /*shards=*/3, /*batch_size=*/20);
+  pipeline.process_batch(pipeline.batch_pool().acquire());
+  pipeline.drain();
+  EXPECT_EQ(pipeline.dispatched(), 0u);
+  EXPECT_EQ(pipeline.shard_processed(), std::vector<std::uint64_t>(3, 0));
+  feed(pipeline, records, 20);  // 500 = 25 x 20: the last batch is empty
+  pipeline.process_batch(RecordBatch{});
+  EXPECT_EQ(pipeline.dispatched(), records.size());
+  EXPECT_EQ(core::to_json(pipeline.finish()), sequential_json(records));
+}
+
+TEST(ShardedBroadcast, EveryBatchIsRecycledExactlyOnce) {
+  constexpr std::size_t kBatch = 8;
+  constexpr std::size_t kRingBatches = 4;
+  ShardedPipeline pipeline([] { return detectors::make_paper_pair(); },
+                           /*shards=*/3, kBatch, kRingBatches * kBatch);
+  for (int b = 0; b < 1000; ++b) {
+    RecordBatch batch = pipeline.batch_pool().acquire();
+    for (int i = 0; i < static_cast<int>(kBatch); ++i)
+      batch.append_slot() = make_record(b * static_cast<int>(kBatch) + i);
+    pipeline.process_batch(std::move(batch));
+  }
+  pipeline.drain();
+  // After the drain every batch is back in the pool and the caller holds
+  // none, so `idle` counts the batches ever made. When the caller acquires,
+  // the slowest worker holds at most one batch plus a full ring. A batch
+  // recycled twice would grow the pool with every push; one never
+  // recycled would leave it empty.
+  const std::size_t idle = pipeline.batch_pool().idle();
+  EXPECT_GE(idle, 1u);
+  EXPECT_LE(idle, kRingBatches + 2);
+  EXPECT_EQ(pipeline.dispatched(), 1000u * kBatch);
+  (void)pipeline.finish();
+}
+
+TEST(ShardedBroadcast, CompatibilitySlotAcceptsOnlyOne) {
+  const auto pair = [] { return detectors::make_paper_pair(); };
+  EXPECT_NO_THROW(ShardedPipeline(pair, 2, 1024, 16 * 1024, 1));
+  EXPECT_THROW(ShardedPipeline(pair, 2, 1024, 16 * 1024, 2),
+               std::invalid_argument);
+  EXPECT_THROW(ShardedPipeline(pair, 2, 1024, 16 * 1024, 0),
+               std::invalid_argument);
 }
 
 }  // namespace

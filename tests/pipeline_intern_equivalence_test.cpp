@@ -12,9 +12,9 @@
 //      bytes. Parity with the seed's string-keyed detector path is proof 2.
 //   2. Stamped vs unstamped: scrubbing ua_token (forcing every detector
 //      through its local-interner fallback) must not change results.
-//   3. Sharded vs sequential at 1/2/8 shards through process_batch(), over
-//      both dispatcher handoffs: batches moved whole (one shard) and
-//      records copied into per-shard batches (2 and 8 shards).
+//   3. Sharded vs sequential at 1/2/8 shards through process_batch():
+//      one worker evaluating every record, and several workers each
+//      evaluating their own records of every shared batch.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -86,8 +86,8 @@ TEST(InternEquivalence, ShardedMatchesSequentialCopyAndMove) {
   const std::string sequential = core::to_json(run_pool(records));
 
   for (const std::size_t shards : {1u, 2u, 8u}) {
-    // At one shard the dispatcher moves each batch whole to the worker; at
-    // 2 and 8 it copies every record into a per-shard batch.
+    // At one shard the worker evaluates every record of each batch; at 2
+    // and 8 every worker scans each batch and evaluates its own records.
     pipeline::ShardedPipeline pipeline([] { return paper_pair(); }, shards);
     pipeline::RecordBatch batch = pipeline.batch_pool().acquire();
     for (const auto& r : records) {

@@ -1,6 +1,6 @@
 // Shard-equivalence regression: a ShardedPipeline must produce JointResults
 // *identical* to a sequential ReplayEngine run over the same CLF stream at
-// EVERY (shards, dispatchers, batch size) combination, as promised by the
+// EVERY (shards, batch size) combination, as promised by the
 // correctness comment in src/pipeline/sharded.hpp — the combination is an
 // execution knob, never an observable. The stream enters through the one
 // ingest seam: LineDecoder batch mode -> process_batch. Both sides consume the serialized-then-reparsed stream so they see
@@ -129,8 +129,8 @@ const SequentialBaseline& sequential_baseline() {
   return baseline;
 }
 
-// (shards, dispatchers, batch size)
-using Combo = std::tuple<std::size_t, std::size_t, std::size_t>;
+// (shards, batch size)
+using Combo = std::tuple<std::size_t, std::size_t>;
 
 class ShardEquivalenceTest : public ::testing::TestWithParam<Combo> {};
 
@@ -141,10 +141,9 @@ TEST_P(ShardEquivalenceTest, BatchSeamMatchesSequentialReplay) {
   const auto& [stats, sequential] = sequential_baseline();
   ASSERT_GT(stats.parsed, 0u);
   ASSERT_EQ(stats.skipped, 0u);
-  const auto [shards, dispatchers, batch] = GetParam();
+  const auto [shards, batch] = GetParam();
 
-  ShardedPipeline pipeline([] { return make_paper_pair(); }, shards, batch,
-                           16 * 1024, dispatchers);
+  ShardedPipeline pipeline([] { return make_paper_pair(); }, shards, batch);
   LineDecoder decoder(
       [&pipeline](RecordBatch&& b) { pipeline.process_batch(std::move(b)); },
       batch, &pipeline.batch_pool());
@@ -158,17 +157,13 @@ TEST_P(ShardEquivalenceTest, BatchSeamMatchesSequentialReplay) {
 
 INSTANTIATE_TEST_SUITE_P(
     Combos, ShardEquivalenceTest,
-    ::testing::Values(Combo{1, 1, 1024}, Combo{2, 1, 1024},
-                      Combo{8, 1, 1024},  // the historical shard sweep
-                      Combo{8, 4, 64},    // multi-dispatcher, small batches
-                      Combo{4, 2, 1},     // degenerate 1-record batches
-                      Combo{3, 2, 7},     // uneven shard ranges, odd batch
-                      Combo{8, 8, 256},   // dispatcher per shard
-                      Combo{2, 2, 1024}),
+    // Degenerate 1-record batches, an odd size that splits every /24's
+    // run across batches, small and mid sizes, and the production size.
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 8),
+                       ::testing::Values(1, 7, 64, 256, 1024)),
     [](const ::testing::TestParamInfo<Combo>& info) {
-      return "s" + std::to_string(std::get<0>(info.param)) + "d" +
-             std::to_string(std::get<1>(info.param)) + "b" +
-             std::to_string(std::get<2>(info.param));
+      return "s" + std::to_string(std::get<0>(info.param)) + "b" +
+             std::to_string(std::get<1>(info.param));
     });
 
 // save_state() serializes the shards concurrently. Its blob must still be

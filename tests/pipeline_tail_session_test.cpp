@@ -1,7 +1,7 @@
 // TailSession: the one open -> resume -> poll -> persist -> finish path
 // behind `divscrape tail --checkpoint-dir` and the chaos soak.
 //
-// Pins, at shards 1 and at 2 shards x 2 dispatchers: an uninterrupted
+// Pins, at 1 and at 2 shards: an uninterrupted
 // session ends byte-identical to a one-shot batch replay of the merged
 // stream; a kill after every persist resumes warm and ends byte-identical
 // to an uninterrupted session;
@@ -87,13 +87,12 @@ struct Fixture {
   }
 
   [[nodiscard]] std::unique_ptr<pipeline::TailSession> session(
-      std::size_t shards, std::size_t dispatchers) const {
+      std::size_t shards) const {
     pipeline::TailSessionConfig config;
     config.paths = paths;
     config.checkpoint_dir = cp_dir;
     config.factory = [] { return detectors::make_paper_pair(); };
     config.shards = shards;
-    config.dispatchers = dispatchers;
     return std::make_unique<pipeline::TailSession>(std::move(config));
   }
 };
@@ -111,11 +110,10 @@ std::uint64_t ingested(const pipeline::TailSession& session) {
 /// Writes each phase, polls and persists; with `kill`, destroys the
 /// session after every persist and resumes a new one (which must be warm).
 std::string run_phases(const std::string& tag, std::size_t shards,
-                       std::size_t dispatchers,
                        const std::vector<std::size_t>& phase_ends,
                        bool kill) {
   Fixture fx(tag);
-  auto session = fx.session(shards, dispatchers);
+  auto session = fx.session(shards);
   EXPECT_EQ(session->resume().outcome, Outcome::kNoSession);
   std::size_t begin = 0;
   for (const std::size_t end : phase_ends) {
@@ -125,7 +123,7 @@ std::string run_phases(const std::string& tag, std::size_t shards,
     session->persist();
     if (kill) {
       session.reset();
-      session = fx.session(shards, dispatchers);
+      session = fx.session(shards);
       const auto resumed = session->resume();
       EXPECT_TRUE(resumed.warm());
       for (const auto& log : resumed.logs) {
@@ -178,18 +176,18 @@ std::string merged_batch_replay_json() {
 
 TEST(TailSession, UninterruptedSessionMatchesOneShotBatchReplay) {
   const std::string reference = merged_batch_replay_json();
-  EXPECT_EQ(run_phases("batch_seq", 1, 1, thirds(), false), reference);
-  EXPECT_EQ(run_phases("batch_shard", 2, 2, thirds(), false), reference);
+  EXPECT_EQ(run_phases("batch_seq", 1, thirds(), false), reference);
+  EXPECT_EQ(run_phases("batch_shard", 2, thirds(), false), reference);
 }
 
 TEST(TailSession, KillAfterEachPersistIsByteIdenticalSequential) {
-  EXPECT_EQ(run_phases("kill_seq", 1, 1, thirds(), true),
-            run_phases("base_seq", 1, 1, thirds(), false));
+  EXPECT_EQ(run_phases("kill_seq", 1, thirds(), true),
+            run_phases("base_seq", 1, thirds(), false));
 }
 
 TEST(TailSession, KillAfterEachPersistIsByteIdenticalSharded) {
-  EXPECT_EQ(run_phases("kill_shard", 2, 2, thirds(), true),
-            run_phases("base_shard", 2, 2, thirds(), false));
+  EXPECT_EQ(run_phases("kill_shard", 2, thirds(), true),
+            run_phases("base_shard", 2, thirds(), false));
 }
 
 /// Phase one through raw components, committed as the documented session
@@ -239,7 +237,7 @@ std::string resume_hand_built(const std::string& tag, bool sharded) {
     state.state = w.take();
     EXPECT_TRUE(state.save(fx.session_file()));
   }
-  auto session = fx.session(sharded ? 2 : 1, sharded ? 2 : 1);
+  auto session = fx.session(sharded ? 2 : 1);
   EXPECT_TRUE(session->resume().warm());
   fx.write_range(split, records().size());
   (void)session->poll();
@@ -248,12 +246,12 @@ std::string resume_hand_built(const std::string& tag, bool sharded) {
 
 TEST(TailSession, HandBuiltSequentialSessionFileResumesWarm) {
   EXPECT_EQ(resume_hand_built("hand_seq", false),
-            run_phases("hand_seq_base", 1, 1, halves(), false));
+            run_phases("hand_seq_base", 1, halves(), false));
 }
 
 TEST(TailSession, HandBuiltShardedSessionFileResumesWarm) {
   EXPECT_EQ(resume_hand_built("hand_shard", true),
-            run_phases("hand_shard_base", 2, 2, halves(), false));
+            run_phases("hand_shard_base", 2, halves(), false));
 }
 
 TEST(TailSession, ShardedSessionResumedSequentiallyIsCold) {
@@ -261,12 +259,12 @@ TEST(TailSession, ShardedSessionResumedSequentiallyIsCold) {
   Fixture fx("mode_switch");
   fx.write_range(0, split);
   {
-    auto session = fx.session(2, 2);
+    auto session = fx.session(2);
     (void)session->resume();
     (void)session->poll();
     session->persist();
   }
-  auto session = fx.session(1, 1);
+  auto session = fx.session(1);
   const auto resumed = session->resume();
   EXPECT_EQ(resumed.outcome, Outcome::kStateRejected);
   EXPECT_FALSE(resumed.warm());
@@ -290,7 +288,7 @@ void expect_v1_component_resumes_cold(const std::string& tag,
   Fixture fx(tag);
   fx.write_range(0, split);
   {
-    auto session = fx.session(2, 2);
+    auto session = fx.session(2);
     (void)session->resume();
     (void)session->poll();
     session->persist();
@@ -309,7 +307,7 @@ void expect_v1_component_resumes_cold(const std::string& tag,
   ASSERT_GT(patched, 0u);
   ASSERT_TRUE(saved->save(fx.session_file()));
 
-  auto session = fx.session(2, 2);
+  auto session = fx.session(2);
   const auto resumed = session->resume();
   EXPECT_EQ(resumed.outcome, Outcome::kStateRejected);
   for (std::size_t i = 0; i < kFiles; ++i) {
@@ -335,13 +333,12 @@ TEST(TailSession, V1ArcaneStateSessionResumesCold) {
 /// The session must report cold AND end equal to a fresh consumer resumed
 /// cold from the same per-log offsets — no loaded state may survive.
 void expect_damaged_blob_resumes_cold(const std::string& tag,
-                                      std::size_t shards,
-                                      std::size_t dispatchers) {
+                                      std::size_t shards) {
   const std::size_t split = halves().front();
   Fixture fx(tag);
   fx.write_range(0, split);
   {
-    auto session = fx.session(shards, dispatchers);
+    auto session = fx.session(shards);
     (void)session->resume();
     (void)session->poll();
     session->persist();
@@ -353,7 +350,7 @@ void expect_damaged_blob_resumes_cold(const std::string& tag,
   fx.write_range(split, records().size());
 
   const auto cold_run = [&](Outcome expected) {
-    auto session = fx.session(shards, dispatchers);
+    auto session = fx.session(shards);
     const auto resumed = session->resume();
     EXPECT_EQ(resumed.outcome, expected);
     for (const auto& log : resumed.logs) EXPECT_TRUE(log.honored);
@@ -367,11 +364,11 @@ void expect_damaged_blob_resumes_cold(const std::string& tag,
 }
 
 TEST(TailSession, DamagedBlobResumesColdFromFreshConsumerSequential) {
-  expect_damaged_blob_resumes_cold("damaged_seq", 1, 1);
+  expect_damaged_blob_resumes_cold("damaged_seq", 1);
 }
 
 TEST(TailSession, DamagedBlobResumesColdFromFreshConsumerSharded) {
-  expect_damaged_blob_resumes_cold("damaged_shard", 2, 2);
+  expect_damaged_blob_resumes_cold("damaged_shard", 2);
 }
 
 TEST(TailSession, CheckpointFileNamesArePinnedAndCollisionFree) {

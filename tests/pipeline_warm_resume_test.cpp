@@ -438,13 +438,13 @@ TEST(WarmResumeSharded, KillAtPhaseBoundaryIsByteIdentical) {
 }
 
 // The batch seam under kill: records travel as RecordBatches through the
-// dispatcher and shard rings. After the committed checkpoint, the first
+// shard rings. After the committed checkpoint, the first
 // incarnation keeps feeding — those batches are in flight inside the rings
 // when the destructor abort fires (the crash). Nothing past the commit
 // point was checkpointed, so the resumed incarnation re-reads those
 // records from the files and the result is byte-identical. The resume
-// deliberately uses a DIFFERENT batch size and dispatcher count: both are
-// execution knobs, not state, and must not be observable across a resume.
+// deliberately uses a DIFFERENT batch size: it is an execution knob, not
+// state, and must not be observable across a resume.
 TEST(WarmResumeSharded, BatchedKillWithInFlightBatchesIsByteIdentical) {
   const auto& all = records();
   const std::size_t phase_split = all.size() / 2;
@@ -457,7 +457,7 @@ TEST(WarmResumeSharded, BatchedKillWithInFlightBatchesIsByteIdentical) {
   {
     pipeline::ShardedPipeline sharded(
         [] { return detectors::make_paper_pair(); }, kShards,
-        /*batch_size=*/7, /*max_backlog=*/16 * 1024, /*dispatchers=*/2);
+        /*batch_size=*/7);
     util::StringInterner ua_tokens;
     pipeline::MultiTailer tailer(
         logs.paths,
@@ -493,7 +493,7 @@ TEST(WarmResumeSharded, BatchedKillWithInFlightBatchesIsByteIdentical) {
   {
     pipeline::ShardedPipeline sharded(
         [] { return detectors::make_paper_pair(); }, kShards,
-        /*batch_size=*/64, /*max_backlog=*/16 * 1024, /*dispatchers=*/1);
+        /*batch_size=*/64);
     util::StringInterner ua_tokens;
     pipeline::MultiTailer tailer(
         logs.paths,

@@ -291,11 +291,11 @@ TEST(DoubleFault, JointResultsFaultPairTracksSimultaneousErrors) {
 
   JointResults results({"a", "b"});
   const auto feed = [&results](bool alert_a, bool alert_b, Truth truth) {
+    constexpr auto kReason = divscrape::detectors::AlertReason::kBadUserAgent;
     divscrape::httplog::LogRecord r;
     r.truth = truth;
-    const std::array<Verdict, 2> verdicts = {
-        Verdict{alert_a, 1.0, divscrape::detectors::AlertReason::kTrap},
-        Verdict{alert_b, 1.0, divscrape::detectors::AlertReason::kTrap}};
+    const std::array<Verdict, 2> verdicts = {Verdict{alert_a, 1.0, kReason},
+                                             Verdict{alert_b, 1.0, kReason}};
     results.observe(r, verdicts);
   };
   feed(false, false, Truth::kMalicious);  // both wrong (double fault)
@@ -326,9 +326,9 @@ TEST(DoubleFault, BoundsAnyAdjudicationScheme) {
     r.truth = rng.bernoulli(0.7) ? Truth::kMalicious : Truth::kBenign;
     const std::array<Verdict, 2> verdicts = {
         Verdict{rng.bernoulli(0.8), 1.0,
-                divscrape::detectors::AlertReason::kTrap},
+                divscrape::detectors::AlertReason::kBadUserAgent},
         Verdict{rng.bernoulli(0.75), 1.0,
-                divscrape::detectors::AlertReason::kTrap}};
+                divscrape::detectors::AlertReason::kBadUserAgent}};
     results.observe(r, verdicts);
   }
   const auto double_faults = results.fault_pair(0, 1).both();

@@ -47,10 +47,9 @@
 //                       megasite-class specs)
 //   --detect            feed the stream to the sentinel+arcane pair and
 //                       print the joint summary
-//   --shards <n>        with --detect: sharded detection on n workers
-//   --dispatchers <m>   with --shards: m dispatcher threads, each owning a
-//                       contiguous shard range (default 1); records travel
-//                       as RecordBatches through SPSC rings either way
+//   --shards <n>        with --detect: sharded detection on n workers;
+//                       every worker reads each RecordBatch and evaluates
+//                       the records of its own /24s
 //
 // Soak options (see pipeline/chaos.hpp for the full contract):
 //   --out <dir>         work directory (live logs, shadows, checkpoints;
@@ -69,10 +68,9 @@
 //                         too). Adds tail_session.state.json: per-log
 //                         offsets + the shared detector state, committed
 //                         last so warm resume always sees a consistent cut
-//   --shards <n>          dispatch merged records to a ShardedPipeline with
+//   --shards <n>          hand merged records to a ShardedPipeline with
 //                         n worker threads (results print at exit); the
 //                         merged stream is framed into RecordBatches
-//   --dispatchers <m>     (tail, with --shards) m dispatcher threads
 //   --reorder-ms <n>      multi-file merge reorder window (default 2000)
 //   --follow              keep polling after catching up (stop with SIGINT)
 //   --poll-ms <n>         follow-mode poll interval (default 200)
@@ -160,7 +158,6 @@ struct CliOptions {
   int poll_ms = 200;
   int reorder_ms = 2000;
   std::size_t shards = 1;
-  std::size_t dispatchers = 1;
   std::size_t gen_threads = 1;
   std::size_t partitions = 0;  ///< 0 = engine default
   std::uint64_t flush_every = 100000;
@@ -187,9 +184,8 @@ int usage() {
       "  --csv <prefix>        (export) also write CSV files\n"
       "  --checkpoint <file>   (tail, 1 log) resume/persist ingest position\n"
       "  --checkpoint-dir <d>  (tail) per-log checkpoints under one dir\n"
-      "  --shards <n>          (tail) sharded detection, n worker threads\n"
-      "  --dispatchers <m>     (tail/simulate, with --shards) dispatcher "
-      "threads\n"
+      "  --shards <n>          (tail, simulate --detect) sharded detection,\n"
+      "                        n worker threads\n"
       "  --reorder-ms <n>      (tail) merge reorder window, default 2000\n"
       "  --follow              (tail) keep polling; SIGINT checkpoints+exits\n"
       "  --poll-ms <n>         (tail) follow poll interval, default 200\n"
@@ -253,13 +249,6 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       const long v = std::strtol(n, &end, 10);
       if (end == n || *end != '\0' || v < 1 || v > 64) return false;
       opts.shards = static_cast<std::size_t>(v);
-    } else if (arg == "--dispatchers") {
-      const char* n = next();
-      if (!n) return false;
-      char* end = nullptr;
-      const long v = std::strtol(n, &end, 10);
-      if (end == n || *end != '\0' || v < 1 || v > 64) return false;
-      opts.dispatchers = static_cast<std::size_t>(v);
     } else if (arg == "--reorder-ms") {
       const char* n = next();
       if (!n) return false;
@@ -493,7 +482,7 @@ int cmd_simulate(const CliOptions& opts) {
     if (opts.shards > 1) {
       sharded = std::make_unique<pipeline::ShardedPipeline>(
           [&opts] { return pair_from(opts.config); }, opts.shards,
-          /*batch_size=*/1024, /*max_backlog=*/16 * 1024, opts.dispatchers);
+          /*batch_size=*/1024, /*max_backlog=*/16 * 1024);
     } else {
       pool = pair_from(opts.config);
       joiner = std::make_unique<core::AlertJoiner>(pool);
@@ -651,7 +640,6 @@ int cmd_tail_multi(const CliOptions& opts) {
   config.checkpoint_dir = opts.checkpoint_dir;
   config.factory = [&opts] { return pair_from(opts.config); };
   config.shards = opts.shards;
-  config.dispatchers = opts.dispatchers;
   config.reorder_window_us = static_cast<std::int64_t>(opts.reorder_ms) * 1000;
   pipeline::TailSession session(std::move(config));
 
@@ -690,7 +678,7 @@ int cmd_tail_multi(const CliOptions& opts) {
 
   // Nothing to write => no periodic persist: the flush would force
   // queued records past the watermark and the sharded drain would stall
-  // the dispatcher, all for no durable artifact.
+  // the caller, all for no durable artifact.
   const bool persist_output =
       !opts.checkpoint_dir.empty() || !opts.results_path.empty();
   const pipeline::MultiTailer& tailer = session.tailer();
@@ -725,10 +713,10 @@ int cmd_tail_multi(const CliOptions& opts) {
 
   const auto stats = tailer.stats();
   std::printf(
-      "tailed %zu logs (%zu shards, %zu dispatchers): %s records parsed, "
+      "tailed %zu logs (%zu shards): %s records parsed, "
       "%s lines skipped, %llu rotations, %llu truncations, %llu lost "
       "incarnations, %llu read errors, %llu late, %llu forced\n",
-      tailer.files(), opts.shards, opts.shards > 1 ? opts.dispatchers : 0,
+      tailer.files(), opts.shards,
       core::with_thousands(stats.parsed).c_str(),
       core::with_thousands(stats.skipped).c_str(),
       static_cast<unsigned long long>(tailer.rotations()),
