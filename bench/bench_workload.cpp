@@ -107,8 +107,8 @@ int main(int argc, char** argv) {
     } else if (argv[i][0] == '-') {
       return usage();
     } else if (!have_scale) {
-      scale = std::atof(argv[i]);
-      if (scale <= 0.0 || scale > 1.0) return usage();
+      if (!bench::parse_bounded(argv[i], 0.0, 1.0, false, scale))
+        return usage();
       have_scale = true;
     } else {
       return usage();

@@ -63,6 +63,11 @@
 // A v1 sharded blob must not restore: its clients sit on the shards the
 // old routing chose, not those the current routing sends them to.
 //
+// TailSession writes every checkpoint. A single-file v3 blob (`tail
+// --checkpoint`) is the bare ReplayEngine::save_state blob, no mode byte:
+// the layout older builds wrote through LogTailer + ReplayEngine. Per-log
+// files under a checkpoint dir carry none (TailSessionState holds it).
+//
 // ## Writer
 //
 // to_json() and save() build the document in one pass into one string
@@ -113,8 +118,8 @@ struct Checkpoint {
 
   /// Detection-state blob covering exactly the records below `offset`
   /// (raw bytes here; base64 in the JSON). Empty = none recorded: the
-  /// resumer falls back to a cold detector start. Producers fill it via
-  /// ReplayEngine::save_state / ShardedPipeline::save_state.
+  /// resumer falls back to a cold detector start. Filled in single-file
+  /// mode only (see above).
   std::string state;
 
   /// Serializes as one flat JSON object (schema divscrape.checkpoint.v3).

@@ -6,12 +6,13 @@
 namespace divscrape::pipeline {
 
 MultiTailer::Input::Input(MultiTailer* owner, std::uint32_t file,
-                          std::string file_path, std::size_t batch_records)
+                          std::string file_path, std::size_t batch_records,
+                          BatchPool* pool)
     : decoder(
           [owner, file](RecordBatch&& batch) {
             owner->enqueue(file, std::move(batch));
           },
-          batch_records, &owner->queue_pool_),
+          batch_records, pool),
       tailer(std::move(file_path), decoder, owner->config_.tail),
       index(file) {}
 
@@ -22,16 +23,27 @@ MultiTailer::MultiTailer(std::vector<std::string> paths, BatchSink sink,
       batch_sink_(std::move(sink)),
       batch_records_(batch_records == 0 ? 1 : batch_records),
       batch_pool_(pool) {
-  // Queue batches no larger than the cap, so one decoded batch always fits.
+  // Queue batches no larger than the cap, so one decoded batch always fits;
+  // one log's decoded batches are out batches (see enqueue).
   const std::size_t cap = config_.max_buffered_records;
-  const std::size_t queue_batch =
-      cap > 0 ? std::min(cap, kQueueBatchRecords) : kQueueBatchRecords;
+  const bool pass_through = paths.size() == 1;
+  const std::size_t decode_batch =
+      pass_through ? batch_records_
+      : cap > 0    ? std::min(cap, kQueueBatchRecords)
+                   : kQueueBatchRecords;
+  BatchPool* decode_pool =
+      pass_through && batch_pool_ ? batch_pool_ : &queue_pool_;
   inputs_.reserve(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
     inputs_.push_back(std::make_unique<Input>(
         this, static_cast<std::uint32_t>(i), std::move(paths[i]),
-        queue_batch));
+        decode_batch, decode_pool));
   }
+}
+
+void MultiTailer::note_emitted(std::int64_t t) noexcept {
+  if (t < last_emitted_us_) ++late_records_;  // below the emission front
+  last_emitted_us_ = std::max(last_emitted_us_, t);
 }
 
 void MultiTailer::flush_out_batch() {
@@ -42,6 +54,14 @@ void MultiTailer::flush_out_batch() {
 }
 
 void MultiTailer::enqueue(std::uint32_t file, RecordBatch&& batch) {
+  if (inputs_.size() == 1) {
+    // One log: the watermark is its own frontier, so the merge is the
+    // identity and the decoded batch goes downstream whole, in file order.
+    for (const httplog::LogRecord& record : batch)
+      note_emitted(record.time.micros());
+    batch_sink_(std::move(batch));
+    return;
+  }
   const std::size_t cap = config_.max_buffered_records;
   if (cap > 0 && buffered_ + batch.size() > cap) {
     // Memory backstop: make room by emitting the oldest heads, forced
@@ -99,9 +119,7 @@ MultiTailer::Input* MultiTailer::min_head() noexcept {
 void MultiTailer::emit_head(Input& input) {
   RecordBatch& front = input.queue.front();
   httplog::LogRecord& record = front[input.head];
-  const std::int64_t t = record.time.micros();
-  if (t < last_emitted_us_) ++late_records_;  // below the emission front
-  last_emitted_us_ = std::max(last_emitted_us_, t);
+  note_emitted(record.time.micros());
   // Swap into the out slot: both batches keep warm string buffers and
   // nothing is copied or allocated (arena contract).
   std::swap(out_batch_.append_slot(), record);
@@ -180,6 +198,12 @@ bool MultiTailer::resume(std::size_t file, const Checkpoint& cp) {
 
 Checkpoint MultiTailer::checkpoint(std::size_t file) const {
   return inputs_.at(file)->tailer.checkpoint();
+}
+
+std::size_t MultiTailer::partial_lines() const noexcept {
+  std::size_t held = 0;
+  for (const auto& input : inputs_) held += input->decoder.has_partial_line();
+  return held;
 }
 
 ReplayStats MultiTailer::stats() const {

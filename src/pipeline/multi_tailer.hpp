@@ -38,6 +38,10 @@
 // emission front is emitted in merge order and counted by late_records().
 // A log that has produced nothing yet does not hold the watermark.
 //
+// With one log the merge is the identity (the watermark is its own
+// frontier): decoded batches, drawn from the consumer's pool, go to the
+// sink whole; late records are still counted and nothing queues.
+//
 // Disorder within one log is tolerated, not repaired: a record whose
 // timestamp goes backwards keeps its file position, the frontier never
 // moves back, and the record counts as late if it leaves below the front.
@@ -136,6 +140,8 @@ class MultiTailer {
   [[nodiscard]] std::uint64_t forced_emits() const noexcept {
     return forced_emits_;
   }
+  /// Logs holding an unterminated (un-ingested) partial line.
+  [[nodiscard]] std::size_t partial_lines() const noexcept;
   [[nodiscard]] std::uint64_t rotations() const noexcept {
     return sum(&LogTailer::rotations);
   }
@@ -158,7 +164,7 @@ class MultiTailer {
 
   struct Input {
     Input(MultiTailer* owner, std::uint32_t file, std::string file_path,
-          std::size_t batch_records);
+          std::size_t batch_records, BatchPool* pool);
     LineDecoder decoder;
     LogTailer tailer;
     std::uint32_t index;
@@ -182,6 +188,8 @@ class MultiTailer {
   }
   /// Decoder callback: queues a parsed batch behind file `file`'s records.
   void enqueue(std::uint32_t file, RecordBatch&& batch);
+  /// Counts a record leaving below the emission front as late.
+  void note_emitted(std::int64_t t) noexcept;
   /// Lowest key unread data could still carry: the minimum frontier over
   /// the logs (with `active_only`, over those not quiet: unread bytes left,
   /// or new bytes in this poll). A log with no record yet pins it at the

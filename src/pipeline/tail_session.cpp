@@ -1,6 +1,8 @@
 #include "pipeline/tail_session.hpp"
 
 #include <cstdio>
+#include <optional>
+#include <stdexcept>
 #include <utility>
 
 #include "pipeline/replay.hpp"
@@ -97,8 +99,8 @@ struct TailSession::Ingest {
     return r.at_end();
   }
 
-  [[nodiscard]] bool save_state(util::StateWriter& w) {
-    w.u8(sharded ? 1 : 0);
+  [[nodiscard]] bool save_state(util::StateWriter& w, bool mode_byte) {
+    if (mode_byte) w.u8(sharded ? 1 : 0);
     if (!sharded) return engine->save_state(w);
     ua_tokens.save_state(w);
     return sharded->save_state(w);
@@ -106,14 +108,24 @@ struct TailSession::Ingest {
 };
 
 TailSession::TailSession(TailSessionConfig config)
-    : config_(std::move(config)),
-      ingest_(std::make_unique<Ingest>(config_)) {
-  if (config_.checkpoint_dir.empty()) return;
-  session_path_ = config_.checkpoint_dir + "/tail_session.state.json";
-  for (const auto& path : config_.paths) {
-    checkpoint_paths_.push_back(
-        checkpoint_file_for(config_.checkpoint_dir, path));
+    : config_(std::move(config)) {
+  if (!config_.checkpoint_file.empty()) {
+    if (config_.paths.size() != 1 || config_.shards != 1 ||
+        !config_.checkpoint_dir.empty()) {
+      throw std::invalid_argument(
+          "a single checkpoint file takes one log, one shard and no "
+          "checkpoint dir");
+    }
+    session_path_ = config_.checkpoint_file;
+    checkpoint_paths_.push_back(session_path_);
+  } else if (!config_.checkpoint_dir.empty()) {
+    session_path_ = config_.checkpoint_dir + "/tail_session.state.json";
+    for (const auto& path : config_.paths) {
+      checkpoint_paths_.push_back(
+          checkpoint_file_for(config_.checkpoint_dir, path));
+    }
   }
+  ingest_ = std::make_unique<Ingest>(config_);
 }
 
 TailSession::~TailSession() = default;
@@ -122,8 +134,17 @@ TailResume TailSession::resume() {
   TailResume out;
   out.session_path = session_path_;
   out.logs.resize(config_.paths.size());
-  if (config_.checkpoint_dir.empty()) return out;
-  if (const auto session = TailSessionState::load(session_path_)) {
+  if (session_path_.empty()) return out;
+  std::optional<TailSessionState> session;
+  if (config_.checkpoint_file.empty()) {
+    session = TailSessionState::load(session_path_);
+  } else if (auto cp = Checkpoint::load(session_path_)) {
+    // A one-log session whose blob lacks the sequential mode byte.
+    session.emplace();
+    session->state = std::string(1, '\0') + cp->state;
+    session->logs.emplace_back(config_.paths.front(), std::move(*cp));
+  }
+  if (session) {
     if (ingest_->restore(*session, out)) return out;
     // Discard whatever the failed restore left in the tailers, engine,
     // interner or shards before the cold resume below.
@@ -152,20 +173,24 @@ void TailSession::persist() {
   MultiTailer& tailer = *ingest_->tailer;
   (void)tailer.flush();
   if (ingest_->sharded) ingest_->sharded->drain();
-  if (config_.checkpoint_dir.empty()) return;
+  if (session_path_.empty()) return;
+  const bool single = !config_.checkpoint_file.empty();
+  util::StateWriter w;
+  // A pool without state support persists offsets only.
+  const bool stateful = ingest_->save_state(w, /*mode_byte=*/!single);
+  TailSessionState session;
+  if (stateful) session.state = w.take();
   for (std::size_t i = 0; i < tailer.files(); ++i) {
-    if (!tailer.checkpoint(i).save(checkpoint_paths_[i])) {
+    Checkpoint cp = tailer.checkpoint(i);
+    session.logs.emplace_back(tailer.path(i), cp);
+    // A single checkpoint file carries the blob itself, without mode byte.
+    if (single) cp.state = std::move(session.state);
+    if (!cp.save(checkpoint_paths_[i])) {
       std::fprintf(stderr, "cannot save checkpoint %s\n",
                    checkpoint_paths_[i].c_str());
     }
   }
-  util::StateWriter w;
-  if (!ingest_->save_state(w)) return;  // a pool without state support
-  TailSessionState session;
-  for (std::size_t i = 0; i < tailer.files(); ++i) {
-    session.logs.emplace_back(tailer.path(i), tailer.checkpoint(i));
-  }
-  session.state = w.take();
+  if (single || !stateful) return;
   if (!session.save(session_path_)) {
     std::fprintf(stderr, "cannot save session state %s\n",
                  session_path_.c_str());

@@ -1,19 +1,21 @@
 // TailSession: the one implementation of open -> resume -> poll -> persist
-// -> finish for tailing N >= 1 logs. `divscrape tail --checkpoint-dir` (and
-// every multi-log or sharded tail) and the chaos soak both drive it, so the
-// soak's kill-and-resume oracle covers the code the CLI ships.
+// -> finish for tailing N >= 1 logs. Every `divscrape tail` and the chaos
+// soak drive it, so the soak's kill-and-resume oracle covers the code the
+// CLI ships.
 //
 // Ingest is the MultiTailer batch sink; the consumer is the sequential
 // ReplayEngine, or with shards > 1 a ShardedPipeline fed by a caller-side
 // StringInterner. Under `checkpoint_dir` a persist writes one
 // checkpoint_file_for() file per log, then tail_session.state.json last
 // (TailSessionState; its blob is one mode byte — 0 = engine, 1 = interner
-// + shards — then that mode's component states).
+// + shards — then that mode's component states). Under `checkpoint_file`
+// it writes the one log's Checkpoint v3 with the bare engine blob as
+// `state`: the single-file layout of older builds, byte for byte.
 //
-// resume() is warm only when every offset embedded in the session file is
-// honored AND the blob restores completely. Anything else rebuilds the
-// consumer from the pool factory, so no half-restored state survives, and
-// resumes each log cold from its own checkpoint file.
+// resume() is warm only when every offset embedded in the session (or
+// checkpoint) file is honored AND the blob restores completely. Anything
+// else rebuilds the consumer from the pool factory, so no half-restored
+// state survives, and resumes each log cold from its own checkpoint file.
 #pragma once
 
 #include <cstdint>
@@ -35,9 +37,12 @@ namespace divscrape::pipeline {
 [[nodiscard]] std::string checkpoint_file_for(const std::string& dir,
                                               const std::string& log_path);
 
+/// `checkpoint_file` takes one log, one shard and no `checkpoint_dir`;
+/// TailSession throws std::invalid_argument otherwise.
 struct TailSessionConfig {
   std::vector<std::string> paths;  ///< logs to tail, in merge-index order
-  std::string checkpoint_dir;      ///< empty = nothing resumed or persisted
+  std::string checkpoint_dir;      ///< per-log files + session file
+  std::string checkpoint_file;     ///< one log's Checkpoint v3 file
   PoolFactory factory;             ///< one detector pool (per shard)
   std::size_t shards = 1;          ///< > 1 = ShardedPipeline consumer
   std::int64_t reorder_window_us = 2 * httplog::kMicrosPerSecond;
@@ -46,7 +51,7 @@ struct TailSessionConfig {
 /// What TailSession::resume() did, for the caller to report.
 struct TailResume {
   enum class Outcome {
-    kNoSession,      ///< no readable session file
+    kNoSession,      ///< no readable session (or single checkpoint) file
     kWarm,           ///< embedded offsets honored, detection state restored
     kStateRejected,  ///< same logs, but an offset or the blob did not hold
     kOtherLogSet,    ///< the session file names a different set of logs
@@ -58,7 +63,7 @@ struct TailResume {
     bool honored = false;      ///< false = file replaced, read from 0
   };
   Outcome outcome = Outcome::kNoSession;
-  std::string session_path;
+  std::string session_path;  ///< the session file, or the checkpoint_file
   std::vector<Log> logs;  ///< one per tailed log, in tail order
 
   [[nodiscard]] bool warm() const noexcept {
@@ -77,14 +82,14 @@ class TailSession {
   TailSession(const TailSession&) = delete;
   TailSession& operator=(const TailSession&) = delete;
 
-  /// Call once, before the first poll(); a no-op without a checkpoint dir.
+  /// Call once, before the first poll(); a no-op when nothing persists.
   TailResume resume();
 
   std::size_t poll();      ///< bytes consumed (0 = caught up)
   std::uint64_t flush();   ///< emits the merge queues (idle escape hatch)
 
   /// Quiescent cut: flush the merge and drain the shards, then write the
-  /// checkpoint files. Save failures go to stderr; the tail keeps going.
+  /// checkpoint file(s). Save failures go to stderr; the tail keeps going.
   void persist();
 
   /// Flushes and returns the final results; the session is spent after.
@@ -102,7 +107,7 @@ class TailSession {
   struct Ingest;
 
   TailSessionConfig config_;
-  std::string session_path_;
+  std::string session_path_;  ///< empty = nothing resumed or persisted
   std::vector<std::string> checkpoint_paths_;  ///< per log, in tail order
   std::unique_ptr<Ingest> ingest_;
 };

@@ -67,8 +67,10 @@ class LogTailer {
   /// The decoder must outlive the tailer. The file may not exist yet;
   /// poll() keeps trying to open it.
   LogTailer(std::string path, LineDecoder& decoder, Config config = Config());
-  /// Convenience: attach to a ReplayEngine's internal decoder (the
-  /// single-file tail mode).
+  /// Convenience: attach to a ReplayEngine's internal decoder. Every
+  /// `tail` runs on TailSession (MultiTailer decoders) instead; this stays
+  /// for the perfbench `live_tail` harness and the tests that drive a
+  /// single engine or hand-build a single-file checkpoint.
   LogTailer(std::string path, ReplayEngine& engine, Config config = Config());
   ~LogTailer();
 

@@ -15,7 +15,8 @@
 // reorder window (forced emits + late-record accounting), per-log
 // checkpoint/resume with exactly-once delivery across a kill, a restart
 // over a large multi-log backlog as an exact merge, forcing on behalf of
-// a quiet log, and a timestamp going backwards within one log.
+// a quiet log, a timestamp going backwards within one log, and a one-log
+// tailer passing decoded batches through whole, from the consumer's pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -237,30 +238,37 @@ TEST(MultiTail, FaultedThreeFileTailMatchesSortedBatchReplay) {
             batch_results_json(drive.reference, drive.records));
 }
 
+// Over three logs, and over one: there the decoder's batches pass through
+// whole, drawn from the pool the shard workers recycle into.
 TEST(MultiTail, ShardedTailMatchesSortedBatchReplayAtOneAndTwoShards) {
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-    MultiLogFixture logs("sh" + std::to_string(shards));
-    pipeline::ShardedPipeline pipeline(
-        [] { return detectors::make_paper_pair(); }, shards);
-    util::StringInterner ua_tokens;  // single dispatch-side token space
-    pipeline::MultiTailer tailer(
-        logs.paths,
-        [&](pipeline::RecordBatch&& batch) {
-          for (auto& record : batch)
-            record.ua_token = ua_tokens.intern(record.user_agent);
-          pipeline.process_batch(std::move(batch));
-        },
-        kBatch, exact_merge_config(), &pipeline.batch_pool());
+  for (const std::size_t files : {std::size_t{1}, std::size_t{3}}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+      MultiLogFixture logs("sh" + std::to_string(shards) + "f" +
+                           std::to_string(files));
+      auto writers = logs.writer_ptrs();
+      writers.resize(files);
+      pipeline::ShardedPipeline pipeline(
+          [] { return detectors::make_paper_pair(); }, shards);
+      util::StringInterner ua_tokens;  // single dispatch-side token space
+      pipeline::MultiTailer tailer(
+          {logs.paths.begin(), logs.paths.begin() + files},
+          [&](pipeline::RecordBatch&& batch) {
+            for (auto& record : batch)
+              record.ua_token = ua_tokens.intern(record.user_agent);
+            pipeline.process_batch(std::move(batch));
+          },
+          kBatch, exact_merge_config(), &pipeline.batch_pool());
 
-    const auto drive = drive_faulted_multi(tailer, logs.writer_ptrs(), 0.02);
-    EXPECT_EQ(pipeline.dispatched(), drive.records);
-    // The checkpoint barrier: after drain() every dispatched record has
-    // been processed by its shard (would hang here if the barrier lied).
-    pipeline.drain();
-    const auto results = pipeline.finish();
-    EXPECT_EQ(core::to_json(results),
-              batch_results_json(drive.reference, drive.records))
-        << "shards=" << shards;
+      const auto drive = drive_faulted_multi(tailer, writers, 0.02);
+      EXPECT_EQ(pipeline.dispatched(), drive.records);
+      // The checkpoint barrier: after drain() every dispatched record has
+      // been processed by its shard (would hang here if the barrier lied).
+      pipeline.drain();
+      const auto results = pipeline.finish();
+      EXPECT_EQ(core::to_json(results),
+                batch_results_json(drive.reference, drive.records))
+          << "files=" << files << " shards=" << shards;
+    }
   }
 }
 
@@ -629,6 +637,67 @@ TEST(MultiTail, BackwardsTimestampKeepsItsFilePositionAndCountsLate) {
   EXPECT_EQ(tailer.stats().parsed, records.size());
   EXPECT_EQ(tailer.late_records(), 1u);
   EXPECT_EQ(tailer.forced_emits(), 0u);
+}
+
+// --- one log: the merge is the identity -----------------------------------
+
+TEST(MultiTail, OneLogEmitsFileOrderAndCountsBackwardsTimestampsLate) {
+  auto records = smoke_records(6);
+  ASSERT_EQ(records.size(), 6u);
+  const auto t0 = httplog::Timestamp::from_civil(2018, 3, 11, 6, 0, 0);
+  const std::string path = temp_path("one_log_order.log");
+  std::vector<std::string> expected;
+  {
+    traffic::StreamWriter writer(path);
+    // 10 11 12 5 13 6: the fourth and sixth records step back in time.
+    const int seconds[] = {10, 11, 12, 5, 13, 6};
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      records[i].time = t0 + seconds[i] * httplog::kMicrosPerSecond;
+      writer.write(records[i]);
+      expected.push_back(httplog::format_clf(records[i]));
+    }
+  }
+
+  std::vector<std::string> captured;
+  pipeline::MultiTailer tailer({path}, capture_sink(captured), kBatch);
+  (void)tailer.poll();
+  // poll() alone delivered everything, in file order: nothing queues.
+  EXPECT_EQ(captured, expected);
+  EXPECT_EQ(tailer.buffered_records(), 0u);
+  EXPECT_EQ(tailer.flush(), 0u);
+  EXPECT_EQ(tailer.late_records(), 2u);
+  EXPECT_EQ(tailer.forced_emits(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(MultiTail, OneLogDecodesIntoTheConsumersBatchPool) {
+  const auto records = smoke_records(1000);
+  ASSERT_EQ(records.size(), 1000u);
+  const std::string path = temp_path("one_log_pool.log");
+  traffic::StreamWriter writer(path);
+  pipeline::BatchPool pool;
+  std::uint64_t delivered = 0;
+  pipeline::MultiTailer tailer(
+      {path},
+      [&](pipeline::RecordBatch&& batch) {
+        EXPECT_LE(batch.size(), kBatch);
+        delivered += batch.size();
+        pool.recycle(std::move(batch));
+      },
+      kBatch, pipeline::MultiTailConfig{}, &pool);
+
+  // One record per poll: a thousand decoded batches. The decoder takes
+  // each fresh batch from the pool the sink recycles into, so one batch
+  // circulates; a decoder drawing elsewhere would leave ~1,000 idle.
+  std::size_t peak_idle = 0;
+  for (const auto& record : records) {
+    writer.write(record);
+    (void)tailer.poll();
+    peak_idle = std::max(peak_idle, pool.idle());
+  }
+  EXPECT_EQ(delivered, records.size());
+  EXPECT_LE(peak_idle, 1u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

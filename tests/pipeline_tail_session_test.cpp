@@ -1,5 +1,5 @@
 // TailSession: the one open -> resume -> poll -> persist -> finish path
-// behind `divscrape tail --checkpoint-dir` and the chaos soak.
+// behind every `divscrape tail` and the chaos soak.
 //
 // Pins, at 1 and at 2 shards: an uninterrupted
 // session ends byte-identical to a one-shot batch replay of the merged
@@ -9,15 +9,22 @@
 // component states) resumes warm, so existing checkpoint dirs keep
 // working; and any failed warm restore drops every half-loaded component
 // and equals a fresh-consumer cold resume from the per-log offsets.
+// With one log and one checkpoint file (`tail --checkpoint`): the file is
+// byte for byte what LogTailer + ReplayEngine used to write, such a file
+// resumes warm, and kills, damaged blobs and a replaced log behave as
+// above.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -31,6 +38,7 @@
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
 #include "pipeline/tail_session.hpp"
+#include "pipeline/tailer.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/interner.hpp"
 #include "util/state.hpp"
@@ -50,20 +58,24 @@ const std::vector<httplog::LogRecord>& records() {
   return all;
 }
 
-/// kFiles growing logs plus a checkpoint dir, all under one process-unique
-/// directory (ctest runs each case as its own process).
+/// Growing logs plus where a session persists, all under one
+/// process-unique directory (ctest runs each case as its own process):
+/// kFiles logs and a checkpoint dir, or with `single_file` one log and one
+/// checkpoint file (`tail --checkpoint`).
 struct Fixture {
   std::string root;
   std::string cp_dir;
+  bool single_file;
   std::vector<std::string> paths;
   std::vector<std::unique_ptr<traffic::StreamWriter>> writers;
 
-  explicit Fixture(const std::string& tag)
+  explicit Fixture(const std::string& tag, bool single = false)
       : root(::testing::TempDir() + "divscrape_session_" +
              std::to_string(::getpid()) + "_" + tag),
-        cp_dir(root + "/cp") {
+        cp_dir(root + "/cp"),
+        single_file(single) {
     std::filesystem::create_directories(cp_dir);
-    for (std::size_t i = 0; i < kFiles; ++i) {
+    for (std::size_t i = 0; i < (single ? 1 : kFiles); ++i) {
       paths.push_back(root + "/vhost" + std::to_string(i) + ".log");
       writers.push_back(std::make_unique<traffic::StreamWriter>(paths.back()));
     }
@@ -78,19 +90,25 @@ struct Fixture {
   /// time-ordered).
   void write_range(std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      writers[i % kFiles]->write(records()[i]);
+      writers[i % writers.size()]->write(records()[i]);
     }
   }
 
+  /// The session file, or the single checkpoint file.
   [[nodiscard]] std::string session_file() const {
-    return cp_dir + "/tail_session.state.json";
+    return single_file ? root + "/tail.cp.json"
+                       : cp_dir + "/tail_session.state.json";
   }
 
   [[nodiscard]] std::unique_ptr<pipeline::TailSession> session(
       std::size_t shards) const {
     pipeline::TailSessionConfig config;
     config.paths = paths;
-    config.checkpoint_dir = cp_dir;
+    if (single_file) {
+      config.checkpoint_file = session_file();
+    } else {
+      config.checkpoint_dir = cp_dir;
+    }
     config.factory = [] { return detectors::make_paper_pair(); };
     config.shards = shards;
     return std::make_unique<pipeline::TailSession>(std::move(config));
@@ -107,12 +125,20 @@ std::uint64_t ingested(const pipeline::TailSession& session) {
   return total;
 }
 
+/// One session over what the logs hold so far, persisted once.
+void persist_once(const Fixture& fx, std::size_t shards) {
+  auto session = fx.session(shards);
+  (void)session->resume();
+  (void)session->poll();
+  session->persist();
+}
+
 /// Writes each phase, polls and persists; with `kill`, destroys the
 /// session after every persist and resumes a new one (which must be warm).
 std::string run_phases(const std::string& tag, std::size_t shards,
-                       const std::vector<std::size_t>& phase_ends,
-                       bool kill) {
-  Fixture fx(tag);
+                       const std::vector<std::size_t>& phase_ends, bool kill,
+                       bool single_file = false) {
+  Fixture fx(tag, single_file);
   auto session = fx.session(shards);
   EXPECT_EQ(session->resume().outcome, Outcome::kNoSession);
   std::size_t begin = 0;
@@ -258,12 +284,7 @@ TEST(TailSession, ShardedSessionResumedSequentiallyIsCold) {
   const std::size_t split = halves().front();
   Fixture fx("mode_switch");
   fx.write_range(0, split);
-  {
-    auto session = fx.session(2);
-    (void)session->resume();
-    (void)session->poll();
-    session->persist();
-  }
+  persist_once(fx, 2);
   auto session = fx.session(1);
   const auto resumed = session->resume();
   EXPECT_EQ(resumed.outcome, Outcome::kStateRejected);
@@ -287,12 +308,7 @@ void expect_v1_component_resumes_cold(const std::string& tag,
   const std::size_t split = halves().front();
   Fixture fx(tag);
   fx.write_range(0, split);
-  {
-    auto session = fx.session(2);
-    (void)session->resume();
-    (void)session->poll();
-    session->persist();
-  }
+  persist_once(fx, 2);
   auto saved = pipeline::TailSessionState::load(fx.session_file());
   ASSERT_TRUE(saved.has_value());
   util::StateWriter v2_tag;
@@ -337,12 +353,7 @@ void expect_damaged_blob_resumes_cold(const std::string& tag,
   const std::size_t split = halves().front();
   Fixture fx(tag);
   fx.write_range(0, split);
-  {
-    auto session = fx.session(shards);
-    (void)session->resume();
-    (void)session->poll();
-    session->persist();
-  }
+  persist_once(fx, shards);
   auto saved = pipeline::TailSessionState::load(fx.session_file());
   ASSERT_TRUE(saved.has_value());
   saved->state.push_back('\0');
@@ -376,6 +387,181 @@ TEST(TailSession, CheckpointFileNamesArePinnedAndCollisionFree) {
             "/cp/_var_log_apache2_access.log.7ceb60f8.cp.json");
   EXPECT_NE(pipeline::checkpoint_file_for("/cp", "/logs/a/b.log"),
             pipeline::checkpoint_file_for("/cp", "/logs/a_b.log"));
+}
+
+// --- one log, one checkpoint file (`tail --checkpoint`) --------------------
+
+/// One-shot batch replay of records [begin, end) in file order.
+std::string file_order_replay_json(std::size_t begin, std::size_t end) {
+  std::string text;
+  for (std::size_t i = begin; i < end; ++i) {
+    text += httplog::format_clf(records()[i]);
+    text += '\n';
+  }
+  const auto pool = detectors::make_paper_pair();
+  pipeline::ReplayEngine engine(pool);
+  std::istringstream in(text);
+  EXPECT_EQ(engine.replay(in).parsed, end - begin);
+  return core::to_json(engine.results());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Commits the single log's checkpoint the way the one-log tail used to
+/// write it: a LogTailer on a ReplayEngine's own decoder, then the
+/// engine's save_state blob as the Checkpoint v3 `state`.
+void write_hand_built_checkpoint(const Fixture& fx) {
+  const auto pool = detectors::make_paper_pair();
+  pipeline::ReplayEngine engine(pool);
+  pipeline::LogTailer tailer(fx.paths.front(), engine);
+  (void)tailer.poll();
+  pipeline::Checkpoint cp = tailer.checkpoint();
+  util::StateWriter w;
+  ASSERT_TRUE(engine.save_state(w));
+  cp.state = w.take();
+  ASSERT_TRUE(cp.save(fx.session_file()));
+}
+
+TEST(TailSession, HandBuiltSingleCheckpointFileResumesWarm) {
+  const std::size_t split = halves().front();
+  Fixture fx("single_hand", true);
+  fx.write_range(0, split);
+  write_hand_built_checkpoint(fx);
+  auto session = fx.session(1);
+  const auto resumed = session->resume();
+  EXPECT_EQ(resumed.outcome, Outcome::kWarm);
+  ASSERT_EQ(resumed.logs.size(), 1u);
+  EXPECT_EQ(resumed.logs[0].from, fx.session_file());
+  EXPECT_TRUE(resumed.logs[0].honored);
+  EXPECT_EQ(resumed.logs[0].parsed, split);
+  fx.write_range(split, records().size());
+  (void)session->poll();
+  EXPECT_EQ(ingested(*session), records().size());
+  EXPECT_EQ(core::to_json(session->finish()),
+            file_order_replay_json(0, records().size()));
+}
+
+TEST(TailSession, SingleFilePersistWritesTheHandBuiltBytes) {
+  // Cut mid-line: the next record is half written, so both writers must
+  // stop the offset at the last complete line.
+  const std::size_t split = halves().front();
+  Fixture fx("single_bytes", true);
+  fx.write_range(0, split);
+  const std::string next = httplog::format_clf(records()[split]);
+  fx.writers.front()->write_bytes(next.substr(0, next.size() / 2));
+  write_hand_built_checkpoint(fx);
+  const std::string hand_built = read_file(fx.session_file());
+  const auto parsed = pipeline::Checkpoint::from_json(hand_built);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->parsed, split);
+  EXPECT_FALSE(parsed->state.empty());
+  ASSERT_TRUE(std::filesystem::remove(fx.session_file()));
+
+  auto session = fx.session(1);
+  EXPECT_EQ(session->resume().outcome, Outcome::kNoSession);
+  (void)session->poll();
+  EXPECT_EQ(session->tailer().partial_lines(), 1u);
+  session->persist();
+  EXPECT_EQ(read_file(fx.session_file()), hand_built);
+}
+
+TEST(TailSession, SingleFileKillAfterEachPersistIsByteIdentical) {
+  const std::string uninterrupted =
+      run_phases("single_base", 1, thirds(), false, true);
+  EXPECT_EQ(uninterrupted, file_order_replay_json(0, records().size()));
+  EXPECT_EQ(run_phases("single_kill", 1, thirds(), true, true),
+            uninterrupted);
+}
+
+TEST(TailSession, SingleFileDamagedBlobResumesColdFromFreshConsumer) {
+  const std::size_t split = halves().front();
+  Fixture fx("single_damaged", true);
+  fx.write_range(0, split);
+  persist_once(fx, 1);
+  auto saved = pipeline::Checkpoint::load(fx.session_file());
+  ASSERT_TRUE(saved.has_value());
+  ASSERT_FALSE(saved->state.empty());
+  // One trailing byte: the engine restores in full, then at_end() fails.
+  saved->state.push_back('\0');
+  ASSERT_TRUE(saved->save(fx.session_file()));
+  fx.write_range(split, records().size());
+
+  // Reference: a fresh engine resumed cold from the same offset.
+  std::string cold;
+  {
+    const auto pool = detectors::make_paper_pair();
+    pipeline::ReplayEngine engine(pool);
+    pipeline::LogTailer tailer(fx.paths.front(), engine);
+    ASSERT_TRUE(tailer.resume(*saved));
+    (void)tailer.poll();
+    EXPECT_EQ(tailer.checkpoint().parsed, records().size());
+    cold = core::to_json(engine.results());
+  }
+  auto session = fx.session(1);
+  const auto resumed = session->resume();
+  EXPECT_EQ(resumed.outcome, Outcome::kStateRejected);
+  ASSERT_EQ(resumed.logs.size(), 1u);
+  EXPECT_EQ(resumed.logs[0].from, fx.session_file());
+  EXPECT_TRUE(resumed.logs[0].honored);
+  (void)session->poll();
+  EXPECT_EQ(ingested(*session), records().size());
+  EXPECT_EQ(core::to_json(session->finish()), cold);
+}
+
+TEST(TailSession, SingleFileReplacedLogDiscardsOffsetAndState) {
+  const std::size_t split = halves().front();
+  Fixture fx("single_replaced", true);
+  fx.write_range(0, split);
+  persist_once(fx, 1);
+  // Replaced while down: a new file under the same path holds only the
+  // later records.
+  fx.writers.clear();
+  const std::string replacement = fx.paths.front() + ".new";
+  {
+    traffic::StreamWriter writer(replacement);
+    for (std::size_t i = split; i < records().size(); ++i)
+      writer.write(records()[i]);
+  }
+  std::filesystem::rename(replacement, fx.paths.front());
+
+  auto session = fx.session(1);
+  const auto resumed = session->resume();
+  EXPECT_EQ(resumed.outcome, Outcome::kStateRejected);
+  ASSERT_EQ(resumed.logs.size(), 1u);
+  EXPECT_EQ(resumed.logs[0].from, fx.session_file());
+  EXPECT_FALSE(resumed.logs[0].honored);
+  (void)session->poll();
+  // Read from 0 by cold detectors; the accounting carries over.
+  EXPECT_EQ(ingested(*session), records().size());
+  EXPECT_EQ(core::to_json(session->finish()),
+            file_order_replay_json(split, records().size()));
+}
+
+TEST(TailSession, SingleCheckpointFileNeedsOneLogOneShardAndNoDir) {
+  Fixture fx("single_invalid", true);
+  const auto config = [&] {
+    pipeline::TailSessionConfig c;
+    c.paths = fx.paths;
+    c.checkpoint_file = fx.session_file();
+    c.factory = [] { return detectors::make_paper_pair(); };
+    return c;
+  };
+  EXPECT_NO_THROW(pipeline::TailSession{config()});
+  auto two_logs = config();
+  two_logs.paths.push_back(fx.root + "/other.log");
+  auto no_log = config();
+  no_log.paths.clear();
+  auto sharded = config();
+  sharded.shards = 2;
+  auto with_dir = config();
+  with_dir.checkpoint_dir = fx.cp_dir;
+  for (auto* bad : {&two_logs, &no_log, &sharded, &with_dir}) {
+    EXPECT_THROW(pipeline::TailSession{std::move(*bad)},
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

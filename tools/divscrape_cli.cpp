@@ -57,17 +57,18 @@
 //   --bench <file>      machine-readable report (default BENCH_soak.json)
 //   --smoke             CI-sized run: --scale 0.01 + tight persist cadence
 //   --chaos-seed <n>    fault schedule seed
-//   --rss-limit-mb <n>  RSS high-water bound (default 4096)
+//   --rss-limit-mb <n>  RSS high-water bound (default 4096; <= 0 disables)
 //
-// Tail options:
-//   --checkpoint <file>   resume from / persist an ingest checkpoint
-//                         (single-file mode; carries the detector-state
-//                         blob, so resume is warm when the blob restores)
+// Tail options (every tail runs on pipeline::TailSession):
+//   --checkpoint <file>   resume from / persist one log's checkpoint file
+//                         (one log, no --shards or --checkpoint-dir; it
+//                         carries the detector-state blob, so resume is
+//                         warm when the blob restores)
 //   --checkpoint-dir <d>  per-log checkpoint files under one directory
-//                         (multi-file / sharded mode; works for one log
-//                         too). Adds tail_session.state.json: per-log
-//                         offsets + the shared detector state, committed
-//                         last so warm resume always sees a consistent cut
+//                         (any number of logs, any --shards). Adds
+//                         tail_session.state.json: per-log offsets + the
+//                         shared detector state, committed last so warm
+//                         resume always sees a consistent cut
 //   --shards <n>          hand merged records to a ShardedPipeline with
 //                         n worker threads (results print at exit); the
 //                         merged stream is framed into RecordBatches
@@ -78,6 +79,9 @@
 //                         rename; sharded mode writes it once at exit)
 //   --flush-every <n>     flush results/checkpoint every n parsed records
 //
+// Numeric flags parse in full: no sign on a count, a finite
+// --rss-limit-mb, else exit 2.
+//
 // Score options:
 //   --json <file>       also write the single-scenario DetectionDocument
 //                       (schema divscrape.bench_detection.v1)
@@ -87,17 +91,18 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -116,17 +121,13 @@
 #include "httplog/io.hpp"
 #include "pipeline/alert_log.hpp"
 #include "pipeline/chaos.hpp"
-#include "pipeline/checkpoint.hpp"
-#include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
 #include "pipeline/tail_session.hpp"
-#include "pipeline/tailer.hpp"
 #include "stats/association.hpp"
 #include "traffic/actor.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/atomic_file.hpp"
 #include "util/interner.hpp"
-#include "util/state.hpp"
 #include "workload/catalog.hpp"
 #include "workload/engine.hpp"
 
@@ -194,15 +195,54 @@ int usage() {
   return 2;
 }
 
+/// Parses all of `text` (nullptr = a missing flag value) as a T in
+/// [lo, hi]. std::from_chars takes no leading space or '+', and no '-' for
+/// an unsigned T; NaN and infinity fail the range test.
+template <typename T>
+bool parse_flag(const char* text, T lo, T hi, T& out) {
+  if (text == nullptr) return false;
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi))
+    return false;
+  out = value;
+  return true;
+}
+
 bool parse_args(int argc, char** argv, CliOptions& opts) {
   if (argc < 2) return false;
   opts.command = argv[1];
+  // Flags that take a path (or prefix) as given, and flags that take none.
+  const std::map<std::string, std::string CliOptions::*> text_flags = {
+      {"--alerts", &CliOptions::alerts_path},
+      {"--csv", &CliOptions::csv_prefix},
+      {"--checkpoint", &CliOptions::checkpoint_path},
+      {"--checkpoint-dir", &CliOptions::checkpoint_dir},
+      {"--results", &CliOptions::results_path},
+      {"--out", &CliOptions::out_path},
+      {"--out-multi", &CliOptions::out_multi_dir},
+      {"--bench", &CliOptions::bench_path},
+      {"--json", &CliOptions::json_path}};
+  const std::map<std::string, bool CliOptions::*> switches = {
+      {"--follow", &CliOptions::follow}, {"--detect", &CliOptions::detect},
+      {"--list", &CliOptions::list}, {"--dump-spec", &CliOptions::dump_spec},
+      {"--lazy", &CliOptions::lazy}, {"--smoke", &CliOptions::smoke}};
+  constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
+  constexpr double kDoubleMax = std::numeric_limits<double>::max();
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
-    if (arg == "--config") {
+    bool ok = true;
+    if (const auto text = text_flags.find(arg); text != text_flags.end()) {
+      const char* value = next();
+      if (!value) return false;
+      opts.*(text->second) = value;
+    } else if (const auto on = switches.find(arg); on != switches.end()) {
+      opts.*(on->second) = true;
+    } else if (arg == "--config") {
       const char* path = next();
       if (!path) return false;
       std::ifstream in(path);
@@ -226,107 +266,24 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       const char* s = next();
       if (!s) return false;
       opts.config.set("scenario.scale", s);
-    } else if (arg == "--alerts") {
-      const char* path = next();
-      if (!path) return false;
-      opts.alerts_path = path;
-    } else if (arg == "--csv") {
-      const char* prefix = next();
-      if (!prefix) return false;
-      opts.csv_prefix = prefix;
-    } else if (arg == "--checkpoint") {
-      const char* path = next();
-      if (!path) return false;
-      opts.checkpoint_path = path;
-    } else if (arg == "--checkpoint-dir") {
-      const char* path = next();
-      if (!path) return false;
-      opts.checkpoint_dir = path;
     } else if (arg == "--shards") {
-      const char* n = next();
-      if (!n) return false;
-      char* end = nullptr;
-      const long v = std::strtol(n, &end, 10);
-      if (end == n || *end != '\0' || v < 1 || v > 64) return false;
-      opts.shards = static_cast<std::size_t>(v);
+      ok = parse_flag(next(), std::size_t{1}, std::size_t{64}, opts.shards);
     } else if (arg == "--reorder-ms") {
-      const char* n = next();
-      if (!n) return false;
-      char* end = nullptr;
-      const long v = std::strtol(n, &end, 10);
-      if (end == n || *end != '\0' || v < 0 || v > 3600000) return false;
-      opts.reorder_ms = static_cast<int>(v);
-    } else if (arg == "--results") {
-      const char* path = next();
-      if (!path) return false;
-      opts.results_path = path;
-    } else if (arg == "--follow") {
-      opts.follow = true;
-    } else if (arg == "--detect") {
-      opts.detect = true;
-    } else if (arg == "--list") {
-      opts.list = true;
-    } else if (arg == "--dump-spec") {
-      opts.dump_spec = true;
-    } else if (arg == "--out") {
-      const char* path = next();
-      if (!path) return false;
-      opts.out_path = path;
-    } else if (arg == "--out-multi") {
-      const char* path = next();
-      if (!path) return false;
-      opts.out_multi_dir = path;
-    } else if (arg == "--bench") {
-      const char* path = next();
-      if (!path) return false;
-      opts.bench_path = path;
-    } else if (arg == "--json") {
-      const char* path = next();
-      if (!path) return false;
-      opts.json_path = path;
-    } else if (arg == "--lazy") {
-      opts.lazy = true;
-    } else if (arg == "--smoke") {
-      opts.smoke = true;
-    } else if (arg == "--chaos-seed") {
-      const char* n = next();
-      if (!n) return false;
-      char* end = nullptr;
-      opts.chaos_seed = std::strtoull(n, &end, 10);
-      if (end == n || *end != '\0') return false;
-    } else if (arg == "--rss-limit-mb") {
-      const char* n = next();
-      if (!n) return false;
-      char* end = nullptr;
-      opts.rss_limit_mb = std::strtod(n, &end);
-      if (end == n || *end != '\0') return false;
-    } else if (arg == "--gen-threads") {
-      const char* n = next();
-      if (!n) return false;
-      char* end = nullptr;
-      const long v = std::strtol(n, &end, 10);
-      if (end == n || *end != '\0' || v < 1 || v > 64) return false;
-      opts.gen_threads = static_cast<std::size_t>(v);
-    } else if (arg == "--partitions") {
-      const char* n = next();
-      if (!n) return false;
-      char* end = nullptr;
-      const long v = std::strtol(n, &end, 10);
-      if (end == n || *end != '\0' || v < 1 || v > 256) return false;
-      opts.partitions = static_cast<std::size_t>(v);
+      ok = parse_flag(next(), 0, 3600000, opts.reorder_ms);
     } else if (arg == "--poll-ms") {
-      const char* n = next();
-      if (!n) return false;
-      char* end = nullptr;
-      const long v = std::strtol(n, &end, 10);
-      if (end == n || *end != '\0' || v <= 0 || v > 3600000) return false;
-      opts.poll_ms = static_cast<int>(v);
+      ok = parse_flag(next(), 1, 3600000, opts.poll_ms);
     } else if (arg == "--flush-every") {
-      const char* n = next();
-      if (!n) return false;
-      char* end = nullptr;
-      opts.flush_every = std::strtoull(n, &end, 10);
-      if (end == n || *end != '\0' || opts.flush_every == 0) return false;
+      ok = parse_flag(next(), std::uint64_t{1}, kU64Max, opts.flush_every);
+    } else if (arg == "--chaos-seed") {
+      ok = parse_flag(next(), std::uint64_t{0}, kU64Max, opts.chaos_seed);
+    } else if (arg == "--rss-limit-mb") {  // <= 0 disables (chaos.hpp)
+      ok = parse_flag(next(), -kDoubleMax, kDoubleMax, opts.rss_limit_mb);
+    } else if (arg == "--gen-threads") {
+      ok = parse_flag(next(), std::size_t{1}, std::size_t{64},
+                      opts.gen_threads);
+    } else if (arg == "--partitions") {
+      ok = parse_flag(next(), std::size_t{1}, std::size_t{256},
+                      opts.partitions);
     } else if (!arg.empty() && arg[0] != '-') {
       // Positional argument: tail accepts many logs, other commands use
       // the first.
@@ -336,6 +293,7 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
       std::fprintf(stderr, "unknown option %s\n", arg.c_str());
       return false;
     }
+    if (!ok) return false;
   }
   return true;
 }
@@ -366,10 +324,9 @@ bool scenario_keys_supported(const CliOptions& opts) {
 bool scale_supported(const CliOptions& opts) {
   const auto text = opts.config.get("scenario.scale");
   if (!text) return true;
-  const char* begin = text->c_str();
-  char* end = nullptr;
-  const double scale = std::strtod(begin, &end);
-  if (end != begin && *end == '\0' && std::isfinite(scale) && scale > 0.0)
+  double scale = 0.0;
+  if (parse_flag(text->c_str(), std::numeric_limits<double>::denorm_min(),
+                 std::numeric_limits<double>::max(), scale))
     return true;
   std::fprintf(stderr,
                "%s: --scale must be a finite number > 0 (got \"%s\")\n",
@@ -632,18 +589,28 @@ void print_detector_summary(const core::JointResults& r) {
   }
 }
 
-/// Multi-file and/or sharded tail: a thin driver around
-/// pipeline::TailSession, which owns ingest, resume and persist.
-int cmd_tail_multi(const CliOptions& opts) {
+/// Every `tail`: a thin driver around pipeline::TailSession, which owns
+/// ingest, resume and persist.
+int cmd_tail(const CliOptions& opts) {
+  if (opts.input.empty()) {
+    std::fprintf(stderr, "tail: missing <log> path\n");
+    return 2;
+  }
   pipeline::TailSessionConfig config;
   config.paths = opts.inputs;
   config.checkpoint_dir = opts.checkpoint_dir;
+  config.checkpoint_file = opts.checkpoint_path;
   config.factory = [&opts] { return pair_from(opts.config); };
   config.shards = opts.shards;
   config.reorder_window_us = static_cast<std::int64_t>(opts.reorder_ms) * 1000;
-  pipeline::TailSession session(std::move(config));
-
-  const auto resumed = session.resume();
+  std::unique_ptr<pipeline::TailSession> session;
+  try {
+    session = std::make_unique<pipeline::TailSession>(std::move(config));
+  } catch (const std::invalid_argument& e) {  // --checkpoint misuse
+    std::fprintf(stderr, "tail: %s\n", e.what());
+    return 2;
+  }
+  const auto resumed = session->resume();
   using Outcome = pipeline::TailResume::Outcome;
   if (resumed.outcome == Outcome::kStateRejected) {
     std::fprintf(stderr,
@@ -679,18 +646,19 @@ int cmd_tail_multi(const CliOptions& opts) {
   // Nothing to write => no periodic persist: the flush would force
   // queued records past the watermark and the sharded drain would stall
   // the caller, all for no durable artifact.
-  const bool persist_output =
-      !opts.checkpoint_dir.empty() || !opts.results_path.empty();
-  const pipeline::MultiTailer& tailer = session.tailer();
+  const bool persist_output = !opts.checkpoint_dir.empty() ||
+                              !opts.checkpoint_path.empty() ||
+                              !opts.results_path.empty();
+  const pipeline::MultiTailer& tailer = session->tailer();
   std::uint64_t last_flush_parsed = 0;
   int idle_polls = 0;
   for (;;) {
-    const std::size_t consumed = session.poll();
+    const std::size_t consumed = session->poll();
     if (persist_output &&
         tailer.stats().parsed - last_flush_parsed >= opts.flush_every) {
       last_flush_parsed = tailer.stats().parsed;
-      session.persist();
-      if (const auto* live = session.live_results())
+      session->persist();
+      if (const auto* live = session->live_results())
         flush_results(*live, opts.results_path);
     }
     if (!opts.follow) break;  // one drain: batch-catch-up semantics
@@ -702,20 +670,20 @@ int cmd_tail_multi(const CliOptions& opts) {
       // until SIGINT. A laggard waking up afterwards emits late (counted)
       // rather than being dropped.
       if (++idle_polls >= 2 && tailer.buffered_records() > 0) {
-        (void)session.flush();
+        (void)session->flush();
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(opts.poll_ms));
     } else {
       idle_polls = 0;
     }
   }
-  session.persist();
+  session->persist();
 
   const auto stats = tailer.stats();
   std::printf(
       "tailed %zu logs (%zu shards): %s records parsed, "
       "%s lines skipped, %llu rotations, %llu truncations, %llu lost "
-      "incarnations, %llu read errors, %llu late, %llu forced\n",
+      "incarnations, %llu read errors, %llu late, %llu forced",
       tailer.files(), opts.shards,
       core::with_thousands(stats.parsed).c_str(),
       core::with_thousands(stats.skipped).c_str(),
@@ -725,105 +693,18 @@ int cmd_tail_multi(const CliOptions& opts) {
       static_cast<unsigned long long>(tailer.read_errors()),
       static_cast<unsigned long long>(tailer.late_records()),
       static_cast<unsigned long long>(tailer.forced_emits()));
-  const auto results = session.finish();
+  if (const std::size_t partial = tailer.partial_lines())
+    std::printf(" (%zu partial line%s held un-ingested)", partial,
+                partial == 1 ? "" : "s");
+  std::printf("\n");
+  const auto results = session->finish();
   flush_results(results, opts.results_path);
-  const auto per_shard = session.shard_processed();
+  const auto per_shard = session->shard_processed();
   for (std::size_t s = 0; s < per_shard.size(); ++s) {
     std::printf("shard %zu: %s records\n", s,
                 core::with_thousands(per_shard[s]).c_str());
   }
   print_detector_summary(results);
-  return 0;
-}
-
-int cmd_tail(const CliOptions& opts) {
-  if (opts.input.empty()) {
-    std::fprintf(stderr, "tail: missing <log> path\n");
-    return 2;
-  }
-  if (opts.inputs.size() > 1 || opts.shards > 1 ||
-      !opts.checkpoint_dir.empty()) {
-    if (!opts.checkpoint_path.empty()) {
-      std::fprintf(stderr,
-                   "tail: use --checkpoint-dir (not --checkpoint) with "
-                   "multiple logs or --shards\n");
-      return 2;
-    }
-    return cmd_tail_multi(opts);
-  }
-  const auto pool = pair_from(opts.config);
-  pipeline::ReplayEngine engine(pool);
-  pipeline::LogTailer tailer(opts.input, engine);
-
-  if (!opts.checkpoint_path.empty()) {
-    if (const auto cp = pipeline::Checkpoint::load(opts.checkpoint_path)) {
-      const bool honored = tailer.resume(*cp);
-      // Warm restore only behind an honored offset: a discarded offset
-      // re-ingests from 0, and records the blob already counted would be
-      // scored twice.
-      bool warm = false;
-      if (honored && !cp->state.empty()) {
-        util::StateReader r(cp->state);
-        warm = engine.load_state(r) && r.at_end();
-        if (!warm) {
-          std::fprintf(stderr,
-                       "warning: cannot restore detector state from %s "
-                       "(stale or damaged blob); detection restarts cold\n",
-                       opts.checkpoint_path.c_str());
-        }
-      }
-      std::fprintf(stderr,
-                   "resumed from %s: offset %llu %s (%llu records already "
-                   "ingested; detector state %s)\n",
-                   opts.checkpoint_path.c_str(),
-                   static_cast<unsigned long long>(cp->offset),
-                   honored ? "honored" : "discarded (file replaced)",
-                   static_cast<unsigned long long>(cp->parsed),
-                   warm ? "restored warm" : "restarts cold");
-    }
-  }
-  if (opts.follow) std::signal(SIGINT, tail_sigint);
-
-  const auto persist = [&]() {
-    if (!opts.checkpoint_path.empty()) {
-      pipeline::Checkpoint cp = tailer.checkpoint();
-      util::StateWriter w;
-      if (engine.save_state(w)) cp.state = w.take();
-      if (!cp.save(opts.checkpoint_path)) {
-        std::fprintf(stderr, "cannot save checkpoint %s\n",
-                     opts.checkpoint_path.c_str());
-      }
-    }
-    flush_results(engine.results(), opts.results_path);
-  };
-
-  std::uint64_t last_flush_parsed = 0;
-  for (;;) {
-    const std::size_t consumed = tailer.poll();
-    if (engine.stats().parsed - last_flush_parsed >= opts.flush_every) {
-      last_flush_parsed = engine.stats().parsed;
-      persist();
-    }
-    if (!opts.follow) break;  // one drain: batch-catch-up semantics
-    if (g_tail_interrupted) break;
-    if (consumed == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(opts.poll_ms));
-    }
-  }
-  persist();
-
-  const auto cp = tailer.checkpoint();
-  std::printf(
-      "tailed %s: %s records parsed, %s lines skipped, %llu rotations, "
-      "%llu truncations, %llu lost incarnations, %llu read errors%s\n",
-      opts.input.c_str(), core::with_thousands(cp.parsed).c_str(),
-      core::with_thousands(cp.skipped).c_str(),
-      static_cast<unsigned long long>(cp.rotations),
-      static_cast<unsigned long long>(cp.truncations),
-      static_cast<unsigned long long>(cp.lost_incarnations),
-      static_cast<unsigned long long>(tailer.read_errors()),
-      engine.has_partial_line() ? " (1 partial line held un-ingested)" : "");
-  print_detector_summary(engine.results());
   return 0;
 }
 
