@@ -90,8 +90,8 @@ BENCHMARK(BM_ClfParse);
 
 void BM_ClfParseStreaming(benchmark::State& state) {
   // The production ingest shape: one warm ClfParser decoding into a reused
-  // record (timestamp memo + string capacities hot) — what LineDecoder and
-  // LogReader actually run per line.
+  // record (timestamp memo + string capacities hot) — what LineDecoder
+  // actually runs per line.
   const auto& lines = sample_lines();
   httplog::ClfParser parser;
   httplog::LogRecord rec;

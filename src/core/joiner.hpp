@@ -23,7 +23,7 @@
 #include "core/confusion.hpp"
 #include "core/contingency.hpp"
 #include "detectors/detector.hpp"
-#include "stats/histogram.hpp"
+#include "stats/counter.hpp"
 
 namespace divscrape::core {
 

@@ -1,15 +1,62 @@
 #include "core/labeling.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 
-#include "httplog/useragent.hpp"
+#include "httplog/session.hpp"
+#include "util/interner.hpp"
 
 namespace divscrape::core {
 
+void Session::add(const httplog::LogRecord& record) {
+  if (count_ == 0) {
+    ua_info_ = httplog::classify_user_agent(record.user_agent);
+    first_ = last_ = record.time;
+  }
+  ++count_;
+  last_ = std::max(last_, record.time);
+  const auto path = record.path();
+  if (httplog::is_static_asset(path)) ++assets_;
+  if (record.referer != "-" && !record.referer.empty()) ++with_referer_;
+  if (record.status >= 400 && record.status < 500) ++errors_4xx_;
+  templates_.add(paths_.template_token(path));
+}
+
+double Session::duration_s() const noexcept {
+  return static_cast<double>(last_ - first_) / 1e6;
+}
+
+double Session::request_rate() const noexcept {
+  const double d = duration_s();
+  if (d <= 0.0) return static_cast<double>(count_);
+  return static_cast<double>(count_) / d;
+}
+
+namespace {
+double share(std::uint64_t part, std::uint64_t count) noexcept {
+  return count == 0 ? 0.0
+                    : static_cast<double>(part) / static_cast<double>(count);
+}
+}  // namespace
+
+double Session::asset_ratio() const noexcept { return share(assets_, count_); }
+
+double Session::referer_ratio() const noexcept {
+  return share(with_referer_, count_);
+}
+
+double Session::error_ratio() const noexcept {
+  return share(errors_4xx_, count_);
+}
+
+double Session::template_entropy() const noexcept {
+  return stats::shannon_entropy(templates_);
+}
+
 HeuristicLabeler::HeuristicLabeler(LabelerConfig config) : config_(config) {}
 
-httplog::Truth HeuristicLabeler::judge(
-    const httplog::Session& session) const {
+httplog::Truth HeuristicLabeler::judge(const Session& session) const {
   using httplog::Truth;
   if (session.request_count() < config_.min_session_requests)
     return Truth::kUnknown;
@@ -54,51 +101,61 @@ LabelingResult HeuristicLabeler::label(
   LabelingResult result;
   result.records = records.size();
 
-  // Pass 1: sessionize (on a truth-scrubbed copy is unnecessary — the
-  // judge never reads truth) and record each session's verdict.
-  // The sessionizer outlives pass 1: its key_for() is reused in pass 2 so
-  // both passes intern UA tokens identically.
-  std::unordered_map<httplog::SessionKey, std::vector<httplog::Truth>,
-                     httplog::SessionKeyHash>
-      verdicts_by_client;
-  httplog::Sessionizer sessionizer(
-      config_.session_timeout_s, [&](httplog::Session&& session) {
-        verdicts_by_client[session.key()].push_back(judge(session));
-      });
-  for (const auto& r : records) sessionizer.add(r);
-  sessionizer.flush_all();
-
-  // Pass 2: replay the stream against the same session boundaries,
-  // assigning each record its session's verdict. We re-run a sessionizer
-  // emitting indices so boundaries match exactly.
-  std::unordered_map<httplog::SessionKey, std::size_t,
-                     httplog::SessionKeyHash>
-      next_session_index;
-  std::unordered_map<httplog::SessionKey, httplog::Timestamp,
-                     httplog::SessionKeyHash>
-      last_seen;
+  // One open session per client, holding the indices of its records.
+  struct OpenSession {
+    Session session;
+    std::vector<std::size_t> members;
+  };
+  std::unordered_map<httplog::SessionKey, OpenSession, httplog::SessionKeyHash>
+      open;
+  util::StringInterner local_uas;
   const auto timeout_us =
       httplog::seconds_to_micros(config_.session_timeout_s);
-  for (auto& record : records) {
-    const httplog::SessionKey key = sessionizer.key_for(record);
-    auto seen_it = last_seen.find(key);
-    if (seen_it != last_seen.end() &&
-        record.time - seen_it->second > timeout_us) {
-      ++next_session_index[key];  // session boundary crossed
-    }
-    last_seen[key] = record.time;
-
-    const auto& verdicts = verdicts_by_client[key];
-    const std::size_t idx = next_session_index[key];
-    const httplog::Truth verdict =
-        idx < verdicts.size() ? verdicts[idx] : httplog::Truth::kUnknown;
-    record.truth = verdict;
+  // The stream clock: the largest timestamp seen so far.
+  httplog::Timestamp clock =
+      records.empty() ? httplog::Timestamp{} : records.front().time;
+  const auto expired = [&](const OpenSession& s) {
+    return clock - s.session.last_seen() > timeout_us;
+  };
+  const auto close = [&](const OpenSession& s) {
+    const httplog::Truth verdict = judge(s.session);
+    for (const std::size_t i : s.members) records[i].truth = verdict;
+    const auto n = static_cast<std::uint64_t>(s.members.size());
     switch (verdict) {
-      case httplog::Truth::kMalicious: ++result.labeled_malicious; break;
-      case httplog::Truth::kBenign: ++result.labeled_benign; break;
-      case httplog::Truth::kUnknown: ++result.left_unknown; break;
+      case httplog::Truth::kMalicious: result.labeled_malicious += n; break;
+      case httplog::Truth::kBenign: result.labeled_benign += n; break;
+      case httplog::Truth::kUnknown: result.left_unknown += n; break;
     }
+  };
+
+  httplog::Timestamp last_sweep = clock;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const httplog::LogRecord& record = records[i];
+    clock = std::max(clock, record.time);
+    // The sweep only bounds memory: a session is closed by the clock
+    // whether the sweep or the client's next request notices it first.
+    if (clock - last_sweep > timeout_us) {
+      for (auto it = open.begin(); it != open.end();) {
+        if (expired(it->second)) {
+          close(it->second);
+          it = open.erase(it);
+        } else {
+          ++it;
+        }
+      }
+      last_sweep = clock;
+    }
+    const httplog::SessionKey key{record.ip,
+                                  httplog::ua_key_token(record, local_uas)};
+    auto [it, fresh] = open.try_emplace(key);
+    if (!fresh && expired(it->second)) {
+      close(it->second);
+      it->second = OpenSession{};
+    }
+    it->second.session.add(record);
+    it->second.members.push_back(i);
   }
+  for (const auto& entry : open) close(entry.second);
   return result;
 }
 

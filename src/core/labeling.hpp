@@ -4,10 +4,16 @@
 // Real access logs carry no ground truth; analysts label them
 // retrospectively at *session* granularity using conservative heuristics
 // plus manual review. HeuristicLabeler reproduces that workflow
-// programmatically:
+// programmatically, in one pass over the unlabelled stream:
 //
-//   1. sessionize the unlabelled stream;
-//   2. score each session with high-precision rules on both ends
+//   1. group records into sessions: one open session per (IP, User-Agent)
+//      client, closed once the stream clock (the largest timestamp seen so
+//      far) passes its last request plus the timeout. The client's next
+//      request starts a new session. Because the clock never goes back,
+//      when the closing sweep runs cannot change which records share a
+//      session; on time-ordered input a gap longer than the timeout is the
+//      boundary;
+//   2. on close, score the session with high-precision rules on both ends
 //      (certainly-automated vs certainly-human);
 //   3. label every record of a confidently-judged session; leave the rest
 //      kUnknown (the honest analyst position: partial labels).
@@ -20,13 +26,61 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "httplog/record.hpp"
-#include "httplog/session.hpp"
+#include "httplog/url.hpp"
+#include "httplog/useragent.hpp"
+#include "stats/counter.hpp"
 
 namespace divscrape::core {
+
+/// Aggregate view of one client session: the features judge() reads.
+class Session {
+ public:
+  /// Folds one record into the aggregates. The first record fixes the
+  /// session's start and its UA classification (all records of a session
+  /// share one UA — the client key guarantees it).
+  void add(const httplog::LogRecord& record);
+
+  [[nodiscard]] const httplog::UserAgentInfo& ua_info() const noexcept {
+    return ua_info_;
+  }
+  [[nodiscard]] std::uint64_t request_count() const noexcept { return count_; }
+  /// Latest request time (not the last line's: timestamps may step back).
+  [[nodiscard]] httplog::Timestamp last_seen() const noexcept { return last_; }
+  /// Seconds from the first record to the latest request (0 for
+  /// single-request sessions).
+  [[nodiscard]] double duration_s() const noexcept;
+  /// Mean requests per second over the session (count / duration); count
+  /// when duration is 0.
+  [[nodiscard]] double request_rate() const noexcept;
+  /// Fraction of requests that fetched static assets (css/js/images).
+  [[nodiscard]] double asset_ratio() const noexcept;
+  /// Fraction of requests carrying a non-"-" Referer.
+  [[nodiscard]] double referer_ratio() const noexcept;
+  /// Fraction of 4xx responses.
+  [[nodiscard]] double error_ratio() const noexcept;
+  /// Shannon entropy (bits) over normalized path templates, summed in the
+  /// order the session first saw each template; low entropy with high
+  /// volume is the catalogue-sweep signature.
+  [[nodiscard]] double template_entropy() const noexcept;
+
+ private:
+  httplog::UserAgentInfo ua_info_;
+  std::uint64_t count_ = 0;
+  httplog::Timestamp first_;
+  httplog::Timestamp last_;
+  std::uint64_t assets_ = 0;
+  std::uint64_t with_referer_ = 0;
+  std::uint64_t errors_4xx_ = 0;
+  // Paths and their templates are interned session-locally: counting exact
+  // 32-bit tokens is bijective with counting the strings themselves (same
+  // entropy) but costs one probe instead of a string copy plus O(log n)
+  // string compares per record.
+  httplog::PathTemplateMemo paths_;
+  stats::Counter<std::uint32_t> templates_;
+};
 
 /// Heuristic thresholds. Defaults are deliberately conservative: rules
 /// only fire on behaviour that is unambiguous at session granularity.
@@ -98,7 +152,7 @@ class HeuristicLabeler {
   LabelingResult label(std::vector<httplog::LogRecord>& records) const;
 
   /// Session-level verdict (exposed for tests and tuning).
-  [[nodiscard]] httplog::Truth judge(const httplog::Session& session) const;
+  [[nodiscard]] httplog::Truth judge(const Session& session) const;
 
   /// Compares heuristic labels against reference truths captured before
   /// labelling. Vectors must be index-aligned.

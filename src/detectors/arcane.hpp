@@ -33,6 +33,7 @@
 
 #include "detectors/detector.hpp"
 #include "httplog/session.hpp"
+#include "httplog/url.hpp"
 #include "util/interner.hpp"
 
 namespace divscrape::detectors {

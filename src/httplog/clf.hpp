@@ -81,7 +81,7 @@ struct ClfParseResult {
 ///     reads nothing past them) and reuses the decoded Timestamp on a hit —
 ///     the full civil-date decode runs about once per wire second.
 ///   * parse(line, out) writes into a caller-owned record, so a caller that
-///     reuses one record across lines (LineDecoder, LogReader) recycles the
+///     reuses one record across lines (LineDecoder's batch slots) recycles the
 ///     field strings' capacity instead of allocating five strings per line.
 ///
 /// One parser = one log stream; the memo is just a cache, so sharing one

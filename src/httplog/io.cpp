@@ -2,32 +2,12 @@
 
 namespace divscrape::httplog {
 
-bool LogReader::next(LogRecord& out) {
-  while (std::getline(*in_, line_)) {
-    ++lines_;
-    const ClfError error = parser_.parse(line_, out);
-    if (error == ClfError::kNone) return true;
-    ++skipped_;
-    const auto idx = static_cast<std::size_t>(error);
-    if (idx < skip_counts_.size()) ++skip_counts_[idx];
-  }
-  return false;
-}
-
 void LogWriter::write(const LogRecord& record) {
   buf_.clear();
   formatter_.append(record, buf_);
   buf_ += '\n';
   out_->write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
   ++written_;
-}
-
-std::vector<LogRecord> read_all(std::istream& in) {
-  std::vector<LogRecord> records;
-  LogReader reader(in);
-  LogRecord rec;
-  while (reader.next(rec)) records.push_back(std::move(rec));
-  return records;
 }
 
 }  // namespace divscrape::httplog

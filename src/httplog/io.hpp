@@ -1,48 +1,15 @@
-// Streaming log file IO: read CLF files line by line with error accounting,
-// and write records back out. Real deployments tail multi-gigabyte logs, so
-// readers never buffer the whole file.
+// Streaming log file output: write records as CLF lines. Reading goes
+// through pipeline::LineDecoder, the one place a log line is framed.
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "httplog/clf.hpp"
 #include "httplog/record.hpp"
 
 namespace divscrape::httplog {
-
-/// Streaming reader over a CLF text stream. Bad lines are skipped and
-/// counted per error category, mirroring how log processors must tolerate
-/// corruption in rotated production logs.
-class LogReader {
- public:
-  explicit LogReader(std::istream& in) : in_(&in) {}
-
-  /// Reads the next parseable record; false at end of stream.
-  [[nodiscard]] bool next(LogRecord& out);
-
-  [[nodiscard]] std::uint64_t lines_read() const noexcept { return lines_; }
-  [[nodiscard]] std::uint64_t lines_skipped() const noexcept {
-    return skipped_;
-  }
-  /// Skip counts indexed by ClfError value.
-  [[nodiscard]] const std::vector<std::uint64_t>& skips_by_error()
-      const noexcept {
-    return skip_counts_;
-  }
-
- private:
-  std::istream* in_;
-  ClfParser parser_;  ///< keeps the timestamp memo warm across lines
-  std::string line_;
-  std::uint64_t lines_ = 0;
-  std::uint64_t skipped_ = 0;
-  std::vector<std::uint64_t> skip_counts_ =
-      std::vector<std::uint64_t>(8, 0);
-};
 
 /// Writes records as CLF lines.
 class LogWriter {
@@ -60,9 +27,5 @@ class LogWriter {
   std::string buf_;  ///< reused wire buffer
   std::uint64_t written_ = 0;
 };
-
-/// Reads every parseable record from a stream (convenience for tests and
-/// small files).
-[[nodiscard]] std::vector<LogRecord> read_all(std::istream& in);
 
 }  // namespace divscrape::httplog

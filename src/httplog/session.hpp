@@ -1,33 +1,22 @@
-// Sessionization: grouping a request stream into client sessions.
-//
-// A session is keyed by (client IP, User-Agent) — the only identity present
-// in access logs — and is closed after an inactivity timeout (default 30
-// minutes, the standard web-analytics convention). Sessions carry the
-// aggregate features the learning-based detectors and the behavioural
-// analysis consume.
+// Client identity: the (IP, User-Agent) key the detectors key their
+// per-client state by and the labeller (core/labeling) its sessions, plus
+// the UA classification memo behind it.
 //
 // Hot-path note: the User-Agent half of the key is an interned 32-bit token
 // (see util/interner.hpp), not a string. Records stamped at ingest
-// (LogRecord::ua_token != 0) key their session state with zero string
-// hashing; unstamped records are interned once by the consumer via
-// ua_key_token(), which marks consumer-minted tokens with kLocalUaTokenBit
-// so they can never collide with ingest-stamped ones.
+// (LogRecord::ua_token != 0) key their state with zero string hashing;
+// unstamped records are interned once by the consumer via ua_key_token(),
+// which marks consumer-minted tokens with kLocalUaTokenBit so they can never
+// collide with ingest-stamped ones.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "httplog/ip.hpp"
 #include "httplog/record.hpp"
-#include "httplog/url.hpp"
 #include "httplog/useragent.hpp"
-#include "stats/histogram.hpp"
-#include "stats/running_stats.hpp"
 #include "util/hash.hpp"
 #include "util/interner.hpp"
 
@@ -120,148 +109,5 @@ class UaInfoCache {
   std::vector<Entry> local_;    ///< index: local token - 1
   UserAgentInfo uncached_;      ///< past-cap scratch result
 };
-
-/// Aggregate view of one client session.
-class Session {
- public:
-  explicit Session(SessionKey key, Timestamp first_seen);
-
-  /// Folds one record into the aggregates. Records are expected in time
-  /// order (the sessionizer guarantees it).
-  void add(const LogRecord& record);
-
-  [[nodiscard]] const SessionKey& key() const noexcept { return key_; }
-  /// The User-Agent string of the session's first record (all records of a
-  /// session share one UA — the key guarantees it). Empty before add().
-  [[nodiscard]] const std::string& user_agent() const noexcept { return ua_; }
-  /// UA classification, computed once per session (the seed classified on
-  /// every feature extraction).
-  [[nodiscard]] const UserAgentInfo& ua_info() const noexcept {
-    return ua_info_;
-  }
-  [[nodiscard]] std::uint64_t request_count() const noexcept { return count_; }
-  [[nodiscard]] Timestamp first_seen() const noexcept { return first_; }
-  [[nodiscard]] Timestamp last_seen() const noexcept { return last_; }
-  /// Session duration in seconds (0 for single-request sessions).
-  [[nodiscard]] double duration_s() const noexcept;
-  /// Mean requests per second over the session (count / duration); count
-  /// when duration is 0.
-  [[nodiscard]] double request_rate() const noexcept;
-  /// Inter-arrival statistics (seconds).
-  [[nodiscard]] const stats::RunningStats& interarrival() const noexcept {
-    return interarrival_;
-  }
-  /// Fraction of requests that fetched static assets (css/js/images).
-  [[nodiscard]] double asset_ratio() const noexcept;
-  /// Fraction of requests carrying a non-"-" Referer.
-  [[nodiscard]] double referer_ratio() const noexcept;
-  /// Fraction of 4xx responses.
-  [[nodiscard]] double error_ratio() const noexcept;
-  /// Fraction of HEAD requests.
-  [[nodiscard]] double head_ratio() const noexcept;
-  /// Shannon entropy (bits) over normalized path templates; low entropy
-  /// with high volume is the catalogue-sweep signature.
-  [[nodiscard]] double template_entropy() const noexcept;
-  /// Distinct concrete paths visited.
-  [[nodiscard]] std::size_t distinct_paths() const noexcept {
-    return paths_.distinct_paths();
-  }
-  /// Whether the session ever fetched /robots.txt.
-  [[nodiscard]] bool fetched_robots() const noexcept { return robots_; }
-  /// Per-status counts.
-  [[nodiscard]] const stats::Counter<int>& status_counts() const noexcept {
-    return status_;
-  }
-  /// Majority truth of member records (simulation metadata).
-  [[nodiscard]] Truth majority_truth() const noexcept;
-
-  /// Dump of every aggregate (warm checkpointing). The UA classification is
-  /// recomputed from the stored UA string on load, not serialized.
-  void save_state(util::StateWriter& w) const;
-  /// Restores a session from save_state() output; nullopt on a malformed
-  /// blob (Session has no default construction, hence the factory form).
-  [[nodiscard]] static std::optional<Session> load_state(util::StateReader& r);
-
- private:
-  SessionKey key_;
-  std::string ua_;  ///< captured from the first record
-  UserAgentInfo ua_info_{UaFamily::kEmpty, 0, false, false, false};
-  std::uint64_t count_ = 0;
-  Timestamp first_;
-  Timestamp last_;
-  stats::RunningStats interarrival_;
-  std::uint64_t assets_ = 0;
-  std::uint64_t with_referer_ = 0;
-  std::uint64_t errors_4xx_ = 0;
-  std::uint64_t heads_ = 0;
-  bool robots_ = false;
-  // Paths and their templates are interned session-locally: counting exact
-  // 32-bit tokens is bijective with counting the strings themselves (same
-  // entropy, same distinct counts) but costs one probe instead of a string
-  // copy plus O(log n) string compares per record.
-  PathTemplateMemo paths_;
-  stats::Counter<std::uint32_t> templates_;
-  stats::Counter<int> status_;
-  std::uint64_t malicious_ = 0;
-  std::uint64_t benign_ = 0;
-};
-
-/// Streaming sessionizer. Feed records in global time order; completed
-/// sessions (closed by inactivity or by flush_all) are handed to the sink.
-class Sessionizer {
- public:
-  using Sink = std::function<void(Session&&)>;
-
-  /// `idle_timeout_s`: inactivity gap that closes a session.
-  explicit Sessionizer(double idle_timeout_s = 1800.0, Sink sink = {});
-
-  void set_sink(Sink sink) { sink_ = std::move(sink); }
-
-  /// The session key this sessionizer uses for a record (stamped token or
-  /// a token from the sessionizer's own interner). Exposed so callers that
-  /// post-process by client (e.g. the labeler's second pass) key their maps
-  /// identically to the sessions they received from the sink.
-  [[nodiscard]] SessionKey key_for(const LogRecord& record) {
-    return SessionKey{record.ip, ua_key_token(record, local_uas_)};
-  }
-
-  /// Feeds one record; may emit zero or more completed sessions first.
-  void add(const LogRecord& record);
-
-  /// Closes and emits every open session (end of stream), ordered by
-  /// (first_seen, key) so downstream consumers are hash-order independent.
-  void flush_all();
-
-  [[nodiscard]] std::size_t open_sessions() const noexcept {
-    return open_.size();
-  }
-  [[nodiscard]] std::uint64_t completed_sessions() const noexcept {
-    return completed_;
-  }
-
-  /// Dump of the sessionizer's warm state: the local UA interner, every
-  /// open session window (sorted by key for deterministic bytes), the
-  /// completed count, and the sweep clock. Timeout and sink stay
-  /// construction-time config.
-  void save_state(util::StateWriter& w) const;
-  /// Restores from save_state() output. Returns false — with the
-  /// sessionizer reset to cold/empty — on a malformed blob.
-  [[nodiscard]] bool load_state(util::StateReader& r);
-
- private:
-  void expire_older_than(Timestamp cutoff);
-  void emit_sorted(std::vector<Session>&& batch);
-
-  double idle_timeout_s_;
-  Sink sink_;
-  util::StringInterner local_uas_;
-  std::unordered_map<SessionKey, Session, SessionKeyHash> open_;
-  std::uint64_t completed_ = 0;
-  Timestamp last_sweep_;
-};
-
-/// Convenience: sessionize a whole in-memory stream and return all sessions.
-[[nodiscard]] std::vector<Session> sessionize(
-    const std::vector<LogRecord>& records, double idle_timeout_s = 1800.0);
 
 }  // namespace divscrape::httplog

@@ -6,22 +6,6 @@
 
 namespace divscrape::httplog {
 
-std::optional<Url> parse_url(std::string_view target) {
-  if (target.empty() || target.front() != '/') return std::nullopt;
-  Url url;
-  const auto qpos = target.find('?');
-  if (qpos == std::string_view::npos) {
-    url.path.assign(target);
-  } else {
-    url.path.assign(target.substr(0, qpos));
-    const auto frag = target.find('#', qpos);
-    url.query.assign(target.substr(
-        qpos + 1, frag == std::string_view::npos ? std::string_view::npos
-                                                 : frag - qpos - 1));
-  }
-  return url;
-}
-
 namespace {
 
 int hex_digit(char c) noexcept {

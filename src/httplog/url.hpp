@@ -1,6 +1,6 @@
-// Request-target parsing: path/query splitting, query parameters, and the
-// path taxonomy features the behavioural detector consumes (static asset vs
-// dynamic page, path depth, template extraction).
+// Request-target parsing: query parameters, and the path taxonomy features
+// the detectors and the labeller consume (static asset vs dynamic page, path
+// depth, template extraction).
 #pragma once
 
 #include <cstdint>
@@ -13,19 +13,6 @@
 #include "util/interner.hpp"
 
 namespace divscrape::httplog {
-
-/// A parsed origin-form request target ("/path/to/x?a=1&b=2").
-struct Url {
-  std::string path;   ///< path component, never empty for valid targets ("/")
-  std::string query;  ///< raw query string without '?', possibly empty
-
-  [[nodiscard]] bool has_query() const noexcept { return !query.empty(); }
-};
-
-/// Splits a request target into path and query. Accepts any non-empty target
-/// starting with '/'; nullopt otherwise (e.g. absolute-form proxy requests
-/// or garbage).
-[[nodiscard]] std::optional<Url> parse_url(std::string_view target);
 
 /// Decodes %XX escapes and '+' (as space). Invalid escapes pass through
 /// verbatim, matching lenient server behaviour.
@@ -76,8 +63,9 @@ void build_path_template(std::string_view path, std::string& out);
 //
 //   * PathTemplateMemo interns every distinct *path* and its template, so
 //     a repeated path costs one probe. It suits a short-lived owner whose
-//     path set is small and repetitive: one per Session, bounded by the
-//     session timeout, uncapped.
+//     path set is small and repetitive: one per labeller session
+//     (core::Session), dropped when the session closes, uncapped, never
+//     checkpointed.
 //   * PathTemplateTokenizer interns only *templates* and rebuilds the
 //     template of each new path into a reused buffer. It suits a
 //     stream-lifetime owner (one per ArcaneDetector): path cardinality
@@ -85,9 +73,10 @@ void build_path_template(std::string_view path, std::string& out);
 //     path memo would hit almost never while dominating memory and the
 //     checkpoint. Template cardinality is far smaller, and is capped.
 
-/// Per-Session path -> template-token memo: template_token() interns the
+/// Per-session path -> template-token memo: template_token() interns the
 /// path and computes+interns its template once per *distinct* path, so
-/// repeat paths cost one probe. Paths and templates share one token space.
+/// repeat paths cost one probe. Paths and templates share one token space,
+/// and template tokens rise in the order templates are first seen.
 /// Uncapped; thread-compatible like the interner it wraps.
 class PathTemplateMemo {
  public:
@@ -115,37 +104,6 @@ class PathTemplateMemo {
   /// Distinct paths ever passed to template_token().
   [[nodiscard]] std::size_t distinct_paths() const noexcept {
     return distinct_paths_;
-  }
-
-  void clear() {
-    ids_.clear();
-    template_of_path_.clear();
-    distinct_paths_ = 0;
-    last_path_tok_ = util::StringInterner::kInvalidToken;
-  }
-
-  /// Dump/restore of the memo (strings in token order + the path→template
-  /// mapping).
-  void save_state(util::StateWriter& w) const {
-    ids_.save_state(w);
-    w.u64(template_of_path_.size());
-    for (const std::uint32_t tok : template_of_path_) w.u32(tok);
-    w.u64(distinct_paths_);
-  }
-  [[nodiscard]] bool load_state(util::StateReader& r) {
-    clear();
-    if (!ids_.load_state(r)) return false;
-    const std::uint64_t n = r.u64();
-    if (!r.ok() || n > ids_.size()) {
-      r.fail();
-      clear();
-      return false;
-    }
-    template_of_path_.resize(static_cast<std::size_t>(n));
-    for (std::uint32_t& tok : template_of_path_) tok = r.u32();
-    distinct_paths_ = static_cast<std::size_t>(r.u64());
-    if (!r.ok()) clear();
-    return r.ok();
   }
 
  private:

@@ -45,7 +45,7 @@ class AlertLogWriter {
 
 /// Parses the JSONL alert log back. The parser handles exactly the subset
 /// of JSON the writer produces (flat objects, string/number members) and
-/// skips malformed lines, mirroring LogReader's tolerance.
+/// skips malformed lines, mirroring the CLF decoder's tolerance.
 class AlertLogReader {
  public:
   explicit AlertLogReader(std::istream& in) : in_(&in) {}

@@ -55,4 +55,13 @@ std::uint64_t LineDecoder::finish_stream() {
   return 1;
 }
 
+void LineDecoder::feed_stream(std::istream& in) {
+  char buffer[64 * 1024];
+  while (in.read(buffer, sizeof(buffer)), in.gcount() > 0) {
+    (void)feed(
+        std::string_view(buffer, static_cast<std::size_t>(in.gcount())));
+  }
+  (void)finish_stream();
+}
+
 }  // namespace divscrape::pipeline

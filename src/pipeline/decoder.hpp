@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <istream>
 #include <string_view>
 
 #include "httplog/clf.hpp"
@@ -65,6 +66,11 @@ class LineDecoder {
   /// Declares end-of-stream: an unterminated trailing partial line (if
   /// any) is decoded as a complete line. Returns 1 if a line was flushed.
   std::uint64_t finish_stream();
+
+  /// Batch ingest of a whole stream: feed() in 64 KiB chunks to its end,
+  /// then finish_stream() (a closed stream's unterminated last line is done
+  /// growing, so it parses as a complete line).
+  void feed_stream(std::istream& in);
 
   /// True while an unterminated partial line is buffered.
   [[nodiscard]] bool has_partial_line() const noexcept {

@@ -59,14 +59,7 @@ bool ReplayEngine::load_state(util::StateReader& r) {
 ReplayStats ReplayEngine::replay(std::istream& in) {
   const ReplayStats before = decoder_.stats();
   const auto wall0 = std::chrono::steady_clock::now();
-  char buffer[64 * 1024];
-  while (in.read(buffer, sizeof(buffer)), in.gcount() > 0) {
-    (void)decoder_.feed(
-        std::string_view(buffer, static_cast<std::size_t>(in.gcount())));
-  }
-  // Batch EOF semantics: the closed stream's unterminated final line (if
-  // any) is done growing — parse it as a complete line.
-  (void)decoder_.finish_stream();
+  decoder_.feed_stream(in);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
           .count();

@@ -64,11 +64,6 @@ class ReplayEngine {
   /// to whichever decoder parsed them.
   void process_batch(RecordBatch& batch);
 
-  /// True while an unterminated partial line is buffered.
-  [[nodiscard]] bool has_partial_line() const noexcept {
-    return decoder_.has_partial_line();
-  }
-
   /// Cumulative framing/parsing accounting across every replay() and
   /// decoder() ingest on this engine. wall_seconds accumulates batch
   /// replay() time only; decoder().feed() callers own their clock.

@@ -1,5 +1,5 @@
-// Histograms and categorical counters used throughout the analysis layer
-// (per-status breakdowns, inter-arrival profiles, score distributions).
+// Categorical counters used throughout the analysis layer (per-status and
+// per-reason breakdowns) and the Shannon entropy the labeller reads.
 #pragma once
 
 #include <algorithm>
@@ -7,40 +7,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "util/state.hpp"
 
 namespace divscrape::stats {
-
-/// Fixed-width binned histogram over [lo, hi) with under/overflow bins.
-class Histogram {
- public:
-  /// Requires lo < hi and bins >= 1.
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const noexcept;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  /// Lower edge of bin i.
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_width() const noexcept { return width_; }
-  /// Approximate quantile (linear within the containing bin); q in [0, 1].
-  [[nodiscard]] double quantile(double q) const noexcept;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
-};
 
 /// Counter over arbitrary ordered keys (e.g. HTTP status codes). Thin map
 /// wrapper with merge support and sorted-by-count extraction for reports.
@@ -107,8 +79,8 @@ class Counter {
 };
 
 /// Shannon entropy (bits) of a categorical counter; 0 for empty counters.
-/// Used by the behavioural detector: human navigation has high path entropy,
-/// systematic scraping of a template URL has low entropy.
+/// Used by the labeller: human navigation has high path entropy, systematic
+/// scraping of a template URL has low entropy.
 template <typename Key>
 [[nodiscard]] double shannon_entropy(const Counter<Key>& counter) {
   const double total = static_cast<double>(counter.total());

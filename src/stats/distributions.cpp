@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace divscrape::stats {
@@ -59,19 +58,6 @@ double ZipfDistribution::pmf(std::size_t k) const noexcept {
   return std::pow(static_cast<double>(k), -s_) / total_;
 }
 
-ParetoDistribution::ParetoDistribution(double x_min, double alpha) noexcept
-    : x_min_(x_min), alpha_(alpha) {}
-
-double ParetoDistribution::sample(Rng& rng) const noexcept {
-  const double u = 1.0 - rng.uniform();  // (0, 1]
-  return x_min_ / std::pow(u, 1.0 / alpha_);
-}
-
-double ParetoDistribution::mean() const noexcept {
-  if (alpha_ <= 1.0) return std::numeric_limits<double>::infinity();
-  return alpha_ * x_min_ / (alpha_ - 1.0);
-}
-
 LogNormalDistribution::LogNormalDistribution(double median,
                                              double sigma) noexcept
     : mu_(std::log(median)), sigma_(sigma) {}
@@ -82,36 +68,6 @@ double LogNormalDistribution::sample(Rng& rng) const noexcept {
 
 double LogNormalDistribution::median() const noexcept {
   return std::exp(mu_);
-}
-
-DiscreteDistribution::DiscreteDistribution(divscrape::span<const double> weights) {
-  cdf_.reserve(weights.size());
-  double total = 0.0;
-  for (const double w : weights) {
-    if (w < 0.0)
-      throw std::invalid_argument(
-          "DiscreteDistribution: weights must be non-negative");
-    total += w;
-    cdf_.push_back(total);
-  }
-  if (cdf_.empty()) return;
-  if (total <= 0.0)
-    throw std::invalid_argument(
-        "DiscreteDistribution: total weight must be positive");
-  for (auto& c : cdf_) c /= total;
-  cdf_.back() = 1.0;
-}
-
-std::size_t DiscreteDistribution::sample(Rng& rng) const noexcept {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(it - cdf_.begin());
-}
-
-double DiscreteDistribution::probability(std::size_t i) const noexcept {
-  if (i >= cdf_.size()) return 0.0;
-  const double lo = i == 0 ? 0.0 : cdf_[i - 1];
-  return cdf_[i] - lo;
 }
 
 }  // namespace divscrape::stats

@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include "util/span.hpp"
 #include <vector>
 
 #include "stats/rng.hpp"
@@ -54,23 +53,6 @@ class ZipfDistribution {
   double total_;  // full harmonic normalizer H(n, s)
 };
 
-/// Pareto(x_min, alpha): classic heavy tail for burst and session sizes.
-class ParetoDistribution {
- public:
-  /// `x_min` > 0, `alpha` > 0. Smaller alpha means a heavier tail.
-  ParetoDistribution(double x_min, double alpha) noexcept;
-
-  [[nodiscard]] double sample(Rng& rng) const noexcept;
-  [[nodiscard]] double x_min() const noexcept { return x_min_; }
-  [[nodiscard]] double alpha() const noexcept { return alpha_; }
-  /// Mean, or +inf when alpha <= 1.
-  [[nodiscard]] double mean() const noexcept;
-
- private:
-  double x_min_;
-  double alpha_;
-};
-
 /// Log-normal parameterized by the *target* median and a shape sigma, which
 /// is how think-time literature usually reports it.
 class LogNormalDistribution {
@@ -85,25 +67,6 @@ class LogNormalDistribution {
  private:
   double mu_;  // log(median)
   double sigma_;
-};
-
-/// Discrete distribution over arbitrary weights (an alias-free linear-CDF
-/// sampler; O(log n) per draw). Weights need not be normalized.
-class DiscreteDistribution {
- public:
-  DiscreteDistribution() = default;
-  explicit DiscreteDistribution(divscrape::span<const double> weights);
-
-  /// Returns an index in [0, size()). Requires non-empty, positive total.
-  [[nodiscard]] std::size_t sample(Rng& rng) const noexcept;
-
-  [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return cdf_.empty(); }
-  /// Normalized probability of index i.
-  [[nodiscard]] double probability(std::size_t i) const noexcept;
-
- private:
-  std::vector<double> cdf_;
 };
 
 }  // namespace divscrape::stats

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace divscrape::stats {
 
@@ -51,38 +50,6 @@ void RunningStats::merge(const RunningStats& other) noexcept {
   sum_ += other.sum_;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
-}
-
-SlidingWindow::SlidingWindow(std::size_t capacity) : capacity_(capacity) {
-  if (capacity == 0)
-    throw std::invalid_argument("SlidingWindow: capacity must be >= 1");
-}
-
-void SlidingWindow::add(double x) {
-  values_.push_back(x);
-  sum_ += x;
-  if (values_.size() > capacity_) {
-    sum_ -= values_.front();
-    values_.pop_front();
-  }
-}
-
-double SlidingWindow::mean() const noexcept {
-  return values_.empty() ? 0.0
-                         : sum_ / static_cast<double>(values_.size());
-}
-
-double SlidingWindow::front() const noexcept {
-  return values_.empty() ? 0.0 : values_.front();
-}
-
-double SlidingWindow::back() const noexcept {
-  return values_.empty() ? 0.0 : values_.back();
-}
-
-void SlidingWindow::clear() noexcept {
-  values_.clear();
-  sum_ = 0.0;
 }
 
 }  // namespace divscrape::stats

@@ -1,12 +1,9 @@
-// Online descriptive statistics (Welford's algorithm) and a fixed-capacity
-// sliding window used by the behavioural detector's per-session features.
+// Online descriptive statistics (Welford's algorithm) for the benches' and
+// examples' summaries.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-
-#include "util/state.hpp"
 
 namespace divscrape::stats {
 
@@ -33,26 +30,6 @@ class RunningStats {
   /// merging shards equals accumulating the concatenated stream).
   void merge(const RunningStats& other) noexcept;
 
-  /// Bit-exact dump/restore of the accumulator (doubles travel as IEEE-754
-  /// bit patterns, so a restored accumulator continues identically).
-  void save_state(util::StateWriter& w) const {
-    w.u64(n_);
-    w.f64(mean_);
-    w.f64(m2_);
-    w.f64(sum_);
-    w.f64(min_);
-    w.f64(max_);
-  }
-  [[nodiscard]] bool load_state(util::StateReader& r) {
-    n_ = static_cast<std::size_t>(r.u64());
-    mean_ = r.f64();
-    m2_ = r.f64();
-    sum_ = r.f64();
-    min_ = r.f64();
-    max_ = r.f64();
-    return r.ok();
-  }
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
@@ -60,33 +37,6 @@ class RunningStats {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Sliding window over the most recent `capacity` observations with O(1)
-/// amortized mean/rate queries. Used for burst-rate features where only the
-/// recent past matters.
-class SlidingWindow {
- public:
-  explicit SlidingWindow(std::size_t capacity);
-
-  void add(double x);
-  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] bool full() const noexcept {
-    return values_.size() == capacity_;
-  }
-  [[nodiscard]] double mean() const noexcept;
-  [[nodiscard]] double sum() const noexcept { return sum_; }
-  /// Oldest retained value; 0 when empty.
-  [[nodiscard]] double front() const noexcept;
-  /// Newest value; 0 when empty.
-  [[nodiscard]] double back() const noexcept;
-  void clear() noexcept;
-
- private:
-  std::size_t capacity_;
-  std::deque<double> values_;
-  double sum_ = 0.0;
 };
 
 }  // namespace divscrape::stats

@@ -1,9 +1,9 @@
 // Binary state serialization for warm checkpoints.
 //
-// Every stateful component (detectors, sessionizer, joint results, the
-// interner token tables) dumps itself through a StateWriter and restores
-// through a StateReader so a killed tail can resume *warm* — byte-identical
-// to an uninterrupted run — instead of forfeiting session windows and
+// Every stateful component (detectors, joint results, the interner token
+// tables) dumps itself through a StateWriter and restores through a
+// StateReader so a killed tail can resume *warm* — byte-identical to an
+// uninterrupted run — instead of forfeiting per-client windows and
 // reputation state (see pipeline/checkpoint.hpp for the contract).
 //
 // Design notes:

@@ -1,5 +1,6 @@
-// Heuristic-labeller tests: session judging, stream labelling, and the
-// audit against simulator truth (the paper's Section V labelling step).
+// Heuristic-labeller tests: session features, session judging, the
+// stream-clock session rule, stream labelling, and the audit against
+// simulator truth (the paper's Section V labelling step).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,11 +12,9 @@
 namespace {
 
 using divscrape::core::HeuristicLabeler;
-using divscrape::core::LabelerConfig;
+using divscrape::core::Session;
 using divscrape::httplog::Ipv4;
 using divscrape::httplog::LogRecord;
-using divscrape::httplog::Session;
-using divscrape::httplog::SessionKey;
 using divscrape::httplog::Timestamp;
 using divscrape::httplog::Truth;
 
@@ -26,11 +25,10 @@ constexpr const char* kBrowserUa =
 Session make_session(const char* ua,
                      const std::vector<std::tuple<double, const char*, int,
                                                   const char*>>& requests) {
-  SessionKey key{Ipv4(9, 9, 9, 9), 1};
-  Session session(key, Timestamp(0));
+  Session session;
   for (const auto& [t, target, status, referer] : requests) {
     LogRecord r;
-    r.ip = key.ip;
+    r.ip = Ipv4(9, 9, 9, 9);
     r.user_agent = ua;
     r.time = Timestamp(static_cast<std::int64_t>(t * 1e6));
     r.target = target;
@@ -39,6 +37,34 @@ Session make_session(const char* ua,
     session.add(r);
   }
   return session;
+}
+
+TEST(Session, FeatureAggregates) {
+  const auto s = make_session(kBrowserUa, {{0.0, "/offers/1", 200, "-"},
+                                           {10.0, "/offers/2", 200, "-"},
+                                           {20.0, "/static/app-1.js", 200, "-"},
+                                           {30.0, "/offers/3", 404, "-"}});
+  EXPECT_EQ(s.request_count(), 4u);
+  EXPECT_DOUBLE_EQ(s.duration_s(), 30.0);
+  EXPECT_NEAR(s.request_rate(), 4.0 / 30.0, 1e-12);
+  EXPECT_DOUBLE_EQ(s.asset_ratio(), 0.25);
+  EXPECT_DOUBLE_EQ(s.error_ratio(), 0.25);
+  // Templates: /offers/{n} and /static/app-1.js -> entropy > 0 but low.
+  EXPECT_GT(s.template_entropy(), 0.0);
+  EXPECT_LT(s.template_entropy(), 1.0);
+}
+
+TEST(Session, RefererRatio) {
+  const auto s = make_session(
+      kBrowserUa,
+      {{0.0, "/offers/1", 200, "https://x/"}, {1.0, "/offers/1", 200, "-"}});
+  EXPECT_DOUBLE_EQ(s.referer_ratio(), 0.5);
+}
+
+TEST(Session, SingleRequestRateIsCount) {
+  const auto s = make_session(kBrowserUa, {{0.0, "/offers/1", 200, "-"}});
+  EXPECT_DOUBLE_EQ(s.duration_s(), 0.0);
+  EXPECT_DOUBLE_EQ(s.request_rate(), 1.0);
 }
 
 TEST(Labeler, ShortSessionsStayUnknown) {
@@ -129,7 +155,7 @@ TEST(Labeler, LabelOverwritesTruthInPlace) {
   for (const auto& r : records) EXPECT_EQ(r.truth, Truth::kMalicious);
 }
 
-TEST(Labeler, SessionBoundariesRespectedInPass2) {
+TEST(Labeler, SessionBoundariesRespected) {
   // Two sessions of the same client separated by > timeout; the first is
   // a scripted sweep, the second is too short to judge.
   std::vector<LogRecord> records;
@@ -154,6 +180,58 @@ TEST(Labeler, SessionBoundariesRespectedInPass2) {
   EXPECT_EQ(result.labeled_malicious, 20u);
   EXPECT_EQ(result.left_unknown, 2u);
   EXPECT_EQ(records[20].truth, Truth::kUnknown);
+}
+
+LogRecord curl_request(Ipv4 ip, double t_s) {
+  LogRecord r;
+  r.ip = ip;
+  r.user_agent = "curl/7.58.0";
+  r.time = Timestamp(static_cast<std::int64_t>(t_s * 1e6));
+  r.target = "/offers/1";
+  return r;
+}
+
+TEST(Labeler, BackwardsStepStaysInItsSession) {
+  // A session's gap is measured from its latest request, not from the
+  // previous line: 1860 s is within the timeout of 100 s, so the step back
+  // to 50 s does not split the session.
+  std::vector<LogRecord> records;
+  for (const double t : {0.0, 10.0, 20.0, 100.0, 50.0, 1860.0})
+    records.push_back(curl_request(Ipv4(3, 3, 3, 3), t));
+  HeuristicLabeler labeler;
+  const auto result = labeler.label(records);
+  EXPECT_EQ(result.labeled_malicious, 6u);
+  EXPECT_EQ(result.left_unknown, 0u);
+  for (const auto& r : records) EXPECT_EQ(r.truth, Truth::kMalicious);
+}
+
+TEST(Labeler, StreamClockClosesIdleSessions) {
+  // Another client moves the stream clock past the first client's last
+  // request plus the timeout, which closes that session. The first
+  // client's next request starts a new session although its timestamp
+  // lies within the timeout of its last.
+  const Ipv4 client(4, 4, 4, 4);
+  std::vector<LogRecord> records;
+  for (int i = 0; i < 6; ++i) records.push_back(curl_request(client, i * 10.0));
+  records.push_back(curl_request(Ipv4(5, 5, 5, 5), 2000.0));
+  records.push_back(curl_request(client, 60.0));
+  HeuristicLabeler labeler;
+  const auto result = labeler.label(records);
+  EXPECT_EQ(result.labeled_malicious, 6u);
+  EXPECT_EQ(result.left_unknown, 2u);
+  EXPECT_EQ(records.back().truth, Truth::kUnknown);
+}
+
+TEST(Labeler, PinnedTalliesOnSmokeStream) {
+  // The smoke stream is time-ordered, so its sessions are the ones the
+  // gap rule has always produced; these tallies pin them.
+  std::vector<LogRecord> records = divscrape::test::catalog_records("smoke");
+  HeuristicLabeler labeler;
+  const auto result = labeler.label(records);
+  EXPECT_EQ(result.records, records.size());
+  EXPECT_EQ(result.labeled_malicious, 5311u);
+  EXPECT_EQ(result.labeled_benign, 441u);
+  EXPECT_EQ(result.left_unknown, 404u);
 }
 
 TEST(Labeler, AuditAgainstSimulatorTruth) {

@@ -4,7 +4,7 @@
 //    per-client state in any detector (the lazy GC sweeps work). These are
 //    the tests that keep the 8-day paper-scale run inside memory.
 //  * StateRoundTrip / StateRejection — the warm-checkpoint contract of
-//    every stateful component (detectors, sessionizer, interner, joiner):
+//    every stateful component (detectors, interner, joiner):
 //    serialize -> restore -> serialize is byte-identical, a restored
 //    instance behaves identically to the original on the rest of the
 //    stream, and a truncated or corrupted blob is rejected with the
@@ -22,7 +22,6 @@
 #include "detectors/arcane.hpp"
 #include "detectors/registry.hpp"
 #include "detectors/sentinel.hpp"
-#include "httplog/session.hpp"
 #include "stats/rng.hpp"
 #include "util/interner.hpp"
 #include "util/state.hpp"
@@ -294,66 +293,6 @@ TEST(StateRejection, InternerRejectsTruncationAndClears) {
     divscrape::util::StateReader r(truncated);
     EXPECT_FALSE(victim.load_state(r)) << "accepted truncation to " << len;
     EXPECT_EQ(victim.size(), 0u) << "not cleared after truncation to " << len;
-  }
-}
-
-TEST(StateRoundTrip, SessionizerResumesOpenWindows) {
-  const auto& records = scenario_records();
-  const std::size_t split = records.size() / 2;
-
-  std::uint64_t emitted_a = 0;
-  std::uint64_t emitted_b = 0;
-  divscrape::httplog::Sessionizer original(
-      1800.0, [&](divscrape::httplog::Session&&) { ++emitted_a; });
-  for (std::size_t i = 0; i < split; ++i) original.add(records[i]);
-
-  divscrape::util::StateWriter w;
-  original.save_state(w);
-  const std::string blob = w.take();
-  divscrape::httplog::Sessionizer restored(
-      1800.0, [&](divscrape::httplog::Session&&) { ++emitted_b; });
-  divscrape::util::StateReader r(blob);
-  ASSERT_TRUE(restored.load_state(r));
-  EXPECT_TRUE(r.at_end());
-  EXPECT_EQ(restored.open_sessions(), original.open_sessions());
-  EXPECT_EQ(restored.completed_sessions(), original.completed_sessions());
-  ASSERT_GT(restored.open_sessions(), 0u)
-      << "stream too short to leave windows open at the split";
-
-  emitted_a = 0;
-  for (std::size_t i = split; i < records.size(); ++i) {
-    original.add(records[i]);
-    restored.add(records[i]);
-  }
-  divscrape::util::StateWriter wa;
-  original.save_state(wa);
-  divscrape::util::StateWriter wb;
-  restored.save_state(wb);
-  EXPECT_EQ(wa.take(), wb.take());
-  original.flush_all();
-  restored.flush_all();
-  // Both saw identical state at the split and identical records after it,
-  // so the post-split emission counts and totals must agree exactly.
-  EXPECT_EQ(emitted_b, emitted_a);
-  EXPECT_EQ(original.completed_sessions(), restored.completed_sessions());
-}
-
-TEST(StateRejection, SessionizerRejectsTruncationAndResetsCold) {
-  const auto& records = scenario_records();
-  divscrape::httplog::Sessionizer original;
-  for (std::size_t i = 0; i < records.size() / 2; ++i) original.add(records[i]);
-  divscrape::util::StateWriter w;
-  original.save_state(w);
-  const std::string blob = w.take();
-  for (const std::size_t len :
-       {std::size_t{0}, std::size_t{10}, blob.size() / 2, blob.size() - 1}) {
-    divscrape::httplog::Sessionizer victim;
-    victim.add(records[0]);
-    const std::string truncated = blob.substr(0, len);
-    divscrape::util::StateReader r(truncated);
-    EXPECT_FALSE(victim.load_state(r)) << "accepted truncation to " << len;
-    EXPECT_EQ(victim.open_sessions(), 0u);
-    EXPECT_EQ(victim.completed_sessions(), 0u);
   }
 }
 

@@ -227,7 +227,7 @@ TEST(EofFraming, BatchReplayParsesUnterminatedFinalLine) {
   const auto stats = engine.replay(in);
   EXPECT_EQ(stats.lines, 1u);
   EXPECT_EQ(stats.parsed, 1u);
-  EXPECT_FALSE(engine.has_partial_line());
+  EXPECT_FALSE(engine.decoder().has_partial_line());
   ASSERT_EQ(records.size(), 1u);
 }
 
@@ -236,14 +236,14 @@ TEST(EofFraming, TailFeedHoldsUnterminatedLineUntilFinish) {
   const auto pool = divscrape_test::capture_pool(&records);
   pipeline::ReplayEngine engine(pool);
   EXPECT_EQ(engine.decoder().feed(kUnterminated), 0u);
-  EXPECT_TRUE(engine.has_partial_line());
+  EXPECT_TRUE(engine.decoder().has_partial_line());
   EXPECT_EQ(engine.stats().lines, 0u);
   EXPECT_EQ(engine.stats().parsed, 0u);
   EXPECT_TRUE(records.empty());  // nothing ingested while the line may grow
 
   // The newline arriving completes the record...
   EXPECT_EQ(engine.decoder().feed("\n"), 1u);
-  EXPECT_FALSE(engine.has_partial_line());
+  EXPECT_FALSE(engine.decoder().has_partial_line());
   ASSERT_EQ(records.size(), 1u);
 
   // ...and an explicit end-of-stream flushes a partial the same way.

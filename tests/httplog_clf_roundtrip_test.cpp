@@ -3,7 +3,7 @@
 // intact (time truncates to CLF's one-second resolution; truth/actor sidecar
 // fields are not on the wire by design). A second pass corrupts a
 // deterministic subset of lines and checks the lines/parsed/skipped
-// accounting that ReplayStats and LogReader report.
+// accounting that LineDecoder and ReplayEngine report.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -13,8 +13,8 @@
 #include "catalog_stream.hpp"
 #include "detectors/registry.hpp"
 #include "httplog/clf.hpp"
-#include "httplog/io.hpp"
 #include "httplog/record.hpp"
+#include "pipeline/decoder.hpp"
 #include "pipeline/replay.hpp"
 #include "stats/rng.hpp"
 
@@ -158,7 +158,8 @@ TEST(ClfRoundTrip, FormatAfterParseIsByteStable) {
 TEST(ClfRoundTrip, ReplayAccountingTracksCorruptedLines) {
   // Corrupt a deterministic ~5% of serialized lines in ways rotated
   // production logs actually exhibit, then check the accounting identity
-  // lines == parsed + skipped at both the LogReader and ReplayStats layers.
+  // lines == parsed + skipped at both the LineDecoder and ReplayEngine
+  // layers.
   const auto& records = generate_records();
   divscrape::stats::Rng rng(0xD15C0FEEDull);
 
@@ -187,19 +188,18 @@ TEST(ClfRoundTrip, ReplayAccountingTracksCorruptedLines) {
   }
   ASSERT_GT(corrupted, 0u);
 
-  std::istringstream reader_in(out.str());
-  divscrape::httplog::LogReader reader(reader_in);
-  LogRecord r;
   std::uint64_t parsed = 0;
-  while (reader.next(r)) ++parsed;
-  EXPECT_EQ(reader.lines_read(), records.size());
-  EXPECT_EQ(reader.lines_skipped(), corrupted);
-  EXPECT_EQ(parsed + reader.lines_skipped(), reader.lines_read());
-  std::uint64_t skips_by_error_total = 0;
-  for (const auto count : reader.skips_by_error()) {
-    skips_by_error_total += count;
-  }
-  EXPECT_EQ(skips_by_error_total, reader.lines_skipped());
+  divscrape::pipeline::LineDecoder decoder(
+      [&parsed](divscrape::pipeline::RecordBatch&& batch) {
+        parsed += batch.size();
+      },
+      1024);
+  std::istringstream decoder_in(out.str());
+  decoder.feed_stream(decoder_in);
+  EXPECT_EQ(decoder.stats().lines, records.size());
+  EXPECT_EQ(decoder.stats().skipped, corrupted);
+  EXPECT_EQ(decoder.stats().parsed, parsed);
+  EXPECT_EQ(parsed + decoder.stats().skipped, decoder.stats().lines);
 
   const auto pool = divscrape::detectors::make_paper_pair();
   divscrape::pipeline::ReplayEngine engine(pool);

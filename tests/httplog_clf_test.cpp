@@ -1,11 +1,15 @@
-// Combined-log-format codec tests: golden lines, error taxonomy, and the
-// format→parse round-trip property over randomly generated records.
+// Combined-log-format codec tests: golden lines, error taxonomy, the
+// format→parse round-trip property over randomly generated records, and
+// whole-log decoding through the pipeline's LineDecoder.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "httplog/clf.hpp"
 #include "httplog/io.hpp"
+#include "pipeline/decoder.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -157,18 +161,37 @@ TEST(Clf, FormatParseRoundTripProperty) {
   }
 }
 
-TEST(LogReader, SkipsBadLinesAndCounts) {
-  std::istringstream in(
+/// Every record LineDecoder parses from `text`, plus its accounting.
+std::vector<LogRecord> decode_all(const std::string& text,
+                                  divscrape::pipeline::ReplayStats* stats) {
+  std::vector<LogRecord> records;
+  divscrape::pipeline::LineDecoder decoder(
+      [&records](divscrape::pipeline::RecordBatch&& batch) {
+        for (auto& r : batch) records.push_back(std::move(r));
+      },
+      16);
+  std::istringstream in(text);
+  decoder.feed_stream(in);
+  if (stats != nullptr) *stats = decoder.stats();
+  return records;
+}
+
+TEST(LineDecoder, SkipsBadLinesAndCounts) {
+  divscrape::pipeline::ReplayStats stats;
+  const auto records = decode_all(
       "1.2.3.4 - - [11/Mar/2018:00:00:00 +0000] \"GET /a HTTP/1.1\" 200 1 "
       "\"-\" \"-\"\n"
       "this is garbage\n"
       "\n"
       "5.6.7.8 - - [11/Mar/2018:00:00:01 +0000] \"GET /b HTTP/1.1\" 200 2 "
-      "\"-\" \"-\"\n");
-  const auto records = divscrape::httplog::read_all(in);
+      "\"-\" \"-\"\n",
+      &stats);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].target, "/a");
   EXPECT_EQ(records[1].target, "/b");
+  EXPECT_EQ(stats.lines, 4u);
+  EXPECT_EQ(stats.parsed, 2u);
+  EXPECT_EQ(stats.skipped, 2u);
 }
 
 TEST(LogWriter, RoundTripThroughStream) {
@@ -181,8 +204,7 @@ TEST(LogWriter, RoundTripThroughStream) {
     writer.write(originals.back());
   }
   EXPECT_EQ(writer.lines_written(), 50u);
-  std::istringstream in(out.str());
-  const auto parsed = divscrape::httplog::read_all(in);
+  const auto parsed = decode_all(out.str(), nullptr);
   ASSERT_EQ(parsed.size(), 50u);
   for (std::size_t i = 0; i < parsed.size(); ++i) {
     EXPECT_EQ(parsed[i].target, originals[i].target);

@@ -14,39 +14,11 @@ namespace {
 
 using divscrape::httplog::is_static_asset;
 using divscrape::httplog::parse_query;
-using divscrape::httplog::parse_url;
 using divscrape::httplog::path_extension;
 using divscrape::httplog::path_segments;
 using divscrape::httplog::path_template;
 using divscrape::httplog::query_value;
 using divscrape::httplog::url_decode;
-
-TEST(Url, SplitsPathAndQuery) {
-  const auto url = parse_url("/search?from=NCE&to=LHR");
-  ASSERT_TRUE(url.has_value());
-  EXPECT_EQ(url->path, "/search");
-  EXPECT_EQ(url->query, "from=NCE&to=LHR");
-  EXPECT_TRUE(url->has_query());
-}
-
-TEST(Url, NoQuery) {
-  const auto url = parse_url("/offers/123");
-  ASSERT_TRUE(url.has_value());
-  EXPECT_EQ(url->path, "/offers/123");
-  EXPECT_FALSE(url->has_query());
-}
-
-TEST(Url, StripsFragment) {
-  const auto url = parse_url("/a?b=c#frag");
-  ASSERT_TRUE(url.has_value());
-  EXPECT_EQ(url->query, "b=c");
-}
-
-TEST(Url, RejectsNonOriginForm) {
-  EXPECT_FALSE(parse_url("").has_value());
-  EXPECT_FALSE(parse_url("http://evil.example/").has_value());
-  EXPECT_FALSE(parse_url("*").has_value());
-}
 
 TEST(UrlDecode, BasicEscapes) {
   EXPECT_EQ(url_decode("a%20b"), "a b");

@@ -501,7 +501,7 @@ TEST(Checkpoint, KillMidTornWriteReplaysOnlyThePartial) {
     committed_offset = writer.bytes_written();
     writer.write_bytes(std::string_view(torn).substr(0, torn.size() / 2));
     (void)tailer.poll();  // sees the torn prefix, holds it as a partial
-    EXPECT_TRUE(engine.has_partial_line());
+    EXPECT_TRUE(engine.decoder().has_partial_line());
     const auto cp = tailer.checkpoint();
     EXPECT_EQ(cp.offset, committed_offset);  // partial bytes not committed
     EXPECT_EQ(cp.parsed, 10u);

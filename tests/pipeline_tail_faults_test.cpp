@@ -104,7 +104,7 @@ TEST(TailFaults, FaultedLiveStreamMatchesOneShotBatchReplay) {
   EXPECT_EQ(tailer.lost_incarnations(), 0u);
   EXPECT_EQ(tailer.read_errors(), 0u);
   // The writer completed every line, so nothing may be left partial.
-  EXPECT_FALSE(engine.has_partial_line());
+  EXPECT_FALSE(engine.decoder().has_partial_line());
 
   // One-shot batch replay of the logically ingested stream.
   const auto batch_pool = make_paper_pair();

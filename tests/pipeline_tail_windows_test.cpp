@@ -231,7 +231,7 @@ TEST(TailWindows, DoubleRotationBetweenPollsCountsTheLostIncarnation) {
   const auto cut = torn.find('[') + 1;
   writer.write_bytes(std::string_view(torn).substr(0, cut));
   (void)tailer.poll();  // drained; torn head held as a partial
-  EXPECT_TRUE(engine.has_partial_line());
+  EXPECT_TRUE(engine.decoder().has_partial_line());
 
   // TWO rotations complete before the next poll. The middle incarnation
   // (the torn record's tail + records 11..19) is never reachable: the
@@ -315,7 +315,7 @@ TEST(TailWindows, RotationSpanningPartialClampsOffsetAndRoundTrips) {
     writer.rotate(rotated);
     (void)tailer.poll();  // rotation observed; new file still empty
     EXPECT_EQ(tailer.rotations(), 1u);
-    EXPECT_TRUE(engine.has_partial_line());
+    EXPECT_TRUE(engine.decoder().has_partial_line());
 
     // The carried partial exceeds everything consumed from the new
     // incarnation (nothing yet): the committed offset must clamp to 0,

@@ -183,7 +183,7 @@ TEST(WarmResumeSingleFile, KillMidTornWriteIsByteIdentical) {
     (void)tailer.poll();
     writer.write_bytes(std::string_view(torn).substr(0, torn.size() / 2));
     (void)tailer.poll();  // the torn prefix is buffered, not ingested
-    EXPECT_TRUE(engine.has_partial_line());
+    EXPECT_TRUE(engine.decoder().has_partial_line());
     saved = committed_checkpoint(tailer, engine);
     EXPECT_EQ(saved.parsed, kill_at);
   }

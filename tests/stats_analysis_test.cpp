@@ -1,5 +1,5 @@
-// Tests for the analysis-side statistics: online moments, windows,
-// histograms, proportion intervals, the paired-rater association
+// Tests for the analysis-side statistics: online moments, counters,
+// proportion intervals, the paired-rater association
 // measures the diversity framework is built on, and the double-fault pair
 // accounting the ensemble analysis sits on.
 #include <gtest/gtest.h>
@@ -10,7 +10,7 @@
 
 #include "core/joiner.hpp"
 #include "stats/association.hpp"
-#include "stats/histogram.hpp"
+#include "stats/counter.hpp"
 #include "stats/intervals.hpp"
 #include "stats/rng.hpp"
 #include "stats/running_stats.hpp"
@@ -20,14 +20,12 @@ namespace {
 using divscrape::stats::cohens_kappa;
 using divscrape::stats::Counter;
 using divscrape::stats::disagreement;
-using divscrape::stats::Histogram;
 using divscrape::stats::mcnemar_test;
 using divscrape::stats::PairedCounts;
 using divscrape::stats::phi_coefficient;
 using divscrape::stats::q_statistic;
 using divscrape::stats::RunningStats;
 using divscrape::stats::shannon_entropy;
-using divscrape::stats::SlidingWindow;
 using divscrape::stats::wald_interval;
 using divscrape::stats::wilson_interval;
 
@@ -83,50 +81,6 @@ TEST(RunningStats, MergeWithEmpty) {
   EXPECT_DOUBLE_EQ(a.mean(), mean);
   empty.merge(a);
   EXPECT_DOUBLE_EQ(empty.mean(), mean);
-}
-
-TEST(SlidingWindow, EvictsOldest) {
-  SlidingWindow w(3);
-  w.add(1.0);
-  w.add(2.0);
-  w.add(3.0);
-  EXPECT_TRUE(w.full());
-  EXPECT_DOUBLE_EQ(w.mean(), 2.0);
-  w.add(10.0);  // evicts 1.0
-  EXPECT_DOUBLE_EQ(w.sum(), 15.0);
-  EXPECT_DOUBLE_EQ(w.front(), 2.0);
-  EXPECT_DOUBLE_EQ(w.back(), 10.0);
-}
-
-TEST(SlidingWindow, RejectsZeroCapacity) {
-  EXPECT_THROW(SlidingWindow(0), std::invalid_argument);
-}
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(9.999);
-  h.add(10.0);
-  h.add(100.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, QuantileInterpolation) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 1000; ++i) h.add(i % 100 + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1e-9);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 TEST(Counter, CountsAndOrdering) {

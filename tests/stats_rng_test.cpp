@@ -12,9 +12,7 @@
 
 namespace {
 
-using divscrape::stats::DiscreteDistribution;
 using divscrape::stats::LogNormalDistribution;
-using divscrape::stats::ParetoDistribution;
 using divscrape::stats::Rng;
 using divscrape::stats::ZipfDistribution;
 
@@ -299,25 +297,6 @@ TEST(Zipf, CapAtOrAboveNIsExact) {
   }
 }
 
-TEST(Pareto, SupportAndMean) {
-  ParetoDistribution pareto(2.0, 3.0);
-  Rng rng(43);
-  double sum = 0.0;
-  constexpr int kN = 200'000;
-  for (int i = 0; i < kN; ++i) {
-    const double x = pareto.sample(rng);
-    ASSERT_GE(x, 2.0);
-    sum += x;
-  }
-  EXPECT_NEAR(sum / kN, pareto.mean(), 0.05);
-  EXPECT_NEAR(pareto.mean(), 3.0, 1e-12);
-}
-
-TEST(Pareto, InfiniteMeanWhenAlphaAtMostOne) {
-  EXPECT_TRUE(std::isinf(ParetoDistribution(1.0, 1.0).mean()));
-  EXPECT_TRUE(std::isinf(ParetoDistribution(1.0, 0.5).mean()));
-}
-
 TEST(LogNormal, MedianMatches) {
   LogNormalDistribution dist(12.0, 0.9);
   EXPECT_NEAR(dist.median(), 12.0, 1e-9);
@@ -326,38 +305,6 @@ TEST(LogNormal, MedianMatches) {
   for (auto& s : samples) s = dist.sample(rng);
   std::nth_element(samples.begin(), samples.begin() + 25'000, samples.end());
   EXPECT_NEAR(samples[25'000], 12.0, 0.4);
-}
-
-TEST(Discrete, RespectsWeights) {
-  const std::vector<double> weights = {1.0, 3.0, 0.0, 6.0};
-  DiscreteDistribution dist(weights);
-  EXPECT_NEAR(dist.probability(0), 0.1, 1e-12);
-  EXPECT_NEAR(dist.probability(1), 0.3, 1e-12);
-  EXPECT_NEAR(dist.probability(2), 0.0, 1e-12);
-  EXPECT_NEAR(dist.probability(3), 0.6, 1e-12);
-  EXPECT_EQ(dist.probability(4), 0.0);
-
-  Rng rng(53);
-  std::vector<int> counts(4, 0);
-  constexpr int kN = 100'000;
-  for (int i = 0; i < kN; ++i) ++counts[dist.sample(rng)];
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(static_cast<double>(counts[3]) / kN, 0.6, 0.01);
-}
-
-TEST(Discrete, RejectsBadWeights) {
-  const std::vector<double> negative = {1.0, -1.0};
-  EXPECT_THROW((void)DiscreteDistribution(divscrape::span<const double>(negative)),
-               std::invalid_argument);
-  const std::vector<double> zeros = {0.0, 0.0};
-  EXPECT_THROW((void)DiscreteDistribution(divscrape::span<const double>(zeros)),
-               std::invalid_argument);
-}
-
-TEST(Discrete, EmptyIsAllowedButUnsampled) {
-  DiscreteDistribution dist;
-  EXPECT_TRUE(dist.empty());
-  EXPECT_EQ(dist.size(), 0u);
 }
 
 }  // namespace

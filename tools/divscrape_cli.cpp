@@ -113,7 +113,6 @@
 #include "core/labeling.hpp"
 #include "core/paper_reference.hpp"
 #include "core/report.hpp"
-#include "core/timeseries.hpp"
 #include "detectors/arcane.hpp"
 #include "detectors/sentinel.hpp"
 #include "eval/run.hpp"
@@ -121,6 +120,7 @@
 #include "httplog/io.hpp"
 #include "pipeline/alert_log.hpp"
 #include "pipeline/chaos.hpp"
+#include "pipeline/decoder.hpp"
 #include "pipeline/sharded.hpp"
 #include "pipeline/tail_session.hpp"
 #include "stats/association.hpp"
@@ -511,6 +511,20 @@ int cmd_simulate(const CliOptions& opts) {
   return 0;
 }
 
+/// Decodes a whole CLF log through pipeline::LineDecoder, the framer every
+/// ingest path shares, handing each parsed record to `on_record` in log
+/// order. Returns the decoder's line accounting.
+template <typename OnRecord>
+pipeline::ReplayStats decode_log(std::istream& in, OnRecord&& on_record) {
+  pipeline::LineDecoder decoder(
+      [&on_record](pipeline::RecordBatch&& batch) {
+        for (auto& record : batch) on_record(record);
+      },
+      1024);
+  decoder.feed_stream(in);
+  return decoder.stats();
+}
+
 int cmd_analyze(const CliOptions& opts) {
   if (opts.input.empty()) {
     std::fprintf(stderr, "analyze: missing <log> path\n");
@@ -535,10 +549,8 @@ int cmd_analyze(const CliOptions& opts) {
     alerts = std::make_unique<pipeline::AlertLogWriter>(alerts_file);
   }
 
-  httplog::LogReader reader(in);
-  httplog::LogRecord record;
   util::StringInterner ua_tokens;
-  while (reader.next(record)) {
+  const auto stats = decode_log(in, [&](httplog::LogRecord& record) {
     // Stamp the interned UA token so the detectors skip per-record string
     // hashing (same as ReplayEngine and the traffic generator do).
     record.ua_token = ua_tokens.intern(record.user_agent);
@@ -548,11 +560,11 @@ int cmd_analyze(const CliOptions& opts) {
         alerts->write(pool[d]->name(), record, verdicts[d]);
       }
     }
-  }
+  });
   const auto& r = joiner.results();
   std::printf("parsed %s records (%s lines skipped)\n",
               core::with_thousands(r.total_requests()).c_str(),
-              core::with_thousands(reader.lines_skipped()).c_str());
+              core::with_thousands(stats.skipped).c_str());
   print_detector_summary(r);
   if (alerts) {
     std::printf("wrote %s alert events to %s\n",
@@ -1090,7 +1102,10 @@ int cmd_label(const CliOptions& opts) {
     std::fprintf(stderr, "cannot open %s\n", opts.input.c_str());
     return 1;
   }
-  auto records = httplog::read_all(in);
+  std::vector<httplog::LogRecord> records;
+  (void)decode_log(in, [&records](httplog::LogRecord& record) {
+    records.push_back(std::move(record));
+  });
   core::HeuristicLabeler labeler;
   const auto result = labeler.label(records);
   std::fprintf(stderr,
