@@ -15,6 +15,7 @@ void Session::add(const httplog::LogRecord& record) {
     first_ = last_ = record.time;
   }
   ++count_;
+  first_ = std::min(first_, record.time);
   last_ = std::max(last_, record.time);
   const auto path = record.path();
   if (httplog::is_static_asset(path)) ++assets_;

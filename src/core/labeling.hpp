@@ -38,9 +38,10 @@ namespace divscrape::core {
 /// Aggregate view of one client session: the features judge() reads.
 class Session {
  public:
-  /// Folds one record into the aggregates. The first record fixes the
-  /// session's start and its UA classification (all records of a session
-  /// share one UA — the client key guarantees it).
+  /// Folds one record into the aggregates. The session spans its earliest
+  /// to its latest request, whatever order the lines arrive in; the first
+  /// record fixes the UA classification (all records of a session share
+  /// one UA — the client key guarantees it).
   void add(const httplog::LogRecord& record);
 
   [[nodiscard]] const httplog::UserAgentInfo& ua_info() const noexcept {
@@ -49,7 +50,7 @@ class Session {
   [[nodiscard]] std::uint64_t request_count() const noexcept { return count_; }
   /// Latest request time (not the last line's: timestamps may step back).
   [[nodiscard]] httplog::Timestamp last_seen() const noexcept { return last_; }
-  /// Seconds from the first record to the latest request (0 for
+  /// Seconds from the earliest to the latest request (0 for
   /// single-request sessions).
   [[nodiscard]] double duration_s() const noexcept;
   /// Mean requests per second over the session (count / duration); count

@@ -1,19 +1,27 @@
 #include "pipeline/multi_tailer.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace divscrape::pipeline {
 
-MultiTailer::Input::Input(MultiTailer* owner, std::uint32_t file,
+MultiTailer::Input::Input(const TailConfig& tail, std::uint32_t file,
                           std::string file_path, std::size_t batch_records,
                           BatchPool* pool)
     : decoder(
-          [owner, file](RecordBatch&& batch) {
-            owner->enqueue(file, std::move(batch));
+          [this](RecordBatch&& batch) {
+            // Runs on the decode thread: a batch goes to the caller as soon
+            // as a newer one exists, so a long call streams.
+            if (!newest.empty()) {
+              Handoff handoff;
+              handoff.batch = std::move(newest);
+              worker->ready.push(std::move(handoff));
+            }
+            newest = std::move(batch);
           },
           batch_records, pool),
-      tailer(std::move(file_path), decoder, owner->config_.tail),
+      tailer(std::move(file_path), decoder, tail),
       index(file) {}
 
 MultiTailer::MultiTailer(std::vector<std::string> paths, BatchSink sink,
@@ -36,8 +44,43 @@ MultiTailer::MultiTailer(std::vector<std::string> paths, BatchSink sink,
   inputs_.reserve(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
     inputs_.push_back(std::make_unique<Input>(
-        this, static_cast<std::uint32_t>(i), std::move(paths[i]),
+        config_.tail, static_cast<std::uint32_t>(i), std::move(paths[i]),
         decode_batch, decode_pool));
+  }
+}
+
+MultiTailer::~MultiTailer() {
+  // Closing both rings ends every pass: a thread waiting for a wake sees
+  // the stream end, and one handing over a batch gets push()'s throw.
+  for (auto& input : inputs_) {
+    if (!input->worker) continue;
+    input->worker->wake.close();
+    input->worker->ready.close();
+  }
+  for (auto& input : inputs_) {
+    if (input->worker) input->worker->thread.join();
+  }
+}
+
+void MultiTailer::decode_loop(Input& input, Worker& worker) {
+  try {
+    std::size_t budget = 0;
+    while (worker.wake.pop(budget)) {
+      for (bool more = true; more;) {
+        Handoff end;
+        end.call_end = true;
+        try {
+          end.got = input.tailer.poll(budget);
+        } catch (...) {
+          end.error = std::current_exception();
+        }
+        end.batch = std::move(input.newest);
+        more = !end.error && end.got >= budget;
+        worker.ready.push(std::move(end));
+      }
+    }
+  } catch (const std::logic_error&) {
+    // push() after the destructor closed the ring: the tailer is going.
   }
 }
 
@@ -118,11 +161,13 @@ MultiTailer::Input* MultiTailer::min_head() noexcept {
 
 void MultiTailer::emit_head(Input& input) {
   RecordBatch& front = input.queue.front();
-  httplog::LogRecord& record = front[input.head];
+  const httplog::LogRecord& record = front[input.head];
   note_emitted(record.time.micros());
-  // Swap into the out slot: both batches keep warm string buffers and
-  // nothing is copied or allocated (arena contract).
-  std::swap(out_batch_.append_slot(), record);
+  // Copy-assign into the out slot's warm buffers, never swap: a swap would
+  // trade string buffers between the queue batches a decode thread refills
+  // and the out batches the consumer recycles, and glibc would strand the
+  // freed buffers in per-thread arenas (see record_batch.hpp).
+  out_batch_.append_slot() = record;
   --buffered_;
   if (++input.head == front.size()) {
     queue_pool_.recycle(std::move(front));
@@ -163,17 +208,36 @@ MultiTailer::Input* MultiTailer::next_to_read() noexcept {
 }
 
 std::size_t MultiTailer::poll() {
-  // One read chunk per turn: small enough that a log's queued records are
-  // still in cache when the merge moves them.
+  // One read chunk per turn: the unit a decode thread hands over, small
+  // enough that each log queues about one chunk.
   const std::size_t budget =
       std::max<std::size_t>(config_.tail.chunk_bytes, 1);
-  for (auto& input : inputs_) input->at_eof = input->fresh = false;
+  for (auto& input : inputs_) {
+    if (!input->worker) {
+      // Published before the wake below, which orders it before the
+      // thread's first use (the decoder callback reads it).
+      auto worker = std::make_unique<Worker>();
+      worker->thread = std::thread(&MultiTailer::decode_loop,
+                                   std::ref(*input), std::ref(*worker));
+      input->worker = std::move(worker);
+    }
+    input->at_eof = input->fresh = false;
+    input->worker->wake.push(std::size_t{budget});
+  }
   std::size_t total = 0;
+  Handoff handoff;
   while (Input* next = next_to_read()) {
-    const std::size_t got = next->tailer.poll(budget);
-    next->at_eof = got < budget;
-    next->fresh |= got > 0;
-    total += got;
+    // The log's next tailer call, as if made here: the merge sees the
+    // same batches and byte counts whatever the decode threads' timing.
+    do {
+      (void)next->worker->ready.pop(handoff);
+      if (handoff.error) std::rethrow_exception(handoff.error);
+      if (!handoff.batch.empty())
+        enqueue(next->index, std::move(handoff.batch));
+    } while (!handoff.call_end);
+    next->at_eof = handoff.got < budget;
+    next->fresh |= handoff.got > 0;
+    total += handoff.got;
     emit_ready();
   }
   // Released records never sit in a partial batch across calls (alert

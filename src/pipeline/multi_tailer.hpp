@@ -2,13 +2,40 @@
 // input log (one per vhost, as in the paper's deployment) merged into a
 // single time-ordered record stream.
 //
+// ## Threads and ownership
+//
+// Each log has one decode thread, started by the first poll() and joined
+// by the destructor (a tailer that is never polled starts none). It owns
+// that log's LogTailer and LineDecoder: it reads, frames and parses one
+// chunk per LogTailer::poll(budget) call and hands each decoded batch to
+// the caller through a one-slot SpscRing, the call's last batch together
+// with the call's byte count, then decodes the next chunk while the caller
+// merges. A pass ends after the call that reads less than the budget
+// (EOF); the thread then waits for the next poll(). The caller thread —
+// the one calling poll() — owns the merge: the per-log queues, frontiers,
+// watermark, out batch, counters and the sink, which is only ever called
+// on the caller thread.
+//
+// poll() consumes each log's handoffs in the order its decode thread made
+// them, and every merge decision happens on the caller exactly as if the
+// caller had made each LogTailer::poll call itself at that point. The
+// emitted stream, late_records(), forced_emits() and every checkpoint are
+// therefore independent of thread timing. When poll() returns, every
+// decode thread has delivered its pass and is idle, so between calls the
+// caller may read or change tailer state: checkpoint(), stats(),
+// partial_lines(), the rotation counters, resume() and flush(). Reading
+// them from inside the sink, during poll(), is a data race. If poll()
+// throws (a read or the sink failed; a decode thread's exception is
+// rethrown on the caller), other decode threads may still be mid-pass:
+// the tailer is spent and may only be destroyed.
+//
 // ## Merge model
 //
 // Each log's LineDecoder parses straight into warm RecordBatch slots from
 // a tailer-owned pool, and the batches queue up per log in file order. A
 // linear scan over the k queue heads (k is a handful of logs) picks the
-// smallest (timestamp, file index) key and swaps that record into the out
-// batch. A head is released once it is at or below the watermark: the
+// smallest (timestamp, file index) key and copies that record into the
+// out batch. A head is released once it is at or below the watermark: the
 // minimum frontier (newest timestamp decoded so far) over every log that
 // has produced a record. When each log is time-ordered, as real access
 // logs are, the output equals a batch replay of the per-log streams
@@ -17,13 +44,15 @@
 //
 // ## Frontier-driven reads
 //
-// poll() reads one chunk (TailConfig::chunk_bytes) at a time: first from
+// poll() takes one chunk (TailConfig::chunk_bytes) at a time: first from
 // any log without a frontier, then always from the log with the lowest
 // frontier that is not yet at EOF, releasing what the watermark allows
 // after every chunk, until every log is at EOF. A catch-up over a backlog
-// is therefore an exact merge, and each log buffers about one chunk —
-// except behind a log whose backlog ends early, which holds the others'
-// later records until it goes quiet (or the cap below).
+// is therefore an exact merge, and each log buffers about one chunk in
+// its queue — except behind a log whose backlog ends early, which holds
+// the others' later records until it goes quiet (or the cap below). Each
+// decode thread runs at most three decoded batches ahead of the merge:
+// one in its ring, one it is handing over and one it is filling.
 //
 // ## Forcing and late records
 //
@@ -34,9 +63,11 @@
 // overtaken before the next. `max_buffered_records` is the memory
 // backstop (a quiet log with the window off): before a decoded batch would
 // pass the cap, the oldest heads are emitted, counted as forced when the
-// watermark had not released them. A record that arrives below the
-// emission front is emitted in merge order and counted by late_records().
-// A log that has produced nothing yet does not hold the watermark.
+// watermark had not released them. The cap counts queued records, not the
+// batches the decode threads hold ahead, each no larger than the cap. A
+// record that arrives below the emission front is emitted in merge order
+// and counted by late_records(). A log that has produced nothing yet does
+// not hold the watermark.
 //
 // With one log the merge is the identity (the watermark is its own
 // frontier): decoded batches, drawn from the consumer's pool, go to the
@@ -56,15 +87,19 @@
 // already *decoded*, including those still queued. Persist only after
 // flush() — the quiescent point, where no record is held in the tailer —
 // so a crash cannot lose queued records the offsets already committed
-// (TailSession::persist flushes first for exactly this reason).
+// (TailSession::persist flushes first for exactly this reason). Between
+// poll() calls no decoded record sits on a decode thread, so flush()
+// reaches every one.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -72,6 +107,7 @@
 #include "pipeline/checkpoint.hpp"
 #include "pipeline/decoder.hpp"
 #include "pipeline/record_batch.hpp"
+#include "pipeline/spsc_ring.hpp"
 #include "pipeline/tailer.hpp"
 
 namespace divscrape::pipeline {
@@ -104,13 +140,18 @@ class MultiTailer {
               std::size_t batch_records, Config config = Config(),
               BatchPool* pool = nullptr);
 
+  /// Stops and joins the decode threads.
+  ~MultiTailer();
+
   MultiTailer(const MultiTailer&) = delete;
   MultiTailer& operator=(const MultiTailer&) = delete;
 
   /// Reads every log to EOF in frontier order (following rotations and
   /// truncations per LogTailer), emitting every merged record the
   /// watermark or reorder window releases along the way. Returns bytes
-  /// consumed across all files (0 = fully caught up).
+  /// consumed across all files (0 = fully caught up). Starts the decode
+  /// threads on the first call; rethrows an exception a decode thread
+  /// caught (see the class comment).
   std::size_t poll();
 
   /// Emits everything still buffered, in merge order — the quiescent
@@ -162,11 +203,32 @@ class MultiTailer {
   /// keep file order.
   using MergeKey = std::pair<std::int64_t, std::uint32_t>;
 
+  /// What a decode thread hands the caller: a decoded batch, and with a
+  /// LogTailer::poll(budget) call's last batch, the end of that call.
+  struct Handoff {
+    RecordBatch batch;         ///< may be empty at a call's end
+    bool call_end = false;
+    std::size_t got = 0;       ///< at a call's end: bytes it consumed
+    std::exception_ptr error;  ///< at a call's end: what it threw
+  };
+
+  /// A log's decode thread and its handoff rings: a pass's budget in,
+  /// decoded batches out. Made by the first poll().
+  struct Worker {
+    SpscRing<std::size_t> wake{1};
+    SpscRing<Handoff> ready{1};
+    std::thread thread;
+  };
+
   struct Input {
-    Input(MultiTailer* owner, std::uint32_t file, std::string file_path,
+    Input(const TailConfig& tail, std::uint32_t file, std::string file_path,
           std::size_t batch_records, BatchPool* pool);
+    // Decode-thread state during a pass; the caller's between polls.
     LineDecoder decoder;
     LogTailer tailer;
+    RecordBatch newest;  ///< held back to travel with its call's end
+    std::unique_ptr<Worker> worker;  ///< null until the first poll()
+    // Caller-only merge state.
     std::uint32_t index;
     std::deque<RecordBatch> queue;  ///< decoded, not yet emitted, in order
     std::size_t head = 0;           ///< next record within queue.front()
@@ -186,7 +248,9 @@ class MultiTailer {
     for (const auto& input : inputs_) total += (input->tailer.*counter)();
     return total;
   }
-  /// Decoder callback: queues a parsed batch behind file `file`'s records.
+  /// A decode thread: one pass per wake, one chunk per tailer call.
+  static void decode_loop(Input& input, Worker& worker);
+  /// Queues a decoded batch behind file `file`'s records.
   void enqueue(std::uint32_t file, RecordBatch&& batch);
   /// Counts a record leaving below the emission front as late.
   void note_emitted(std::int64_t t) noexcept;
@@ -204,7 +268,7 @@ class MultiTailer {
   [[nodiscard]] static MergeKey head_key(const Input& input) noexcept;
   /// Emits what the watermark releases, then what the window may force.
   void emit_ready();
-  /// Moves `input`'s head record into the out batch.
+  /// Copies `input`'s head record into the out batch.
   void emit_head(Input& input);
   /// Hands the partial out-batch downstream (no-op when empty).
   void flush_out_batch();

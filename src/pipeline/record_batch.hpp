@@ -24,6 +24,14 @@
 // a move would steal the source's buffer and throw away the slot's warm
 // one, reintroducing an allocation on the next reuse.
 //
+// Nor should a stage swap records between batches that different threads
+// refill (MultiTailer's decode threads fill its queue batches; the
+// consumer recycles its out batches). A swap allocates nothing, but it
+// sends string buffers from one thread's batches to the other's, so a
+// buffer is eventually grown or freed on a thread other than the one that
+// allocated it; glibc then holds the freed chunks in per-thread arenas,
+// and peak RSS climbs. Copy-assigning keeps every buffer with its batch.
+//
 // Batches are move-only (they carry megabytes of string arena; an
 // accidental copy would be a bug) and circulate through a BatchPool: the
 // consumer recycles finished batches, the producer acquires warm ones.
@@ -41,8 +49,15 @@ namespace divscrape::pipeline {
 class RecordBatch {
  public:
   RecordBatch() = default;
-  RecordBatch(RecordBatch&&) noexcept = default;
-  RecordBatch& operator=(RecordBatch&&) noexcept = default;
+  /// A moved-from batch is empty: no slots, size 0.
+  RecordBatch(RecordBatch&& other) noexcept
+      : slots_(std::move(other.slots_)),
+        size_(std::exchange(other.size_, 0)) {}
+  RecordBatch& operator=(RecordBatch&& other) noexcept {
+    slots_ = std::move(other.slots_);
+    size_ = std::exchange(other.size_, 0);
+    return *this;
+  }
   RecordBatch(const RecordBatch&) = delete;
   RecordBatch& operator=(const RecordBatch&) = delete;
 

@@ -137,9 +137,12 @@ bool LogTailer::drain_fd(std::size_t budget, std::size_t& total) {
     consumed_ += static_cast<std::uint64_t>(n);
     total += static_cast<std::size_t>(n);
     if (static_cast<std::size_t>(n) == buffer_.size() &&
-        buffer_.size() < config_.max_chunk_bytes) {
+        buffer_.size() < config_.max_chunk_bytes &&
+        budget - total > buffer_.size()) {
       // The file is outrunning us: double the read size (fewer syscalls
-      // and framer hand-offs per drained megabyte).
+      // and framer hand-offs per drained megabyte). Not past what the
+      // budget could still fill: a budgeted poll reads the same bytes
+      // either way, and a larger buffer would only be touched memory.
       buffer_.resize(std::min(buffer_.size() * 2, config_.max_chunk_bytes));
     }
   }

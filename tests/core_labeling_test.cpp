@@ -3,7 +3,9 @@
 // simulator truth (the paper's Section V labelling step).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "catalog_stream.hpp"
@@ -120,6 +122,31 @@ TEST(Labeler, BrowsingSessionJudgedBenign) {
                    {55.0, "/offers/99", 200, referer},
                    {90.0, "/book/99", 302, referer}});
   EXPECT_EQ(labeler.judge(session), Truth::kBenign);
+}
+
+TEST(Labeler, LatestLineLoggedFirstStillSpansTheSession) {
+  // Six slow browser requests over 500 s judge benign in time order. With
+  // the 500 s line logged first the session must still start at 0 s: a
+  // start taken from the first line would read 0 s long at 6 rps.
+  HeuristicLabeler labeler;
+  const char* referer = "https://shop.example.com/search";
+  const std::vector<std::tuple<double, const char*, int, const char*>>
+      in_order = {{0.0, "/offers/1", 200, referer},
+                  {100.0, "/offers/2", 200, referer},
+                  {200.0, "/offers/3", 200, referer},
+                  {300.0, "/offers/4", 200, referer},
+                  {400.0, "/offers/5", 200, referer},
+                  {500.0, "/offers/6", 200, referer}};
+  auto latest_first = in_order;
+  std::rotate(latest_first.begin(), latest_first.end() - 1,
+              latest_first.end());
+  ASSERT_DOUBLE_EQ(std::get<0>(latest_first.front()), 500.0);
+  for (const auto& requests : {in_order, latest_first}) {
+    const auto session = make_session(kBrowserUa, requests);
+    EXPECT_DOUBLE_EQ(session.duration_s(), 500.0);
+    EXPECT_NEAR(session.request_rate(), 6.0 / 500.0, 1e-12);
+    EXPECT_EQ(labeler.judge(session), Truth::kBenign);
+  }
 }
 
 TEST(Labeler, AmbiguousSessionStaysUnknown) {

@@ -67,6 +67,24 @@ TEST(RecordBatchTest, AppendRollbackClearKeepSlots) {
   EXPECT_EQ(batch[0].target, "/item/" + std::to_string(100 % 13));
 }
 
+TEST(RecordBatchTest, MovedFromBatchIsEmpty) {
+  RecordBatch batch;
+  for (int i = 0; i < 5; ++i) batch.append_slot() = make_record(i);
+  RecordBatch moved(std::move(batch));
+  EXPECT_EQ(moved.size(), 5u);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(batch.begin(), batch.end());
+  RecordBatch assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.size(), 5u);
+  EXPECT_EQ(assigned[4].target, "/item/4");
+  EXPECT_TRUE(moved.empty());
+  // A moved-from batch is reusable: it grows a fresh arena.
+  batch.append_slot() = make_record(7);
+  EXPECT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].target, "/item/7");
+}
+
 TEST(RecordBatchTest, PoolRecyclesWarmBatches) {
   BatchPool pool;
   EXPECT_EQ(pool.idle(), 0u);
