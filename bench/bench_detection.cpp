@@ -13,16 +13,21 @@
 //
 // Usage: bench_detection [scale] [--json <path>] [--smoke]
 //
-// --smoke runs the three-tier CI subset at a reduced scale and exits
-// nonzero if any gated metric drops below the committed floor (the
-// non-evasive tier's ensemble recall must not regress).
+// The scale must parse in full as a number in (0, 1] (default 1). --smoke
+// runs the three-tier CI subset at its own fixed scale, so it takes no
+// scale, and exits nonzero if any gated metric drops below the committed
+// floor (the non-evasive tier's ensemble recall must not regress). Any
+// other argument is a usage error (exit 1): nothing is silently ignored,
+// so the JSON document always records what actually ran.
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "eval/run.hpp"
+#include "util/rss.hpp"
 #include "workload/catalog.hpp"
 
 namespace {
@@ -38,6 +43,17 @@ using namespace divscrape;
 constexpr double kSmokeScale = 0.25;
 constexpr double kFloorEnsembleRecallE0 = 0.99;   // measured 0.9998
 constexpr double kFloorEnsembleAucE0 = 0.995;     // measured 0.9999
+
+/// Parses the whole of `text` as a number in (0, 1]; "nan", "inf", "1.5x"
+/// and "" all fail.
+bool parse_scale(const char* text, double& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtod(text, &end);
+  // Every comparison with NaN is false, so the range test rejects it.
+  return end != text && *end == '\0' && errno == 0 && out > 0.0 &&
+         out <= 1.0;
+}
 
 void print_score(const eval::ScenarioScore& score) {
   std::printf("  %s (scale %.3f): %llu records, %llu attacking actors\n",
@@ -59,20 +75,30 @@ void print_score(const eval::ScenarioScore& score) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --smoke before handing the rest to the shared parser.
+  const auto usage = [&]() {
+    std::fprintf(stderr,
+                 "usage: %s [scale in (0,1] | --smoke] [--json <path>]\n",
+                 argv[0]);
+    return 1;
+  };
   bool smoke = false;
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
+  bool have_scale = false;
+  double scale = 1.0;
+  std::string json_path;  // empty = no JSON output
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      json_path = argv[++i];
+    } else if (argv[i][0] != '-' && !have_scale &&
+               parse_scale(argv[i], scale)) {
+      have_scale = true;
     } else {
-      rest.push_back(argv[i]);
+      return usage();
     }
   }
-  const auto args = bench::parse_bench_args(static_cast<int>(rest.size()),
-                                            rest.data(), 1.0);
-  const double scale = smoke ? kSmokeScale : args.scale;
+  if (smoke && have_scale) return usage();
+  if (smoke) scale = kSmokeScale;
 
   const std::vector<std::string> scenarios =
       smoke ? std::vector<std::string>{"evasion_ladder_e0",
@@ -102,12 +128,12 @@ int main(int argc, char** argv) {
   std::printf("  peak RSS: %llu kB\n",
               static_cast<unsigned long long>(util::peak_rss_kb()));
 
-  if (!args.json_path.empty()) {
-    if (!document.save(args.json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
+  if (!json_path.empty()) {
+    if (!document.save(json_path)) {
+      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
-    std::printf("  wrote %s\n", args.json_path.c_str());
+    std::printf("  wrote %s\n", json_path.c_str());
   }
 
   if (smoke) {

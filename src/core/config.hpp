@@ -6,7 +6,8 @@
 //   sentinel.burst_limit = 25
 //   arcane.min_requests = 10
 //
-// Unknown keys are collected (not fatal) so callers can warn; appliers
+// Keys no accessor read are listed by unconsumed(), so a caller can reject
+// them (the CLI exits 2 on any key its command does not read); appliers
 // exist for both reproduced detectors' configs. The scenario itself is a
 // workload::ScenarioSpec: `scenario.scale` is the one scenario key, read by
 // the CLI; anything else is edited in a spec file (`--dump-spec`).

@@ -1,48 +1,8 @@
 #include "core/topology.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace divscrape::core {
-
-ParallelDeployment::ParallelDeployment(
-    std::vector<std::unique_ptr<detectors::Detector>> pool, std::size_t k)
-    : pool_(std::move(pool)), k_(k) {
-  if (pool_.empty())
-    throw std::invalid_argument("ParallelDeployment: empty pool");
-  if (k_ < 1 || k_ > pool_.size())
-    throw std::invalid_argument(
-        "ParallelDeployment: k must be in [1, pool size]");
-  name_ = std::to_string(k_) + "oo" + std::to_string(pool_.size()) + "(";
-  for (std::size_t i = 0; i < pool_.size(); ++i) {
-    if (i > 0) name_ += ',';
-    name_ += pool_[i]->name();
-  }
-  name_ += ')';
-}
-
-detectors::Verdict ParallelDeployment::evaluate(
-    const httplog::LogRecord& record) {
-  std::size_t alerts = 0;
-  double max_score = 0.0;
-  detectors::Verdict first_alerting{};
-  for (auto& d : pool_) {
-    const auto v = d->evaluate(record);
-    max_score = std::max(max_score, v.score);
-    if (v.alert) {
-      ++alerts;
-      if (alerts == 1) first_alerting = v;
-    }
-  }
-  if (alerts >= k_) {
-    return {true, max_score, first_alerting.reason};
-  }
-  return {false, max_score, detectors::AlertReason::kNone};
-}
-
-void ParallelDeployment::reset() {
-  for (auto& d : pool_) d->reset();
-}
 
 SerialDeployment::SerialDeployment(
     std::unique_ptr<detectors::Detector> filter,

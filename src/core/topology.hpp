@@ -2,47 +2,25 @@
 // the tools in parallel (both monitor all traffic) and in serial (one tool
 // filters; the other only analyzes what survived).
 //
-// Both topologies are themselves detectors, so they compose: a serial
-// cascade can be evaluated against ground truth, joined against other
-// detectors, or nested.
+// The parallel 1oo2/2oo2 deployments need no class: every tool sees every
+// request, so their alert sets are the AlertJoiner's k-of-n adjudication
+// of the standalone verdicts (JointResults::k_of_n_confusion).
 //
 // Serial semantics matter for stateful detectors: the downstream tool's
 // behavioural state evolves only from the traffic that reaches it, so a
 // cascade is *not* derivable from the two tools' standalone verdict
 // streams — it must be executed. That is exactly what this class does.
+// A cascade is itself a detector, so it can be evaluated against ground
+// truth, joined against other detectors, or nested. `divscrape_cli tables`
+// prints both topologies side by side.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "detectors/detector.hpp"
 
 namespace divscrape::core {
-
-/// Parallel ensemble with a k-out-of-N alert rule (1oo2 and 2oo2 from the
-/// paper are the N=2 cases). Every member sees every request.
-class ParallelDeployment final : public detectors::Detector {
- public:
-  /// `k` in [1, pool.size()].
-  ParallelDeployment(std::vector<std::unique_ptr<detectors::Detector>> pool,
-                     std::size_t k);
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return name_;
-  }
-  [[nodiscard]] detectors::Verdict evaluate(
-      const httplog::LogRecord& record) override;
-  void reset() override;
-
-  [[nodiscard]] std::size_t k() const noexcept { return k_; }
-  [[nodiscard]] std::size_t size() const noexcept { return pool_.size(); }
-
- private:
-  std::vector<std::unique_ptr<detectors::Detector>> pool_;
-  std::size_t k_;
-  std::string name_;
-};
 
 /// Serial cascade: the filter tool inspects everything; requests it alerts
 /// on are blocked (alerted) and never reach the analyzer tool. The cascade

@@ -1,8 +1,8 @@
 // The experiment runner: the one loop that generates a declarative scenario
 // through the WorkloadEngine's batched seam and streams it through a
-// detector pool via an AlertJoiner. The benches, the examples,
-// `divscrape_cli tables/export/score` and bench_detection all sit on top of
-// it, so every consumer sees the same stream the same way.
+// detector pool via an AlertJoiner. The examples, `divscrape_cli
+// tables/export/score` and bench_detection all sit on top of it, so every
+// consumer sees the same stream the same way.
 #pragma once
 
 #include <cstddef>

@@ -178,20 +178,6 @@ class Scorer {
     return truth_benign_ + truth_malicious_;
   }
 
-  /// Raw per-record suspicion scores of one column (detectors in pool
-  /// order, then the ensemble), aligned with labels() — the inputs of the
-  /// ROC sweep, exposed so callers can print full curves (bench_roc).
-  [[nodiscard]] divscrape::span<const double> column_scores(
-      std::size_t column) const {
-    return columns_.at(column).scores;
-  }
-  [[nodiscard]] divscrape::span<const int> labels() const noexcept {
-    return labels_;
-  }
-  [[nodiscard]] std::size_t column_count() const noexcept {
-    return columns_.size();
-  }
-
   /// Computes the final per-column metrics. The scorer stays valid (more
   /// observe() calls may follow; finish() may be called again).
   [[nodiscard]] ScenarioScore finish(std::string scenario_name,

@@ -44,7 +44,7 @@ AttackSpec caching(int bots) {
 
 /// The paper-shaped deployment as a spec: one vhost, the calibrated
 /// amadeus_like populations — the workload behind the paper's Tables 1-4
-/// (`divscrape_cli tables`/`export`, the benches, the golden test).
+/// (`divscrape_cli tables`/`export`, the examples, the golden test).
 ScenarioSpec make_amadeus_like() {
   ScenarioSpec spec;
   spec.name = "amadeus_like";

@@ -1,7 +1,6 @@
-// Tests for the analysis-side statistics: online moments, counters,
-// proportion intervals, the paired-rater association
-// measures the diversity framework is built on, and the double-fault pair
-// accounting the ensemble analysis sits on.
+// Tests for the analysis-side statistics: counters, proportion intervals,
+// the paired-rater association measures the diversity framework is built
+// on, and the double-fault pair accounting the ensemble analysis sits on.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,7 +12,6 @@
 #include "stats/counter.hpp"
 #include "stats/intervals.hpp"
 #include "stats/rng.hpp"
-#include "stats/running_stats.hpp"
 
 namespace {
 
@@ -24,64 +22,9 @@ using divscrape::stats::mcnemar_test;
 using divscrape::stats::PairedCounts;
 using divscrape::stats::phi_coefficient;
 using divscrape::stats::q_statistic;
-using divscrape::stats::RunningStats;
 using divscrape::stats::shannon_entropy;
 using divscrape::stats::wald_interval;
 using divscrape::stats::wilson_interval;
-
-TEST(RunningStats, BasicMoments) {
-  RunningStats rs;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) rs.add(x);
-  EXPECT_EQ(rs.count(), 8u);
-  EXPECT_DOUBLE_EQ(rs.mean(), 5.0);
-  EXPECT_NEAR(rs.variance(), 32.0 / 7.0, 1e-12);  // unbiased
-  EXPECT_DOUBLE_EQ(rs.min(), 2.0);
-  EXPECT_DOUBLE_EQ(rs.max(), 9.0);
-  EXPECT_DOUBLE_EQ(rs.sum(), 40.0);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats rs;
-  EXPECT_TRUE(rs.empty());
-  EXPECT_EQ(rs.mean(), 0.0);
-  EXPECT_EQ(rs.variance(), 0.0);
-  EXPECT_EQ(rs.cv(), 0.0);
-}
-
-TEST(RunningStats, SingleValueHasZeroVariance) {
-  RunningStats rs;
-  rs.add(3.0);
-  EXPECT_EQ(rs.variance(), 0.0);
-  EXPECT_EQ(rs.stddev(), 0.0);
-}
-
-TEST(RunningStats, MergeEqualsConcatenation) {
-  // Property: merging shard accumulators must equal accumulating the
-  // concatenated stream (the sharded pipeline relies on this).
-  RunningStats whole, left, right;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i * 0.7) * 10 + i * 0.01;
-    whole.add(x);
-    (i < 37 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, empty;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(empty);
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  empty.merge(a);
-  EXPECT_DOUBLE_EQ(empty.mean(), mean);
-}
 
 TEST(Counter, CountsAndOrdering) {
   Counter<int> c;

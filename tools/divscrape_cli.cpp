@@ -7,9 +7,11 @@
 //   divscrape tail      <log>... follow growing CLF file(s) (deployment mode)
 //   divscrape tables    [opts]   regenerate the paper's four tables next
 //                                to the paper's values, plus diversity
-//                                metrics, 1oo2/2oo2 adjudication and the
-//                                causes of single-tool alerts (catalog
-//                                amadeus_like at --scale)
+//                                metrics, 1oo2/2oo2 adjudication, parallel
+//                                vs serial deployment (§V) and the causes
+//                                of single-tool alerts (catalog
+//                                amadeus_like at --scale; an ablation is
+//                                `tables --set <detector key>=<value>`)
 //   divscrape export    [opts]   run the experiment, emit JSON results
 //   divscrape label     <log>    heuristically label a CLF file (paper §V)
 //   divscrape soak      [scenario]  chaos soak: closed generate->tail loop
@@ -23,9 +25,12 @@
 //   --config <file>     key=value config (see core/config.hpp header)
 //   --set k=v           inline override (repeatable)
 //   --scale <s>         shorthand for --set scenario.scale=s, the one
-//                       scenario key: a finite number > 0, else exit 2;
-//                       any other scenario.* key exits 2
-//                       (edit a spec instead: simulate <name> --dump-spec)
+//                       scenario key: a finite number > 0, else exit 2
+//                       (edit a spec for the rest: simulate <name>
+//                       --dump-spec). A key the command does not read
+//                       exits 2: scenario.scale is read by simulate, soak,
+//                       score, tables and export; sentinel.*/arcane.* by
+//                       analyze, tail, tables, export and simulate --detect
 //   --alerts <file>     (analyze) also write a JSONL alert log
 //   --csv <prefix>      (export) also write <prefix>_{totals,pairs,status}.csv
 //
@@ -113,6 +118,7 @@
 #include "core/labeling.hpp"
 #include "core/paper_reference.hpp"
 #include "core/report.hpp"
+#include "core/topology.hpp"
 #include "detectors/arcane.hpp"
 #include "detectors/sentinel.hpp"
 #include "eval/run.hpp"
@@ -298,29 +304,54 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
   return true;
 }
 
-/// `scenario.scale` (alias --scale) is the one scenario key the CLI reads;
-/// everything else about a scenario lives in its spec. Names every other
-/// scenario.* key on one line and returns false, so a stale or mistyped key
-/// never runs a silently different experiment. Call before any key is read
-/// (unconsumed() then lists every key).
-bool scenario_keys_supported(const CliOptions& opts) {
+std::vector<std::unique_ptr<detectors::Detector>> pair_from(
+    const core::KeyValueConfig& config) {
+  detectors::SentinelConfig sc;
+  detectors::ArcaneConfig ac;
+  core::apply_sentinel_config(config, sc);
+  core::apply_arcane_config(config, ac);
+  std::vector<std::unique_ptr<detectors::Detector>> pool;
+  pool.push_back(std::make_unique<detectors::SentinelDetector>(sc));
+  pool.push_back(std::make_unique<detectors::ArcaneDetector>(ac));
+  return pool;
+}
+
+/// Every config key must be one the command reads, so a stale or mistyped
+/// key never runs a silently different experiment (a typo in a `tables
+/// --set` ablation would print the baseline). `scenario.scale` (alias
+/// --scale) is the one scenario key, read by the commands that resolve a
+/// scenario; everything else about a scenario lives in its spec. The
+/// `sentinel.*`/`arcane.*` keys are read by the commands that build the
+/// detector pair. Names every other key on one line and returns false.
+/// Call before any key is read (unconsumed() then lists every key).
+bool config_keys_supported(const CliOptions& opts) {
+  const std::string& c = opts.command;
+  if (c == "simulate" || c == "soak" || c == "score" || c == "tables" ||
+      c == "export")
+    (void)opts.config.get("scenario.scale");
+  if (c == "analyze" || c == "tail" || c == "tables" || c == "export" ||
+      (c == "simulate" && opts.detect))
+    (void)pair_from(opts.config);  // reads every detector key
   std::string unread;
+  bool scenario_key = false;
   for (const auto& key : opts.config.unconsumed()) {
-    if (key.rfind("scenario.", 0) != 0 || key == "scenario.scale") continue;
     unread += (unread.empty() ? "" : ", ") + key;
+    scenario_key |= key.rfind("scenario.", 0) == 0 && key != "scenario.scale";
   }
   if (unread.empty()) return true;
-  std::fprintf(stderr,
-               "%s: unsupported config key(s) %s: only scenario.scale is "
-               "read; edit a spec instead (simulate <scenario> --dump-spec "
-               "> spec.json)\n",
-               opts.command.c_str(), unread.c_str());
+  std::fprintf(stderr, "%s: unsupported config key(s) %s: %s reads none of "
+               "them%s\n",
+               opts.command.c_str(), unread.c_str(), opts.command.c_str(),
+               scenario_key ? "; scenario.scale is the only scenario key, "
+                              "edit a spec instead (simulate <scenario> "
+                              "--dump-spec > spec.json)"
+                            : "");
   return false;
 }
 
 /// `scenario.scale`, when set, must parse in full as a finite number > 0:
 /// a typo must not fall back to scale 1, and NaN must not run. Call after
-/// scenario_keys_supported (reading a key consumes it).
+/// config_keys_supported (reading a key consumes it).
 bool scale_supported(const CliOptions& opts) {
   const auto text = opts.config.get("scenario.scale");
   if (!text) return true;
@@ -332,18 +363,6 @@ bool scale_supported(const CliOptions& opts) {
                "%s: --scale must be a finite number > 0 (got \"%s\")\n",
                opts.command.c_str(), text->c_str());
   return false;
-}
-
-std::vector<std::unique_ptr<detectors::Detector>> pair_from(
-    const core::KeyValueConfig& config) {
-  detectors::SentinelConfig sc;
-  detectors::ArcaneConfig ac;
-  core::apply_sentinel_config(config, sc);
-  core::apply_arcane_config(config, ac);
-  std::vector<std::unique_ptr<detectors::Detector>> pool;
-  pool.push_back(std::make_unique<detectors::SentinelDetector>(sc));
-  pool.push_back(std::make_unique<detectors::ArcaneDetector>(ac));
-  return pool;
 }
 
 void print_detector_summary(const core::JointResults& r);
@@ -900,7 +919,8 @@ const char* yes_no(bool b) { return b ? "yes" : "NO"; }
 
 /// The paper's Tables 1-4 next to the measured run, then the analyses the
 /// paper proposes on top of them: pairwise diversity metrics, 1oo2/2oo2
-/// adjudication against ground truth, and the causes of single-tool alerts.
+/// adjudication against ground truth, the parallel vs serial deployment
+/// topologies of its Section V, and the causes of single-tool alerts.
 int cmd_tables(const CliOptions& opts) {
   namespace paper = core::paper;
   const auto spec = resolve_spec(opts, "amadeus_like");
@@ -1040,6 +1060,43 @@ int cmd_tables(const CliOptions& opts) {
       100.0 * (one_of_two.sensitivity() - best_sens),
       static_cast<unsigned long long>(one_of_two.fp - two_of_two.fp));
 
+  // Paper §V. In parallel both tools see every request, so 1oo2/2oo2 are
+  // the joiner's k-of-n rows above. In serial the second tool sees only
+  // what the first let through and its state evolves from that censored
+  // stream, so both orders are executed: one more pass, each cascade with
+  // its own detector pair.
+  auto forward = pair_from(opts.config);
+  auto reverse = pair_from(opts.config);
+  std::vector<std::unique_ptr<detectors::Detector>> cascades;
+  cascades.push_back(std::make_unique<core::SerialDeployment>(
+      std::move(forward[0]), std::move(forward[1])));
+  cascades.push_back(std::make_unique<core::SerialDeployment>(
+      std::move(reverse[1]), std::move(reverse[0])));
+  const auto serial = eval::run_experiment(*spec, cascades);
+  std::printf("Deployment topology (paper §V)\n");
+  std::printf("  %-28s %10s %10s %12s %14s\n", "topology", "sens", "spec",
+              "alerts", "2nd-stage load");
+  const auto print_topology = [](const std::string& name,
+                                 const core::ConfusionMatrix& cm,
+                                 double load) {
+    std::printf("  %-28s %10.4f %10.4f %12s %13.1f%%\n", name.c_str(),
+                cm.sensitivity(), cm.specificity(),
+                core::with_thousands(cm.tp + cm.fp).c_str(), 100.0 * load);
+  };
+  const std::string pair_names = r.names()[0] + "," + r.names()[1];
+  print_topology("1oo2(" + pair_names + ")", one_of_two, 1.0);
+  print_topology("2oo2(" + pair_names + ")", two_of_two, 1.0);
+  for (std::size_t i = 0; i < cascades.size(); ++i) {
+    const auto& cascade =
+        static_cast<const core::SerialDeployment&>(*cascades[i]);
+    print_topology(std::string(cascade.name()), serial.results.confusion(i),
+                   serial.records == 0
+                       ? 0.0
+                       : static_cast<double>(cascade.analyzer_load()) /
+                             static_cast<double>(serial.records));
+  }
+  std::printf("\n");
+
   std::printf("Unique-alert causes\n");
   for (std::size_t d = 0; d < 2; ++d) {
     std::printf("%s-only alerts: %s total\n", r.names()[d].c_str(),
@@ -1136,7 +1193,7 @@ int main(int argc, char** argv) {
                  opts.command.c_str());
     return usage();
   }
-  if (!scenario_keys_supported(opts) || !scale_supported(opts)) return 2;
+  if (!config_keys_supported(opts) || !scale_supported(opts)) return 2;
   if (opts.command == "simulate") return cmd_simulate(opts);
   if (opts.command == "analyze") return cmd_analyze(opts);
   if (opts.command == "tail") return cmd_tail(opts);
