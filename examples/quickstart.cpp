@@ -2,9 +2,11 @@
 // reproduced detectors over it, and print the four tables of the paper.
 //
 // Usage: quickstart [scale]
-//   scale in (0, 1]; default 0.1 (~150k requests, a few seconds).
+//   scale in (0, 1], parsed in full; default 0.1 (~150k requests, a few
+//   seconds). Anything else exits 1.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <iostream>
 
 #include "core/paper_reference.hpp"
@@ -17,8 +19,14 @@
 using namespace divscrape;
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.1;
-  if (scale <= 0.0 || scale > 1.0) {
+  // The scale must parse in full: "0.02x", "nan" and "" are rejected.
+  double scale = 0.1;
+  if (argc > 1) {
+    const char* end = argv[1] + std::strlen(argv[1]);
+    const auto [ptr, ec] = std::from_chars(argv[1], end, scale);
+    if (ec != std::errc() || ptr != end) scale = 0.0;
+  }
+  if (!(scale > 0.0 && scale <= 1.0)) {
     std::fprintf(stderr, "scale must be in (0, 1]\n");
     return 1;
   }

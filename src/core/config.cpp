@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 
 namespace divscrape::core {
 
@@ -61,15 +62,22 @@ std::optional<std::string> KeyValueConfig::get(const std::string& key) const {
   return it->second;
 }
 
+void KeyValueConfig::reject(const std::string& key, const std::string& value,
+                            const char* type) const {
+  errors_.push_back(key + ": \"" + value + "\" is not " + type);
+}
+
 double KeyValueConfig::get_double(const std::string& key,
                                   double fallback) const {
   const auto text = get(key);
   if (!text) return fallback;
-  try {
-    return std::stod(*text);
-  } catch (...) {
-    return fallback;
-  }
+  double value = 0.0;
+  const auto* begin = text->data();
+  const auto* end = begin + text->size();
+  const auto [ptr, ec] = std::from_chars(begin, end, value);
+  if (ec == std::errc{} && ptr == end && std::isfinite(value)) return value;
+  reject(key, *text, "a finite number");
+  return fallback;
 }
 
 std::int64_t KeyValueConfig::get_int(const std::string& key,
@@ -80,7 +88,9 @@ std::int64_t KeyValueConfig::get_int(const std::string& key,
   const auto* begin = text->data();
   const auto* end = begin + text->size();
   const auto [ptr, ec] = std::from_chars(begin, end, value);
-  return (ec == std::errc{} && ptr == end) ? value : fallback;
+  if (ec == std::errc{} && ptr == end) return value;
+  reject(key, *text, "an integer");
+  return fallback;
 }
 
 bool KeyValueConfig::get_bool(const std::string& key, bool fallback) const {
@@ -93,6 +103,7 @@ bool KeyValueConfig::get_bool(const std::string& key, bool fallback) const {
     return true;
   if (lower == "false" || lower == "0" || lower == "no" || lower == "off")
     return false;
+  reject(key, *text, "a bool (true/false, 1/0, yes/no, on/off)");
   return fallback;
 }
 

@@ -36,19 +36,10 @@ double ConfusionMatrix::specificity() const noexcept {
   return ratio(tn, tn + fp);
 }
 double ConfusionMatrix::precision() const noexcept { return ratio(tp, tp + fp); }
-double ConfusionMatrix::accuracy() const noexcept {
-  return ratio(tp + tn, total());
-}
 double ConfusionMatrix::f1() const noexcept {
   const double p = precision();
   const double r = sensitivity();
   return p + r == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
-}
-double ConfusionMatrix::false_positive_rate() const noexcept {
-  return ratio(fp, fp + tn);
-}
-double ConfusionMatrix::false_negative_rate() const noexcept {
-  return ratio(fn, fn + tp);
 }
 
 stats::ProportionInterval ConfusionMatrix::sensitivity_ci(

@@ -27,10 +27,7 @@ struct ConfusionMatrix {
   /// Specificity (TNR): silent fraction of benign requests.
   [[nodiscard]] double specificity() const noexcept;
   [[nodiscard]] double precision() const noexcept;
-  [[nodiscard]] double accuracy() const noexcept;
   [[nodiscard]] double f1() const noexcept;
-  [[nodiscard]] double false_positive_rate() const noexcept;
-  [[nodiscard]] double false_negative_rate() const noexcept;
 
   [[nodiscard]] stats::ProportionInterval sensitivity_ci(
       double z = 1.96) const noexcept;

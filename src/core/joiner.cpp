@@ -182,7 +182,7 @@ bool JointResults::load_state(util::StateReader& r) {
 namespace {
 
 std::vector<std::string> pool_names(
-    divscrape::span<detectors::Detector* const> pool) {
+    const std::vector<detectors::Detector*>& pool) {
   std::vector<std::string> names;
   names.reserve(pool.size());
   for (const auto* d : pool) names.emplace_back(d->name());
@@ -198,11 +198,6 @@ std::vector<detectors::Detector*> raw_pointers(
 }
 
 }  // namespace
-
-AlertJoiner::AlertJoiner(divscrape::span<detectors::Detector* const> pool)
-    : pool_(pool.begin(), pool.end()),
-      scratch_(pool_.size()),
-      results_(pool_names(pool)) {}
 
 AlertJoiner::AlertJoiner(
     const std::vector<std::unique_ptr<detectors::Detector>>& pool)

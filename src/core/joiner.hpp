@@ -126,8 +126,6 @@ class JointResults {
 class AlertJoiner {
  public:
   /// Non-owning view of the pool; detectors must outlive the joiner.
-  explicit AlertJoiner(divscrape::span<detectors::Detector* const> pool);
-  /// Convenience overload for owning pools.
   explicit AlertJoiner(
       const std::vector<std::unique_ptr<detectors::Detector>>& pool);
 

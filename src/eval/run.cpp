@@ -14,8 +14,7 @@ ExperimentOutput run_experiment(
     const workload::ScenarioSpec& spec,
     const std::vector<std::unique_ptr<detectors::Detector>>& pool,
     const RecordObserver& observe, const RunOptions& options) {
-  for (const auto& detector : pool) detector->reset();
-  core::AlertJoiner joiner(pool);
+  pipeline::ReplayEngine replay(pool, observe);
 
   workload::EngineConfig config;
   config.gen_threads = options.gen_threads;
@@ -25,15 +24,12 @@ ExperimentOutput run_experiment(
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t records = engine.run_batched(
       [&](pipeline::RecordBatch&& batch) {
-        for (const auto& record : batch) {
-          const auto verdicts = joiner.process(record);
-          if (observe) observe(record, verdicts);
-        }
+        replay.process_batch(batch);
         batch_pool.recycle(std::move(batch));
       },
-      options.batch_records, &batch_pool);
+      /*batch_records=*/1024, &batch_pool);
   const auto t1 = std::chrono::steady_clock::now();
-  return {joiner.results(), records,
+  return {replay.results(), records,
           std::chrono::duration<double>(t1 - t0).count()};
 }
 

@@ -1,28 +1,26 @@
-// The experiment runner: the one loop that generates a declarative scenario
-// through the WorkloadEngine's batched seam and streams it through a
-// detector pool via an AlertJoiner. The examples, `divscrape_cli
-// tables/export/score` and bench_detection all sit on top of it, so every
-// consumer sees the same stream the same way.
+// The experiment runner: generates a declarative scenario through the
+// WorkloadEngine's batched seam and hands every batch to a
+// pipeline::ReplayEngine, the one sequential consumer (`divscrape_cli
+// analyze` and one-shard `tail` run on it too). The examples,
+// `divscrape_cli tables/export/score` and bench_detection all sit on top of
+// run_experiment, so every consumer sees the same stream the same way.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "core/joiner.hpp"
 #include "detectors/detector.hpp"
 #include "eval/scorer.hpp"
-#include "httplog/record.hpp"
-#include "util/span.hpp"
+#include "pipeline/replay.hpp"
 #include "workload/scenario_spec.hpp"
 
 namespace divscrape::eval {
 
 struct RunOptions {
   std::size_t gen_threads = 2;
-  std::size_t batch_records = 1024;
 };
 
 /// What happened.
@@ -38,12 +36,12 @@ struct ExperimentOutput {
 };
 
 /// Sees every record with the pool's verdict row (valid for the call only).
-using RecordObserver = std::function<void(
-    const httplog::LogRecord&, divscrape::span<const detectors::Verdict>)>;
+using RecordObserver = pipeline::RecordObserver;
 
 /// Streams `spec` through the given pool (pool order defines result
 /// indices), handing each record and its verdicts to `observe` when set.
-/// The pool is reset first. The generated stream is byte-identical at any
+/// The engine resets the pool first and re-stamps each record's UA token
+/// from its own interner. The generated stream is byte-identical at any
 /// gen_threads (the engine's contract), so the results are too.
 [[nodiscard]] ExperimentOutput run_experiment(
     const workload::ScenarioSpec& spec,

@@ -31,15 +31,6 @@ HttpMethod parse_method(std::string_view token) noexcept {
   return HttpMethod::kOther;
 }
 
-StatusClass status_class(int status) noexcept {
-  if (status >= 100 && status < 200) return StatusClass::kInformational;
-  if (status >= 200 && status < 300) return StatusClass::kSuccess;
-  if (status >= 300 && status < 400) return StatusClass::kRedirection;
-  if (status >= 400 && status < 500) return StatusClass::kClientError;
-  if (status >= 500 && status < 600) return StatusClass::kServerError;
-  return StatusClass::kUnknown;
-}
-
 std::string_view reason_phrase(int status) noexcept {
   switch (status) {
     case 100: return "Continue";

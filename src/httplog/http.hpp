@@ -33,18 +33,6 @@ enum class HttpMethod : std::uint8_t {
 /// real access logs contain garbage methods from fuzzing bots).
 [[nodiscard]] HttpMethod parse_method(std::string_view token) noexcept;
 
-/// Status class per RFC 9110 section 15.
-enum class StatusClass : std::uint8_t {
-  kInformational,  ///< 1xx
-  kSuccess,        ///< 2xx
-  kRedirection,    ///< 3xx
-  kClientError,    ///< 4xx
-  kServerError,    ///< 5xx
-  kUnknown,        ///< outside 100..599
-};
-
-[[nodiscard]] StatusClass status_class(int status) noexcept;
-
 /// Reason phrase for the statuses that appear in web traffic; empty
 /// string_view for unknown codes.
 [[nodiscard]] std::string_view reason_phrase(int status) noexcept;

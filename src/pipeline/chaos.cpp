@@ -85,6 +85,8 @@ enum class FaultKind {
   kPersistThenKill,
 };
 constexpr int kFaultKinds = 7;
+/// Simulated seconds between ingest polls (writers flushed first).
+constexpr std::int64_t kPollIntervalS = 2;
 
 const char* to_string(FaultKind kind) {
   switch (kind) {
@@ -221,7 +223,7 @@ void SoakRun::schedule_epochs() {
   stats::Rng rng(config_.chaos_seed);
   const std::int64_t start_us = config_.spec.start.micros();
   const std::int64_t span_us = config_.spec.end() - config_.spec.start;
-  const int n = config_.fault_epochs;
+  const int n = kChaosFaultEpochs;
   for (int e = 0; e < n; ++e) {
     Epoch epoch;
     epoch.at_us = start_us + span_us * (e + 1) / (n + 1);
@@ -286,7 +288,7 @@ void SoakRun::on_second_boundary(std::int64_t sec) {
       epochs_[next_epoch_].at_us <= sec * httplog::kMicrosPerSecond) {
     fire_epoch(next_epoch_++);
   }
-  if (sec - last_poll_sec_ >= config_.poll_interval_s) {
+  if (sec - last_poll_sec_ >= kPollIntervalS) {
     (void)live_->poll();
     last_poll_sec_ = sec;
     const auto rss = static_cast<std::uint64_t>(util::current_rss_kb());
@@ -510,7 +512,7 @@ ChaosReport SoakRun::run() {
   workload::EngineConfig engine_config;
   engine_config.gen_threads = config_.gen_threads;
   engine_config.partitions = config_.partitions;
-  engine_config.lazy_actors = config_.lazy_actors;
+  engine_config.lazy_actors = true;  // megasite-class specs need it
   workload::WorkloadEngine engine(config_.spec, engine_config);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -545,11 +547,11 @@ bool write_chaos_bench(const ChaosConfig& config, const ChaosReport& report,
   json.key("duration_days").value(config.spec.duration_days);
   json.key("vhosts").value(static_cast<std::uint64_t>(config.spec.vhosts.size()));
   json.key("chaos_seed").value(config.chaos_seed);
-  json.key("fault_epochs").value(static_cast<std::int64_t>(config.fault_epochs));
+  json.key("fault_epochs").value(kChaosFaultEpochs);
   json.key("gen_threads").value(static_cast<std::uint64_t>(config.gen_threads));
   json.key("partitions").value(static_cast<std::uint64_t>(config.partitions));
-  json.key("lazy_actors").value(config.lazy_actors);
-  json.key("poll_interval_s").value(config.poll_interval_s);
+  json.key("lazy_actors").value(true);
+  json.key("poll_interval_s").value(kPollIntervalS);
   json.key("persist_every_records").value(config.persist_every_records);
   json.key("rss_limit_mb").value(config.rss_limit_mb);
   json.end_object();

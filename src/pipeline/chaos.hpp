@@ -44,18 +44,19 @@
 
 namespace divscrape::pipeline {
 
+/// Scripted fault epochs, spread evenly over the simulated duration. The
+/// seven fault kinds cycle deterministically, so each fires three times
+/// (six kills).
+inline constexpr int kChaosFaultEpochs = 21;
+
+/// The soak always generates with lazy actors and polls the live logs
+/// every 2 simulated seconds (writers flushed first).
 struct ChaosConfig {
   workload::ScenarioSpec spec;  ///< workload to soak (megasite-class)
   std::string work_dir;         ///< live logs, shadows, checkpoints
   std::uint64_t chaos_seed = 0xC4A05ULL;
-  /// Scripted fault epochs, spread evenly over the simulated duration.
-  /// Kinds cycle deterministically, so >= 21 epochs guarantees >= 3 kills.
-  int fault_epochs = 21;
   std::size_t gen_threads = 4;
   std::size_t partitions = 8;
-  bool lazy_actors = true;
-  /// Simulated seconds between ingest polls (writers flushed first).
-  std::int64_t poll_interval_s = 2;
   /// Persist warm checkpoints every this many parsed records.
   std::uint64_t persist_every_records = 200'000;
   /// Process RSS high-water bound in MiB; <= 0 disables the check.

@@ -1,6 +1,7 @@
 #include "pipeline/replay.hpp"
 
 #include <chrono>
+#include <utility>
 
 namespace divscrape::pipeline {
 
@@ -12,8 +13,10 @@ constexpr std::size_t kReplayBatchRecords = 1024;
 }  // namespace
 
 ReplayEngine::ReplayEngine(
-    const std::vector<std::unique_ptr<detectors::Detector>>& pool)
+    const std::vector<std::unique_ptr<detectors::Detector>>& pool,
+    RecordObserver observe)
     : joiner_(pool),
+      observe_(std::move(observe)),
       decoder_(
           [this](RecordBatch&& batch) {
             process_batch(batch);
@@ -25,10 +28,11 @@ ReplayEngine::ReplayEngine(
 
 void ReplayEngine::process_batch(RecordBatch& batch) {
   for (auto& record : batch) {
-    // Parsed records carry no token; stamp here so every detector keys its
-    // state by the token instead of re-hashing the UA string.
+    // Stamp here so every detector keys its state by this engine's token
+    // instead of re-hashing the UA string.
     record.ua_token = ua_tokens_.intern(record.user_agent);
-    (void)joiner_.process(record);
+    const auto verdicts = joiner_.process(record);
+    if (observe_) observe_(record, verdicts);
   }
 }
 

@@ -1,17 +1,25 @@
-// ReplayEngine: drives a detector pool from a recorded CLF log — the
-// deployment mode the paper's tools actually ran in (tailing Apache access
-// logs). Two ingest surfaces share one stamping/dispatch path:
+// ReplayEngine: the one sequential consumer. It drives a detector pool
+// over a time-ordered record stream: it stamps each record's UA token from
+// its own interner, evaluates the pool through its AlertJoiner, and hands
+// each record with its verdict row to an optional observer. The only other
+// consumer is ShardedPipeline, whose workers each run their own joiner.
 //
-//   * replay(istream): batch mode over a complete stream. At EOF a final
-//     line without a trailing newline is flushed as a complete line — the
-//     historical getline behavior, kept deliberately (a closed log file's
-//     last line is done growing, however it ended).
-//   * process_batch(batch): the seam for producers that parsed elsewhere
-//     (the multi-file merge layer decodes each log with its own
-//     LineDecoder and emits one time-ordered batch stream). The engine
-//     stamps and dispatches exactly as it does for records it
-//     parsed itself, so "N decoders + merge + engine" equals "one engine
-//     fed the merged bytes".
+// Who drives it:
+//
+//   * `divscrape_cli analyze`: replay(istream) over a complete log. At EOF
+//     a final line without a trailing newline is flushed as a complete line
+//     (a closed log file's last line is done growing, however it ended).
+//     The `--alerts` JSONL writer is the observer.
+//   * eval::run_experiment and `divscrape_cli simulate --detect` (one
+//     shard): process_batch(batch) over WorkloadEngine::run_batched's
+//     batches. Generated records arrive stamped by the generator; the
+//     engine re-stamps them from its own interner (one probe per record),
+//     and the token space is not observable in results.
+//   * TailSession with one shard: process_batch over MultiTailer's merged
+//     batches, and decoder() for a single LogTailer. The engine stamps and
+//     dispatches exactly as it does for records it parsed itself, so
+//     "N decoders + merge + engine" equals "one engine fed the merged
+//     bytes".
 //
 // Incremental byte ingest for live tailing goes through decoder(): its
 // feed(chunk) accepts arbitrary byte chunks (torn anywhere, including
@@ -21,10 +29,12 @@
 // the partial — tail mode never calls it while the file may still grow.
 //
 // The byte-level framing/parsing lives in LineDecoder (decoder.hpp); the
-// engine owns the dispatch stage: UA-token stamping and the AlertJoiner.
+// engine owns the dispatch stage: UA-token stamping, the AlertJoiner and
+// the observer.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <istream>
 #include <memory>
 #include <vector>
@@ -33,19 +43,28 @@
 #include "detectors/detector.hpp"
 #include "pipeline/decoder.hpp"
 #include "util/interner.hpp"
+#include "util/span.hpp"
 
 namespace divscrape::pipeline {
 
+/// Sees every record with the pool's verdict row, in pool order. Both are
+/// valid for the call only.
+using RecordObserver = std::function<void(
+    const httplog::LogRecord&, divscrape::span<const detectors::Verdict>)>;
+
 class ReplayEngine {
  public:
-  /// The pool is reset() on construction (mirroring eval::run_experiment):
-  /// the engine stamps records with tokens from its own interner, and any
-  /// token-keyed detector state from a previous source would be meaningless
-  /// — or worse, silently wrong — under this engine's token space. Repeated
-  /// replay()/decoder() ingests on one engine share the interner and
-  /// accumulate state (the multi-file log-tailing use case).
+  /// The pool is reset() on construction: the engine stamps records with
+  /// tokens from its own interner, and any token-keyed detector state from
+  /// a previous source would be meaningless — or worse, silently wrong —
+  /// under this engine's token space. Repeated replay()/decoder()/
+  /// process_batch() ingests on one engine share the interner and
+  /// accumulate state (the multi-file log-tailing use case). `observe`,
+  /// when set, is called once per dispatched record, after the joiner has
+  /// folded its verdicts in.
   explicit ReplayEngine(
-      const std::vector<std::unique_ptr<detectors::Detector>>& pool);
+      const std::vector<std::unique_ptr<detectors::Detector>>& pool,
+      RecordObserver observe = {});
 
   ReplayEngine(const ReplayEngine&) = delete;
   ReplayEngine& operator=(const ReplayEngine&) = delete;
@@ -55,13 +74,13 @@ class ReplayEngine {
   /// this stream (wall_seconds covers just this call).
   ReplayStats replay(std::istream& in);
 
-  /// Batch-level ingest: stamps the UA token and dispatches every
-  /// record of the batch in order. The caller keeps the batch (records are
-  /// read in place; only ua_token is stamped), so it can recycle the
-  /// arena. This is the engine's own inner loop — replay() and decoder()
-  /// parse into batches and dispatch through here. Records processed from
-  /// an outside batch do NOT appear in stats() — parse accounting belongs
-  /// to whichever decoder parsed them.
+  /// Batch-level ingest: stamps the UA token, dispatches every record of
+  /// the batch in order and shows each to the observer. The caller keeps
+  /// the batch (records are read in place; only ua_token is stamped), so
+  /// it can recycle the arena. This is the engine's own inner loop —
+  /// replay() and decoder() parse into batches and dispatch through here.
+  /// Records processed from an outside batch do NOT appear in stats() —
+  /// parse accounting belongs to whichever decoder parsed them.
   void process_batch(RecordBatch& batch);
 
   /// Cumulative framing/parsing accounting across every replay() and
@@ -92,6 +111,7 @@ class ReplayEngine {
 
  private:
   core::AlertJoiner joiner_;
+  RecordObserver observe_;
   util::StringInterner ua_tokens_;  ///< stamps records at dispatch
   /// Arena loop for the engine's own parse path: the decoder acquires
   /// batches here and process_batch's caller lambda recycles them, so the

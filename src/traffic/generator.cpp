@@ -42,7 +42,6 @@ void TrafficGenerator::add_lazy_actor(std::uint64_t cookie,
                                       httplog::Timestamp start) {
   if (start >= end_time_) return;
   lazy_cookies_.push_back(cookie);
-  ++pending_lazy_;
   push_event({start, kLazyBit | (lazy_cookies_.size() - 1), SIZE_MAX});
 }
 
@@ -76,7 +75,6 @@ bool TrafficGenerator::next(httplog::LogRecord& out) {
       // Deferred actor's first event: build it now, into a pooled slot,
       // and step it this very pop — exactly when the eager path would have.
       auto made = materializer_(lazy_cookies_[e.actor_idx & ~kLazyBit]);
-      --pending_lazy_;
       e.actor_idx = place_actor(std::move(made.actor), made.vhost);
     }
 
@@ -116,13 +114,6 @@ bool TrafficGenerator::next(httplog::LogRecord& out) {
     }
   }
   return false;
-}
-
-std::vector<httplog::LogRecord> TrafficGenerator::drain() {
-  std::vector<httplog::LogRecord> records;
-  httplog::LogRecord rec;
-  while (next(rec)) records.push_back(rec);
-  return records;
 }
 
 }  // namespace divscrape::traffic

@@ -77,9 +77,6 @@ class TrafficGenerator {
   /// steady-state cost is an integer compare instead of a string probe.
   [[nodiscard]] bool next(httplog::LogRecord& out);
 
-  /// Drains the whole stream into a vector (tests / small scenarios only).
-  [[nodiscard]] std::vector<httplog::LogRecord> drain();
-
   [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
   [[nodiscard]] std::size_t live_actors() const noexcept {
     return live_actors_;
@@ -92,10 +89,6 @@ class TrafficGenerator {
   /// flat under lazy materialization no matter the population size.
   [[nodiscard]] std::size_t peak_live_actors() const noexcept {
     return peak_live_;
-  }
-  /// Deferred registrations not yet materialized.
-  [[nodiscard]] std::size_t pending_lazy() const noexcept {
-    return pending_lazy_;
   }
 
  private:
@@ -140,7 +133,6 @@ class TrafficGenerator {
   std::size_t live_actors_ = 0;
   std::uint64_t actors_created_ = 0;
   std::size_t peak_live_ = 0;
-  std::size_t pending_lazy_ = 0;
 };
 
 }  // namespace divscrape::traffic

@@ -34,6 +34,9 @@ constexpr std::uint64_t kArrivalSalt = 0xA1100001ULL;
 constexpr std::uint64_t kSessionSalt = 0x5E550001ULL;
 /// Human actor ids live far above static-actor ordinals.
 constexpr std::uint32_t kHumanIdBase = 0x40000000u;
+/// Simulated-time merge window: one generate/merge round. A run_batched
+/// batch never spans two windows.
+constexpr std::int64_t kWindowUs = httplog::kMicrosPerHour;
 
 int scaled(int count, double scale) {
   if (count == 0) return 0;
@@ -565,8 +568,6 @@ WorkloadEngine::WorkloadEngine(ScenarioSpec spec, EngineConfig config)
     throw std::invalid_argument("WorkloadEngine: gen_threads must be >= 1");
   if (config_.partitions < 1)
     throw std::invalid_argument("WorkloadEngine: partitions must be >= 1");
-  if (config_.window_us <= 0)
-    throw std::invalid_argument("WorkloadEngine: window_us must be > 0");
   sites_.reserve(spec_.vhosts.size());
   for (const auto& vhost : spec_.vhosts)
     sites_.push_back(std::make_unique<traffic::SiteModel>(vhost.site));
@@ -809,8 +810,7 @@ std::uint64_t WorkloadEngine::run_rounds(
   }
 
   const auto horizon_of = [this](std::uint64_t round) {
-    return spec_.start + static_cast<std::int64_t>(round + 1) *
-                             config_.window_us;
+    return spec_.start + static_cast<std::int64_t>(round + 1) * kWindowUs;
   };
 
   int gen_buf = 0;

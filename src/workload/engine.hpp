@@ -18,7 +18,7 @@
 //
 // ## Time-merged execution
 //
-// Generation advances in simulated-time windows (default one hour). Each
+// Generation advances in simulated-time windows of one hour. Each
 // round, `gen_threads` workers claim partitions from an atomic counter and
 // run each partition's TrafficGenerator up to the window horizon into a
 // per-partition buffer (the record that crosses the horizon is carried to
@@ -29,8 +29,8 @@
 // round w+1 generates while round w merges, so the merge costs no
 // wall-clock on a multi-core host.
 //
-// The result is byte-identical output for a given (spec, partitions,
-// window) regardless of gen_threads — the determinism contract the
+// The result is byte-identical output for a given (spec, partitions)
+// regardless of gen_threads — the determinism contract the
 // workload tests pin at 1/2/4 threads — in bounded memory (two windows of
 // records), never materializing the stream.
 //
@@ -68,8 +68,6 @@ struct EngineConfig {
   /// stream. Keep the default unless you need more parallelism headroom
   /// than 8 threads.
   std::size_t partitions = 8;
-  /// Simulated-time merge window. Smaller = less buffering, more rounds.
-  std::int64_t window_us = httplog::kMicrosPerHour;
   /// Lazy actor materialization: scripted (non-human) actors are built on
   /// their first scheduled arrival and freed at lifetime end, so partition
   /// memory tracks the concurrently-live population instead of the spec

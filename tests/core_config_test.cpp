@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/config.hpp"
 
@@ -91,6 +92,58 @@ TEST(Config, DefaultsSurviveWhenKeysAbsent) {
   apply_sentinel_config(config, sentinel);
   EXPECT_EQ(sentinel.burst_limit, original.burst_limit);
   EXPECT_EQ(sentinel.enable_reputation, original.enable_reputation);
+}
+
+// A value that does not parse in full as its key's type is an error that
+// names the key and the value, not a silent fallback: a mistyped ablation
+// must not run the baseline.
+TEST(Config, MisspelledBoolIsAnError) {
+  KeyValueConfig config;
+  config.set("sentinel.enable_subnet_escalation", "flase");
+  divscrape::detectors::SentinelConfig sentinel;
+  const bool original = sentinel.enable_subnet_escalation;
+  apply_sentinel_config(config, sentinel);
+  EXPECT_EQ(sentinel.enable_subnet_escalation, original);
+  ASSERT_EQ(config.errors().size(), 1u);
+  EXPECT_NE(config.errors()[0].find("sentinel.enable_subnet_escalation"),
+            std::string::npos);
+  EXPECT_NE(config.errors()[0].find("flase"), std::string::npos);
+}
+
+TEST(Config, NumberWithTrailingLettersIsAnError) {
+  KeyValueConfig config;
+  config.set("arcane.window_s", "6OO");  // letter O, not zero
+  divscrape::detectors::ArcaneConfig arcane;
+  const double original = arcane.window_s;
+  apply_arcane_config(config, arcane);
+  EXPECT_DOUBLE_EQ(arcane.window_s, original);  // not std::stod's 6
+  ASSERT_EQ(config.errors().size(), 1u);
+  EXPECT_NE(config.errors()[0].find("arcane.window_s"), std::string::npos);
+  EXPECT_NE(config.errors()[0].find("6OO"), std::string::npos);
+}
+
+TEST(Config, FractionGivenToIntKeyIsAnError) {
+  KeyValueConfig config;
+  config.set("arcane.min_requests", "1.5");
+  divscrape::detectors::ArcaneConfig arcane;
+  const int original = arcane.min_requests;
+  apply_arcane_config(config, arcane);
+  EXPECT_EQ(arcane.min_requests, original);
+  ASSERT_EQ(config.errors().size(), 1u);
+  EXPECT_NE(config.errors()[0].find("arcane.min_requests"), std::string::npos);
+  EXPECT_NE(config.errors()[0].find("1.5"), std::string::npos);
+}
+
+TEST(Config, DoubleMustBeFinite) {
+  KeyValueConfig config;
+  for (const char* text : {"nan", "inf", "-inf", "1e999", "+2"}) {
+    config.set("k", text);
+    EXPECT_DOUBLE_EQ(config.get_double("k", 3.0), 3.0) << text;
+  }
+  EXPECT_EQ(config.errors().size(), 5u);
+  config.set("k", "-0.25e1");
+  EXPECT_DOUBLE_EQ(config.get_double("k", 3.0), -2.5);
+  EXPECT_EQ(config.errors().size(), 5u);
 }
 
 }  // namespace

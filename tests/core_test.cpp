@@ -81,7 +81,6 @@ TEST(Confusion, ObserveAndRates) {
   EXPECT_EQ(cm.total(), 200u);
   EXPECT_DOUBLE_EQ(cm.sensitivity(), 0.9);
   EXPECT_DOUBLE_EQ(cm.specificity(), 0.95);
-  EXPECT_DOUBLE_EQ(cm.false_negative_rate(), 0.1);
   const auto ci = cm.sensitivity_ci();
   EXPECT_LT(ci.lo, 0.9);
   EXPECT_GT(ci.hi, 0.9);

@@ -1,4 +1,4 @@
-// HTTP vocabulary tests: methods, status classes, paper-style labels.
+// HTTP vocabulary tests: methods, reason phrases, paper-style labels.
 #include <gtest/gtest.h>
 
 #include "httplog/http.hpp"
@@ -8,9 +8,7 @@ namespace {
 using divscrape::httplog::HttpMethod;
 using divscrape::httplog::parse_method;
 using divscrape::httplog::reason_phrase;
-using divscrape::httplog::status_class;
 using divscrape::httplog::status_label;
-using divscrape::httplog::StatusClass;
 using divscrape::httplog::to_string;
 
 class MethodRoundTrip : public ::testing::TestWithParam<HttpMethod> {};
@@ -31,19 +29,6 @@ TEST(Method, UnknownTokensMapToOther) {
   EXPECT_EQ(parse_method("FOO"), HttpMethod::kOther);
   EXPECT_EQ(parse_method(""), HttpMethod::kOther);
   EXPECT_EQ(parse_method("get"), HttpMethod::kOther);  // case-sensitive
-}
-
-TEST(StatusClass, Ranges) {
-  EXPECT_EQ(status_class(100), StatusClass::kInformational);
-  EXPECT_EQ(status_class(200), StatusClass::kSuccess);
-  EXPECT_EQ(status_class(204), StatusClass::kSuccess);
-  EXPECT_EQ(status_class(302), StatusClass::kRedirection);
-  EXPECT_EQ(status_class(404), StatusClass::kClientError);
-  EXPECT_EQ(status_class(500), StatusClass::kServerError);
-  EXPECT_EQ(status_class(599), StatusClass::kServerError);
-  EXPECT_EQ(status_class(600), StatusClass::kUnknown);
-  EXPECT_EQ(status_class(0), StatusClass::kUnknown);
-  EXPECT_EQ(status_class(-1), StatusClass::kUnknown);
 }
 
 TEST(StatusLabel, MatchesPaperTableStyle) {

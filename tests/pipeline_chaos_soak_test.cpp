@@ -55,7 +55,7 @@ TEST(ChaosSoak, SmokeScenarioPassesOracle) {
 
 TEST(ChaosSoak, DefaultScheduleFiresEveryFaultKindThrice) {
   auto config = smoke_config("schedule");
-  ASSERT_EQ(config.fault_epochs, 21);  // 7 kinds x 3
+  ASSERT_EQ(pipeline::kChaosFaultEpochs, 21);  // 7 kinds x 3
   auto report = pipeline::run_chaos_soak(config);
 
   EXPECT_EQ(report.faults, 21u);

@@ -1,9 +1,13 @@
 // Pipeline tests: the sharded-equals-sequential identity (the module's
-// core correctness claim) and file replay fidelity.
+// core correctness claim), file replay fidelity and the replay engine's
+// per-record observer.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "detectors/registry.hpp"
 #include "eval/run.hpp"
@@ -216,6 +220,48 @@ TEST(Replay, SkipsCorruptLines) {
   EXPECT_EQ(stats.lines, 3u);
   EXPECT_EQ(stats.parsed, 1u);
   EXPECT_EQ(stats.skipped, 2u);
+}
+
+TEST(ReplayEngine, ObserverSeesEveryRecordWithItsVerdicts) {
+  // The observer is how analyze writes --alerts and how run_experiment
+  // feeds the scorer: one call per dispatched record, with the verdict row
+  // the joiner folded in, and the record already stamped by the engine.
+  // Generated records carry the generator's tokens, so they are scrubbed
+  // first: a token seen by the observer was stamped by the engine.
+  const auto pool = make_paper_pair();
+  std::uint64_t calls = 0;
+  std::vector<std::uint64_t> alerts(pool.size(), 0);
+  std::map<std::string, std::uint32_t> token_of;
+  std::set<std::uint32_t> tokens;
+  ReplayEngine engine(
+      pool, [&](const divscrape::httplog::LogRecord& record,
+                divscrape::span<const divscrape::detectors::Verdict> row) {
+        ++calls;
+        ASSERT_EQ(row.size(), pool.size());
+        for (std::size_t d = 0; d < row.size(); ++d) alerts[d] += row[d].alert;
+        ASSERT_NE(record.ua_token, 0u) << "record " << calls;
+        const auto [it, fresh] =
+            token_of.emplace(record.user_agent, record.ua_token);
+        EXPECT_EQ(it->second, record.ua_token) << record.user_agent;
+        if (fresh) {
+          EXPECT_TRUE(tokens.insert(record.ua_token).second)
+              << "two UAs share token " << record.ua_token;
+        }
+      });
+  divscrape::workload::WorkloadEngine generator(smoke(0.05));
+  const std::uint64_t fed = generator.run_batched([&](RecordBatch&& batch) {
+    for (auto& record : batch) record.ua_token = 0;
+    engine.process_batch(batch);
+  });
+
+  const auto& results = engine.results();
+  ASSERT_GT(fed, 0u);
+  EXPECT_EQ(calls, fed);
+  EXPECT_EQ(calls, results.total_requests());
+  for (std::size_t d = 0; d < pool.size(); ++d) {
+    EXPECT_GT(alerts[d], 0u) << "detector " << d;
+    EXPECT_EQ(alerts[d], results.alerts(d)) << "detector " << d;
+  }
 }
 
 }  // namespace

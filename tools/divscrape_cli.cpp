@@ -4,6 +4,8 @@
 //                                through the parallel WorkloadEngine (the
 //                                one traffic generator; CLF on stdout)
 //   divscrape analyze   <log>    run the two detectors over a CLF file
+//                                (one pipeline::ReplayEngine, the single-
+//                                thread baseline)
 //   divscrape tail      <log>... follow growing CLF file(s) (deployment mode)
 //   divscrape tables    [opts]   regenerate the paper's four tables next
 //                                to the paper's values, plus diversity
@@ -48,13 +50,13 @@
 //   --out-multi <dir>   write one CLF log per vhost under <dir> (the
 //                       deployment shape `tail` ingests); SIGINT flushes
 //                       and closes every log cleanly
-//   --lazy              force lazy actor materialization (auto-enabled for
-//                       megasite-class specs)
-//   --detect            feed the stream to the sentinel+arcane pair and
-//                       print the joint summary
+//   --detect            feed the stream to the sentinel+arcane pair (one
+//                       ReplayEngine) and print the joint summary
 //   --shards <n>        with --detect: sharded detection on n workers;
 //                       every worker reads each RecordBatch and evaluates
 //                       the records of its own /24s
+// Lazy actor materialization is chosen automatically for megasite-class
+// specs (>= 200k scripted actors); the output is identical either way.
 //
 // Soak options (see pipeline/chaos.hpp for the full contract):
 //   --out <dir>         work directory (live logs, shadows, checkpoints;
@@ -85,7 +87,8 @@
 //   --flush-every <n>     flush results/checkpoint every n parsed records
 //
 // Numeric flags parse in full: no sign on a count, a finite
-// --rss-limit-mb, else exit 2.
+// --rss-limit-mb, else exit 2. So do config values: a detector key whose
+// value does not parse in full as its type (`flase`, `6OO`) exits 2.
 //
 // Score options:
 //   --json <file>       also write the single-scenario DetectionDocument
@@ -127,13 +130,13 @@
 #include "pipeline/alert_log.hpp"
 #include "pipeline/chaos.hpp"
 #include "pipeline/decoder.hpp"
+#include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
 #include "pipeline/tail_session.hpp"
 #include "stats/association.hpp"
 #include "traffic/actor.hpp"
 #include "traffic/stream_writer.hpp"
 #include "util/atomic_file.hpp"
-#include "util/interner.hpp"
 #include "workload/catalog.hpp"
 #include "workload/engine.hpp"
 
@@ -158,7 +161,6 @@ struct CliOptions {
   bool detect = false;
   bool list = false;
   bool dump_spec = false;
-  bool lazy = false;
   bool smoke = false;
   std::uint64_t chaos_seed = 0xC4A05ULL;
   double rss_limit_mb = 4096.0;
@@ -179,7 +181,7 @@ int usage() {
       "[options]\n"
       "  score    <scenario|spec.json> [--json <file>] [--gen-threads <n>]\n"
       "  simulate <scenario|spec.json> [--list] [--dump-spec]\n"
-      "           [--gen-threads <n>] [--partitions <n>] [--lazy]\n"
+      "           [--gen-threads <n>] [--partitions <n>]\n"
       "           [--out <file>] [--out-multi <dir>] [--detect] "
       "[--shards <n>]\n"
       "  soak     [scenario] [--out <dir>] [--bench <file>] [--smoke]\n"
@@ -233,7 +235,7 @@ bool parse_args(int argc, char** argv, CliOptions& opts) {
   const std::map<std::string, bool CliOptions::*> switches = {
       {"--follow", &CliOptions::follow}, {"--detect", &CliOptions::detect},
       {"--list", &CliOptions::list}, {"--dump-spec", &CliOptions::dump_spec},
-      {"--lazy", &CliOptions::lazy}, {"--smoke", &CliOptions::smoke}};
+      {"--smoke", &CliOptions::smoke}};
   constexpr auto kU64Max = std::numeric_limits<std::uint64_t>::max();
   constexpr double kDoubleMax = std::numeric_limits<double>::max();
   for (int i = 2; i < argc; ++i) {
@@ -323,6 +325,8 @@ std::vector<std::unique_ptr<detectors::Detector>> pair_from(
 /// scenario; everything else about a scenario lives in its spec. The
 /// `sentinel.*`/`arcane.*` keys are read by the commands that build the
 /// detector pair. Names every other key on one line and returns false.
+/// Also returns false, naming each, when a value read here does not parse
+/// in full as its key's type (a `flase` would otherwise run the default).
 /// Call before any key is read (unconsumed() then lists every key).
 bool config_keys_supported(const CliOptions& opts) {
   const std::string& c = opts.command;
@@ -338,7 +342,9 @@ bool config_keys_supported(const CliOptions& opts) {
     unread += (unread.empty() ? "" : ", ") + key;
     scenario_key |= key.rfind("scenario.", 0) == 0 && key != "scenario.scale";
   }
-  if (unread.empty()) return true;
+  for (const auto& error : opts.config.errors())
+    std::fprintf(stderr, "%s: config %s\n", c.c_str(), error.c_str());
+  if (unread.empty()) return opts.config.errors().empty();
   std::fprintf(stderr, "%s: unsupported config key(s) %s: %s reads none of "
                "them%s\n",
                opts.command.c_str(), unread.c_str(), opts.command.c_str(),
@@ -419,15 +425,15 @@ int cmd_simulate(const CliOptions& opts) {
   if (opts.partitions != 0) engine_config.partitions = opts.partitions;
   // Megasite-class specs only fit in memory lazily; small ones skip the
   // second construction pass (see EngineConfig::lazy_actors).
-  engine_config.lazy_actors =
-      opts.lazy || workload::static_population(*spec) >= 200'000;
+  engine_config.lazy_actors = workload::static_population(*spec) >= 200'000;
   workload::WorkloadEngine engine(std::move(*spec), engine_config);
 
   // Compose the sink: an optional CLF writer (file, per-vhost directory,
   // or stdout when neither --out nor --detect asked for anything else)
-  // plus an optional detector pair (sequential joiner or sharded
-  // pipeline). Engine-stamped tokens are globally consistent, so
-  // detectors consume records as-is.
+  // plus an optional detector pair: a ReplayEngine, or with --shards > 1 a
+  // ShardedPipeline, the choice TailSession makes. The sharded path takes
+  // the generator's tokens as they are (globally consistent); the engine
+  // re-stamps from its own interner.
   std::unique_ptr<traffic::StreamWriter> file_writer;
   if (!opts.out_path.empty()) {
     file_writer = std::make_unique<traffic::StreamWriter>(
@@ -452,17 +458,16 @@ int cmd_simulate(const CliOptions& opts) {
   httplog::LogWriter stdout_writer(std::cout);
 
   std::vector<std::unique_ptr<detectors::Detector>> pool;
-  std::unique_ptr<core::AlertJoiner> joiner;
+  std::unique_ptr<pipeline::ReplayEngine> replay;
   std::unique_ptr<pipeline::ShardedPipeline> sharded;
-  if (opts.detect) {
-    if (opts.shards > 1) {
-      sharded = std::make_unique<pipeline::ShardedPipeline>(
-          [&opts] { return pair_from(opts.config); }, opts.shards,
-          /*batch_size=*/1024, /*max_backlog=*/16 * 1024);
-    } else {
-      pool = pair_from(opts.config);
-      joiner = std::make_unique<core::AlertJoiner>(pool);
-    }
+  pipeline::BatchPool batch_pool;
+  if (opts.detect && opts.shards > 1) {
+    sharded = std::make_unique<pipeline::ShardedPipeline>(
+        [&opts] { return pair_from(opts.config); }, opts.shards,
+        /*batch_size=*/1024, /*max_backlog=*/16 * 1024);
+  } else if (opts.detect) {
+    pool = pair_from(opts.config);
+    replay = std::make_unique<pipeline::ReplayEngine>(pool);
   }
 
   // A long generation run must be interruptible without shearing a log
@@ -470,37 +475,32 @@ int cmd_simulate(const CliOptions& opts) {
   // boundary and every writer below gets its normal flush-and-close.
   std::signal(SIGINT, tail_sigint);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto write_record = [&](const httplog::LogRecord& record) {
-    if (file_writer) file_writer->write(record);
-    if (!vhost_writers.empty()) {
-      const std::size_t v =
-          record.vhost < vhost_writers.size() ? record.vhost : 0;
-      vhost_writers[v]->write(record);
-    }
-    if (stdout_log) stdout_writer.write(record);
-  };
-  std::uint64_t records = 0;
-  if (sharded) {
-    // Batched handoff: whole merge windows travel as RecordBatches into
-    // the pipeline's SPSC rings (same emission order as engine.run()).
-    records = engine.run_batched(
-        [&](pipeline::RecordBatch&& batch) {
-          if (g_tail_interrupted) engine.request_stop();
-          for (const auto& record : batch) write_record(record);
+  const std::uint64_t records = engine.run_batched(
+      [&](pipeline::RecordBatch&& batch) {
+        if (g_tail_interrupted) engine.request_stop();
+        for (const auto& record : batch) {
+          if (file_writer) file_writer->write(record);
+          if (!vhost_writers.empty()) {
+            const std::size_t v =
+                record.vhost < vhost_writers.size() ? record.vhost : 0;
+            vhost_writers[v]->write(record);
+          }
+          if (stdout_log) stdout_writer.write(record);
+        }
+        if (sharded) {
           sharded->process_batch(std::move(batch));
-        },
-        /*batch_records=*/1024, &sharded->batch_pool());
-  } else {
-    records = engine.run([&](httplog::LogRecord&& record) {
-      if (g_tail_interrupted) engine.request_stop();
-      write_record(record);
-      if (joiner) (void)joiner->process(record);
-    });
-  }
+          return;
+        }
+        if (replay) replay->process_batch(batch);
+        batch_pool.recycle(std::move(batch));
+      },
+      /*batch_records=*/1024,
+      sharded ? &sharded->batch_pool() : &batch_pool);
   if (file_writer) file_writer->flush();
   for (auto& writer : vhost_writers) writer->flush();
-  std::optional<core::JointResults> sharded_results;
-  if (sharded) sharded_results = sharded->finish();
+  std::optional<core::JointResults> results;
+  if (sharded) results = sharded->finish();
+  if (replay) results = replay->results();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -516,11 +516,7 @@ int cmd_simulate(const CliOptions& opts) {
                core::with_thousands(static_cast<std::uint64_t>(
                                         wall > 0.0 ? records / wall : 0))
                    .c_str());
-  if (joiner) {
-    print_detector_summary(joiner->results());
-  } else if (sharded_results) {
-    print_detector_summary(*sharded_results);
-  }
+  if (results) print_detector_summary(*results);
   if (g_tail_interrupted) {
     std::fprintf(stderr,
                  "interrupted: stopped at a record boundary, all logs "
@@ -530,20 +526,8 @@ int cmd_simulate(const CliOptions& opts) {
   return 0;
 }
 
-/// Decodes a whole CLF log through pipeline::LineDecoder, the framer every
-/// ingest path shares, handing each parsed record to `on_record` in log
-/// order. Returns the decoder's line accounting.
-template <typename OnRecord>
-pipeline::ReplayStats decode_log(std::istream& in, OnRecord&& on_record) {
-  pipeline::LineDecoder decoder(
-      [&on_record](pipeline::RecordBatch&& batch) {
-        for (auto& record : batch) on_record(record);
-      },
-      1024);
-  decoder.feed_stream(in);
-  return decoder.stats();
-}
-
+/// The single-thread baseline: one ReplayEngine over one log, with the
+/// `--alerts` JSONL writer as its observer.
 int cmd_analyze(const CliOptions& opts) {
   if (opts.input.empty()) {
     std::fprintf(stderr, "analyze: missing <log> path\n");
@@ -555,10 +539,10 @@ int cmd_analyze(const CliOptions& opts) {
     return 1;
   }
   const auto pool = pair_from(opts.config);
-  core::AlertJoiner joiner(pool);
 
   std::ofstream alerts_file;
   std::unique_ptr<pipeline::AlertLogWriter> alerts;
+  pipeline::RecordObserver write_alerts;
   if (!opts.alerts_path.empty()) {
     alerts_file.open(opts.alerts_path);
     if (!alerts_file) {
@@ -566,21 +550,16 @@ int cmd_analyze(const CliOptions& opts) {
       return 1;
     }
     alerts = std::make_unique<pipeline::AlertLogWriter>(alerts_file);
+    write_alerts = [&](const httplog::LogRecord& record,
+                       divscrape::span<const detectors::Verdict> verdicts) {
+      for (std::size_t d = 0; d < pool.size(); ++d)
+        alerts->write(pool[d]->name(), record, verdicts[d]);
+    };
   }
 
-  util::StringInterner ua_tokens;
-  const auto stats = decode_log(in, [&](httplog::LogRecord& record) {
-    // Stamp the interned UA token so the detectors skip per-record string
-    // hashing (same as ReplayEngine and the traffic generator do).
-    record.ua_token = ua_tokens.intern(record.user_agent);
-    const auto verdicts = joiner.process(record);
-    if (alerts) {
-      for (std::size_t d = 0; d < pool.size(); ++d) {
-        alerts->write(pool[d]->name(), record, verdicts[d]);
-      }
-    }
-  });
-  const auto& r = joiner.results();
+  pipeline::ReplayEngine engine(pool, std::move(write_alerts));
+  const auto stats = engine.replay(in);
+  const auto& r = engine.results();
   std::printf("parsed %s records (%s lines skipped)\n",
               core::with_thousands(r.total_requests()).c_str(),
               core::with_thousands(stats.skipped).c_str());
@@ -767,7 +746,7 @@ int cmd_soak(CliOptions opts) {
                "soak: \"%s\" scale %.3g, %zu vhosts, %d fault epochs, "
                "chaos seed %llu, work dir %s\n",
                config.spec.name.c_str(), config.spec.scale,
-               config.spec.vhosts.size(), config.fault_epochs,
+               config.spec.vhosts.size(), pipeline::kChaosFaultEpochs,
                static_cast<unsigned long long>(config.chaos_seed),
                config.work_dir.c_str());
   const auto report = pipeline::run_chaos_soak(config);
@@ -1159,10 +1138,14 @@ int cmd_label(const CliOptions& opts) {
     std::fprintf(stderr, "cannot open %s\n", opts.input.c_str());
     return 1;
   }
+  // The framer every ingest path shares; records arrive in log order.
   std::vector<httplog::LogRecord> records;
-  (void)decode_log(in, [&records](httplog::LogRecord& record) {
-    records.push_back(std::move(record));
-  });
+  pipeline::LineDecoder decoder(
+      [&records](pipeline::RecordBatch&& batch) {
+        for (auto& record : batch) records.push_back(std::move(record));
+      },
+      1024);
+  decoder.feed_stream(in);
   core::HeuristicLabeler labeler;
   const auto result = labeler.label(records);
   std::fprintf(stderr,
