@@ -1,7 +1,6 @@
 #include "core/export.hpp"
 
 #include <set>
-#include <sstream>
 
 #include "core/contingency.hpp"
 #include "core/json.hpp"
@@ -34,8 +33,9 @@ void write_status_counter(JsonWriter& json,
 
 }  // namespace
 
-void export_json(const JointResults& results, std::ostream& os) {
-  JsonWriter json(os);
+std::string to_json(const JointResults& results) {
+  std::string out;
+  JsonWriter json(out);
   json.begin_object();
   json.key("schema").value("divscrape.joint_results.v1");
   json.key("total_requests").value(results.total_requests());
@@ -105,12 +105,7 @@ void export_json(const JointResults& results, std::ostream& os) {
   json.end_array();
 
   json.end_object();
-}
-
-std::string to_json(const JointResults& results) {
-  std::ostringstream os;
-  export_json(results, os);
-  return os.str();
+  return out;
 }
 
 void export_totals_csv(const JointResults& results, std::ostream& os) {

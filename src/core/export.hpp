@@ -12,10 +12,8 @@
 
 namespace divscrape::core {
 
-/// Writes the full results document as a single JSON object.
-void export_json(const JointResults& results, std::ostream& os);
-
-/// Convenience: export_json into a string.
+/// The full results document as a single JSON object
+/// (schema divscrape.joint_results.v1).
 [[nodiscard]] std::string to_json(const JointResults& results);
 
 /// CSV of per-detector totals and confusion rates (one row per detector).

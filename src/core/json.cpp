@@ -1,16 +1,35 @@
 #include "core/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/state.hpp"
+
 namespace divscrape::core {
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
+namespace {
+
+template <typename Int>
+void append_int(std::string& out, Int number) {
+  char digits[24];
+  const auto end = std::to_chars(digits, digits + sizeof digits, number).ptr;
+  out.append(digits, end);
+}
+
+}  // namespace
+
+void JsonWriter::write_string(std::string_view text) {
+  std::string& out = *out_;
+  out += '"';
+  std::size_t run = 0;  // start of the pending run that needs no escape
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto c = static_cast<unsigned char>(text[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(text.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -19,18 +38,17 @@ std::string json_escape(std::string_view text) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        char escape[] = "\\u00XX";
+        escape[4] = kHex[c >> 4];
+        escape[5] = kHex[c & 0xF];
+        out.append(escape, 6);
+      }
     }
   }
-  return out;
+  out.append(text.data() + run, text.size() - run);
+  out += '"';
 }
 
 void JsonWriter::before_value() {
@@ -48,13 +66,13 @@ void JsonWriter::before_value() {
     return;
   }
   // Array member.
-  if (!top.first) *os_ << ',';
+  if (!top.first) *out_ += ',';
   top.first = false;
 }
 
 JsonWriter& JsonWriter::begin_object() {
   before_value();
-  *os_ << '{';
+  *out_ += '{';
   stack_.push_back({Scope::kObject});
   return *this;
 }
@@ -64,13 +82,13 @@ JsonWriter& JsonWriter::end_object() {
       stack_.back().expecting_value)
     throw std::logic_error("JsonWriter: mismatched end_object");
   stack_.pop_back();
-  *os_ << '}';
+  *out_ += '}';
   return *this;
 }
 
 JsonWriter& JsonWriter::begin_array() {
   before_value();
-  *os_ << '[';
+  *out_ += '[';
   stack_.push_back({Scope::kArray});
   return *this;
 }
@@ -79,7 +97,7 @@ JsonWriter& JsonWriter::end_array() {
   if (stack_.empty() || stack_.back().scope != Scope::kArray)
     throw std::logic_error("JsonWriter: mismatched end_array");
   stack_.pop_back();
-  *os_ << ']';
+  *out_ += ']';
   return *this;
 }
 
@@ -88,27 +106,31 @@ JsonWriter& JsonWriter::key(std::string_view name) {
       stack_.back().expecting_value)
     throw std::logic_error("JsonWriter: key outside object");
   Frame& top = stack_.back();
-  if (!top.first) *os_ << ',';
+  if (!top.first) *out_ += ',';
   top.first = false;
   top.expecting_value = true;
-  *os_ << '"' << json_escape(name) << "\":";
+  write_string(name);
+  *out_ += ':';
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view text) {
   before_value();
-  *os_ << '"' << json_escape(text) << '"';
+  write_string(text);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(double number) {
   before_value();
   if (std::isnan(number) || std::isinf(number)) {
-    *os_ << "null";  // JSON has no NaN/Inf
+    *out_ += "null";  // JSON has no NaN/Inf
   } else {
+    // to_chars with a precision formats exactly as printf("%.12g").
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.12g", number);
-    *os_ << buf;
+    const auto end = std::to_chars(buf, buf + sizeof buf, number,
+                                   std::chars_format::general, 12)
+                         .ptr;
+    out_->append(buf, end);
   }
   return *this;
 }
@@ -116,36 +138,45 @@ JsonWriter& JsonWriter::value(double number) {
 JsonWriter& JsonWriter::value_exact(double number) {
   if (std::isnan(number) || std::isinf(number)) return value(number);
   char buf[40];
+  int n = 0;
   for (int precision = 12; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, number);
+    n = std::snprintf(buf, sizeof buf, "%.*g", precision, number);
     if (std::strtod(buf, nullptr) == number) break;
   }
   before_value();
-  *os_ << buf;
+  out_->append(buf, static_cast<std::size_t>(n));
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t number) {
   before_value();
-  *os_ << number;
+  append_int(*out_, number);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::int64_t number) {
   before_value();
-  *os_ << number;
+  append_int(*out_, number);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool flag) {
   before_value();
-  *os_ << (flag ? "true" : "false");
+  *out_ += flag ? "true" : "false";
   return *this;
 }
 
 JsonWriter& JsonWriter::null() {
   before_value();
-  *os_ << "null";
+  *out_ += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::value_base64(std::string_view bytes) {
+  before_value();
+  *out_ += '"';
+  util::base64_append(*out_, bytes);
+  *out_ += '"';
   return *this;
 }
 

@@ -1,10 +1,18 @@
-// Minimal streaming JSON writer (no DOM, no dependencies) used by the
-// export and alert-log subsystems. Produces RFC 8259-conformant output:
-// proper string escaping, no trailing commas, stable member order (the
-// caller's call order).
+// The one JSON writer: every document the repository emits (results,
+// checkpoints, session files, alert lines, bench reports, scenario specs)
+// is written through it. Produces RFC 8259-conformant output: proper
+// string escaping, no trailing commas, stable member order (the caller's
+// call order), no whitespace.
+//
+// The sink is a caller-owned std::string that the writer appends to, so
+// the caller decides the buffer's lifetime and may reserve() it first. A
+// checkpoint reserves its whole document and hands its state blob to
+// value_base64(), which encodes the raw bytes straight into that buffer:
+// a multi-megabyte blob is never copied or escaped on the way out.
 //
 // Usage:
-//   JsonWriter json(os);
+//   std::string out;
+//   JsonWriter json(out);
 //   json.begin_object();
 //   json.key("name").value("sentinel");
 //   json.key("alerts").value(std::uint64_t{1275056});
@@ -12,25 +20,24 @@
 //   json.value(1).value(2);
 //   json.end_array();
 //   json.end_object();
+//
+// The read side is core::parse_json (json_parse.hpp).
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace divscrape::core {
 
-/// Escapes a string for inclusion in a JSON document (adds no quotes).
-[[nodiscard]] std::string json_escape(std::string_view text);
-
-/// Streaming writer with nesting-state tracking. Misuse (e.g. two values
-/// without a key inside an object) throws std::logic_error — catching
-/// serializer bugs at the source.
+/// Writer with nesting-state tracking. Misuse (e.g. two values without a
+/// key inside an object) throws std::logic_error — catching serializer
+/// bugs at the source.
 class JsonWriter {
  public:
-  explicit JsonWriter(std::ostream& os) : os_(&os) {}
+  /// Appends to `out`; what it already holds is kept.
+  explicit JsonWriter(std::string& out) : out_(&out) {}
 
   JsonWriter& begin_object();
   JsonWriter& end_object();
@@ -54,6 +61,9 @@ class JsonWriter {
   JsonWriter& value(int number) { return value(std::int64_t{number}); }
   JsonWriter& value(bool flag);
   JsonWriter& null();
+  /// Writes raw `bytes` as a base64 string (util::base64_append, padded),
+  /// encoded in place. Its alphabet needs no escaping.
+  JsonWriter& value_base64(std::string_view bytes);
 
   /// True when every opened scope has been closed.
   [[nodiscard]] bool complete() const noexcept {
@@ -64,8 +74,10 @@ class JsonWriter {
   enum class Scope : std::uint8_t { kObject, kArray };
 
   void before_value();
+  /// Appends `text` quoted and escaped.
+  void write_string(std::string_view text);
 
-  std::ostream* os_;
+  std::string* out_;
   struct Frame {
     Scope scope;
     bool first = true;

@@ -9,7 +9,6 @@ namespace divscrape::core {
 namespace {
 
 const JsonValue::Array kEmptyArray;
-const JsonValue::Object kEmptyObject;
 
 }  // namespace
 
@@ -40,10 +39,6 @@ const JsonValue::Array& JsonValue::array() const noexcept {
   return type_ == Type::kArray ? array_ : kEmptyArray;
 }
 
-const JsonValue::Object& JsonValue::object() const noexcept {
-  return type_ == Type::kObject ? object_ : kEmptyObject;
-}
-
 const JsonValue* JsonValue::find(std::string_view key) const noexcept {
   if (type_ != Type::kObject) return nullptr;
   for (const auto& member : object_) {
@@ -72,7 +67,7 @@ std::uint64_t JsonValue::u64_or(std::string_view key,
 
 bool JsonValue::bool_or(std::string_view key, bool fallback) const noexcept {
   const auto* v = find(key);
-  return v ? v->as_bool(fallback) : fallback;
+  return v && v->type_ == Type::kBool ? v->bool_ : fallback;
 }
 
 std::string JsonValue::string_or(std::string_view key,
@@ -250,15 +245,16 @@ class JsonParser {
     if (!consume('"', "expected '\"'")) return false;
     out.clear();
     for (;;) {
+      // A run with no quote, backslash or control byte is copied whole.
+      const std::size_t run = pos_;
+      while (!at_end() && peek() != '"' && peek() != '\\' &&
+             static_cast<unsigned char>(peek()) >= 0x20)
+        ++pos_;
+      out.append(text_.data() + run, pos_ - run);
       if (at_end()) return fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20)
-        return fail("unescaped control character in string");
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      if (c != '\\') return fail("unescaped control character in string");
       if (at_end()) return fail("unterminated escape sequence");
       const char esc = text_[pos_++];
       switch (esc) {

@@ -1,20 +1,24 @@
-// Minimal JSON document parser — the read-side counterpart to JsonWriter.
+// The one JSON reader: core::parse_json, the read-side counterpart to
+// core::JsonWriter. Every JSON document the repository loads goes through
+// it: checkpoint files (pipeline::Checkpoint, whose field reader also
+// serves the log entries of tail_session.state.json), session files
+// (pipeline::TailSessionState) and scenario specs (workload::ScenarioSpec).
+// The other documents — results, alert lines, bench reports — are
+// write-only here; CI reads them back with an independent parser.
 //
-// The repository's serialized artifacts (checkpoints, results, scenario
-// specs) are all small configuration-sized documents, so this is a plain
-// recursive-descent parser into an owning DOM value, with positions in
-// error messages and a nesting-depth limit instead of cleverness. RFC 8259
-// input is accepted: objects, arrays, strings (with \uXXXX escapes,
-// surrogate pairs included), numbers, booleans, null.
+// It is a plain recursive-descent parser into an owning DOM value, with
+// positions in error messages and a nesting-depth limit instead of
+// cleverness. RFC 8259 input is accepted: objects, arrays, strings (with
+// \uXXXX escapes, surrogate pairs included), numbers, booleans, null.
 //
 // Design notes:
 //   * Objects preserve member order in a flat vector (no std::map): specs
 //     round-trip in the order the writer emitted, and lookup sets are far
 //     too small for hashing to matter.
 //   * Numbers are stored as double. Unsigned 64-bit values above 2^53
-//     (e.g. hash-valued seeds) would lose precision through a double, so
-//     `as_u64` re-reads the original token text when it was a plain
-//     integer literal.
+//     (e.g. hash-valued seeds, checkpoint signatures) would lose precision
+//     through a double, so `as_u64` re-reads the original token text when
+//     it was a plain integer literal.
 //   * Duplicate keys keep the first occurrence (find() returns the first),
 //     matching what a streaming reader would do.
 #pragma once
@@ -45,7 +49,6 @@ class JsonValue {
 
   JsonValue() = default;
 
-  [[nodiscard]] Type type() const noexcept { return type_; }
   [[nodiscard]] bool is_null() const noexcept { return type_ == Type::kNull; }
   [[nodiscard]] bool is_object() const noexcept {
     return type_ == Type::kObject;
@@ -57,12 +60,8 @@ class JsonValue {
   [[nodiscard]] bool is_number() const noexcept {
     return type_ == Type::kNumber;
   }
-  [[nodiscard]] bool is_bool() const noexcept { return type_ == Type::kBool; }
 
   /// Typed reads with a fallback for absent/mistyped values.
-  [[nodiscard]] bool as_bool(bool fallback = false) const noexcept {
-    return type_ == Type::kBool ? bool_ : fallback;
-  }
   [[nodiscard]] double as_double(double fallback = 0.0) const noexcept {
     return type_ == Type::kNumber ? number_ : fallback;
   }
@@ -71,18 +70,13 @@ class JsonValue {
   /// cannot carry a full 64-bit seed or hash).
   [[nodiscard]] std::uint64_t as_u64(std::uint64_t fallback = 0) const noexcept;
   [[nodiscard]] std::int64_t as_i64(std::int64_t fallback = 0) const noexcept;
-  [[nodiscard]] const std::string& as_string(
-      const std::string& fallback) const noexcept {
-    return type_ == Type::kString ? string_ : fallback;
-  }
   [[nodiscard]] std::string_view as_string_view(
       std::string_view fallback = {}) const noexcept {
     return type_ == Type::kString ? std::string_view(string_) : fallback;
   }
 
-  /// Container access; empty containers for mismatched types.
+  /// Array elements; empty for a non-array.
   [[nodiscard]] const Array& array() const noexcept;
-  [[nodiscard]] const Object& object() const noexcept;
 
   /// First member named `key`, or nullptr (also for non-objects).
   [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept;

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/json.hpp"
-#include "core/json_parse.hpp"
 #include "util/atomic_file.hpp"
 
 namespace divscrape::eval {
@@ -16,11 +13,6 @@ namespace divscrape::eval {
 namespace {
 
 constexpr std::string_view kEnsembleName = "ensemble_1oo2";
-
-bool set_error(std::string* error, std::string why) {
-  if (error) *error = std::move(why);
-  return false;
-}
 
 double ratio(std::uint64_t num, std::uint64_t den) noexcept {
   return den == 0 ? 0.0
@@ -42,8 +34,8 @@ void write_column(core::JsonWriter& json, const ColumnScore& column) {
   json.key("fp").value(column.fp);
   json.key("tn").value(column.tn);
   json.key("fn").value(column.fn);
-  // Derived rates are emitted for human and CI readability but never
-  // parsed back — the counts are authoritative.
+  // Derived rates are emitted for human and CI readability; the counts
+  // are authoritative.
   json.key("precision").value_exact(column.precision());
   json.key("recall").value_exact(column.recall());
   json.key("f1").value_exact(column.f1());
@@ -64,57 +56,6 @@ void write_column(core::JsonWriter& json, const ColumnScore& column) {
   json.end_object();
 }
 
-bool read_column(const core::JsonValue& v, ColumnScore& column,
-                 std::string* error) {
-  column.name = v.string_or("name", "");
-  if (column.name.empty())
-    return set_error(error, "column entry is missing its \"name\"");
-  column.tp = v.u64_or("tp", 0);
-  column.fp = v.u64_or("fp", 0);
-  column.tn = v.u64_or("tn", 0);
-  column.fn = v.u64_or("fn", 0);
-  column.auc = v.number_or("auc", 0.0);
-  column.actors_detected = v.u64_or("actors_detected", 0);
-  column.actors_unique = v.u64_or("actors_unique", 0);
-  column.ttd_mean_s = v.number_or("ttd_mean_s", 0.0);
-  column.ttd_p50_s = v.number_or("ttd_p50_s", 0.0);
-  column.ttd_p90_s = v.number_or("ttd_p90_s", 0.0);
-  if (const auto* reasons = v.find("unique_reasons")) {
-    if (!reasons->is_array())
-      return set_error(error, "\"unique_reasons\" must be an array");
-    for (const auto& entry : reasons->array()) {
-      ReasonCount reason;
-      reason.reason = entry.string_or("reason", "");
-      reason.count = entry.u64_or("count", 0);
-      if (reason.reason.empty())
-        return set_error(error, "unique_reasons entry needs a \"reason\"");
-      column.unique_reasons.push_back(std::move(reason));
-    }
-  }
-  return true;
-}
-
-bool read_scenario(const core::JsonValue& v, ScenarioScore& score,
-                   std::string* error) {
-  score.scenario = v.string_or("scenario", "");
-  if (score.scenario.empty())
-    return set_error(error, "scenario entry is missing its \"scenario\"");
-  score.scale = v.number_or("scale", 1.0);
-  score.records = v.u64_or("records", 0);
-  score.truth_benign = v.u64_or("truth_benign", 0);
-  score.truth_malicious = v.u64_or("truth_malicious", 0);
-  score.actors_attacking = v.u64_or("actors_attacking", 0);
-  const auto* columns = v.find("columns");
-  if (!columns || !columns->is_array() || columns->array().empty())
-    return set_error(error, "scenario \"columns\" must be a non-empty array");
-  for (const auto& entry : columns->array()) {
-    ColumnScore column;
-    if (!read_column(entry, column, error)) return false;
-    score.columns.push_back(std::move(column));
-  }
-  return true;
-}
-
 }  // namespace
 
 const ColumnScore* ScenarioScore::column(std::string_view name) const {
@@ -132,8 +73,8 @@ const ScenarioScore* DetectionDocument::scenario(std::string_view name) const {
 }
 
 std::string DetectionDocument::to_json() const {
-  std::ostringstream os;
-  core::JsonWriter json(os);
+  std::string out;
+  core::JsonWriter json(out);
   json.begin_object();
   json.key("schema").value(kSchema);
   json.key("bench").value(bench);
@@ -153,56 +94,11 @@ std::string DetectionDocument::to_json() const {
   }
   json.end_array();
   json.end_object();
-  return os.str();
-}
-
-std::optional<DetectionDocument> DetectionDocument::from_json(
-    std::string_view json, std::string* error) {
-  std::string parse_error;
-  const auto doc = core::parse_json(json, &parse_error);
-  if (!doc) {
-    set_error(error, "invalid JSON: " + parse_error);
-    return std::nullopt;
-  }
-  if (!doc->is_object()) {
-    set_error(error, "document root must be a JSON object");
-    return std::nullopt;
-  }
-  const auto* schema = doc->find("schema");
-  if (!schema || schema->as_string_view() != kSchema) {
-    set_error(error, "missing or unsupported \"schema\" (want " +
-                         std::string(kSchema) + ")");
-    return std::nullopt;
-  }
-  DetectionDocument out;
-  out.bench = doc->string_or("bench", out.bench);
-  const auto* scenarios = doc->find("scenarios");
-  if (!scenarios || !scenarios->is_array()) {
-    set_error(error, "\"scenarios\" must be an array");
-    return std::nullopt;
-  }
-  for (const auto& entry : scenarios->array()) {
-    ScenarioScore score;
-    if (!read_scenario(entry, score, error)) return std::nullopt;
-    out.scenarios.push_back(std::move(score));
-  }
   return out;
 }
 
 bool DetectionDocument::save(const std::string& path) const {
   return util::write_file_atomic(path, to_json() + "\n");
-}
-
-std::optional<DetectionDocument> DetectionDocument::load(
-    const std::string& path, std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    set_error(error, "cannot open " + path);
-    return std::nullopt;
-  }
-  std::stringstream text;
-  text << in.rdbuf();
-  return from_json(text.str(), error);
 }
 
 std::vector<RocPoint> roc_curve(divscrape::span<const double> scores,

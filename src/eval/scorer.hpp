@@ -19,11 +19,11 @@
 // serializes as the versioned `divscrape.bench_detection.v1` document
 // (DetectionDocument), the detection-quality counterpart to the perfbench/
 // benchmark: future perf PRs are gated on "didn't get worse at detecting"
-// via its committed floors.
+// via its committed floors. The document is write-only: nothing in the
+// repository loads it back (CI checks it with an independent parser).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -39,15 +39,11 @@ namespace divscrape::eval {
 struct ReasonCount {
   std::string reason;
   std::uint64_t count = 0;
-
-  friend bool operator==(const ReasonCount& a, const ReasonCount& b) {
-    return a.reason == b.reason && a.count == b.count;
-  }
 };
 
 /// The scored outcome of one detector column (or the ensemble) over one
-/// scenario run. Derived rates are computed, not stored, so a round-tripped
-/// document can never disagree with its own counts.
+/// scenario run. Derived rates are computed from the counts, not stored,
+/// so they can never disagree with them.
 struct ColumnScore {
   std::string name;  ///< "sentinel", "arcane", ..., or "ensemble_1oo2"
 
@@ -85,15 +81,6 @@ struct ColumnScore {
     const double p = precision(), r = recall();
     return p + r == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
   }
-
-  friend bool operator==(const ColumnScore& a, const ColumnScore& b) {
-    return a.name == b.name && a.tp == b.tp && a.fp == b.fp && a.tn == b.tn &&
-           a.fn == b.fn && a.auc == b.auc &&
-           a.actors_detected == b.actors_detected &&
-           a.actors_unique == b.actors_unique &&
-           a.ttd_mean_s == b.ttd_mean_s && a.ttd_p50_s == b.ttd_p50_s &&
-           a.ttd_p90_s == b.ttd_p90_s && a.unique_reasons == b.unique_reasons;
-  }
 };
 
 /// Everything BENCH_detection records about one scenario run: the stream
@@ -110,13 +97,6 @@ struct ScenarioScore {
 
   /// Column lookup by name; nullptr when absent.
   [[nodiscard]] const ColumnScore* column(std::string_view name) const;
-
-  friend bool operator==(const ScenarioScore& a, const ScenarioScore& b) {
-    return a.scenario == b.scenario && a.scale == b.scale &&
-           a.records == b.records && a.truth_benign == b.truth_benign &&
-           a.truth_malicious == b.truth_malicious &&
-           a.actors_attacking == b.actors_attacking && a.columns == b.columns;
-  }
 };
 
 /// The versioned machine-readable detection-quality document
@@ -130,19 +110,8 @@ struct DetectionDocument {
   [[nodiscard]] const ScenarioScore* scenario(std::string_view name) const;
 
   [[nodiscard]] std::string to_json() const;
-  /// Parses and validates (schema string must match exactly); nullopt and
-  /// a one-line reason on anything else.
-  [[nodiscard]] static std::optional<DetectionDocument> from_json(
-      std::string_view json, std::string* error = nullptr);
-
+  /// Atomic write of to_json() plus a newline.
   [[nodiscard]] bool save(const std::string& path) const;
-  [[nodiscard]] static std::optional<DetectionDocument> load(
-      const std::string& path, std::string* error = nullptr);
-
-  friend bool operator==(const DetectionDocument& a,
-                         const DetectionDocument& b) {
-    return a.bench == b.bench && a.scenarios == b.scenarios;
-  }
 };
 
 /// One ROC point.

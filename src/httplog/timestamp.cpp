@@ -3,6 +3,7 @@
 #include <array>
 #include <charconv>
 #include <cstdio>
+#include <cstring>
 
 namespace divscrape::httplog {
 
@@ -142,12 +143,25 @@ std::string Timestamp::to_iso8601() const {
   }
   int y = 0, m = 0, d = 0;
   civil_from_days(days, y, m, d);
+  const int hour = static_cast<int>(rem / kMicrosPerHour);
+  const int minute = static_cast<int>((rem / kMicrosPerMinute) % 60);
+  const int second = static_cast<int>((rem / kMicrosPerSecond) % 60);
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02dZ", y, m, d,
-                static_cast<int>(rem / kMicrosPerHour),
-                static_cast<int>((rem / kMicrosPerMinute) % 60),
-                static_cast<int>((rem / kMicrosPerSecond) % 60));
-  return buf;
+  if (y < 0 || y > 9999) {
+    std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02dZ", y, m, d,
+                  hour, minute, second);
+    return buf;
+  }
+  // The fixed-width common case without snprintf: the alert log formats
+  // one of these per alert event.
+  std::memcpy(buf, "0000-00-00T00:00:00Z", 20);
+  write_digits(buf, y, 4);
+  write_digits(buf + 5, m, 2);
+  write_digits(buf + 8, d, 2);
+  write_digits(buf + 11, hour, 2);
+  write_digits(buf + 14, minute, 2);
+  write_digits(buf + 17, second, 2);
+  return std::string(buf, 20);
 }
 
 std::optional<Timestamp> parse_clf_time(std::string_view text) noexcept {

@@ -1,7 +1,5 @@
 #include "pipeline/alert_log.hpp"
 
-#include <charconv>
-
 #include "core/json.hpp"
 #include "httplog/ip.hpp"
 #include "httplog/timestamp.hpp"
@@ -12,7 +10,8 @@ bool AlertLogWriter::write(std::string_view detector,
                            const httplog::LogRecord& record,
                            const detectors::Verdict& verdict) {
   if (!verdict.alert) return false;
-  core::JsonWriter json(*os_);
+  line_.clear();
+  core::JsonWriter json(line_);
   json.begin_object();
   json.key("detector").value(detector);
   json.key("ip").value(record.ip.to_string());
@@ -23,101 +22,10 @@ bool AlertLogWriter::write(std::string_view detector,
   json.key("score").value(verdict.score);
   json.key("reason").value(to_string(verdict.reason));
   json.end_object();
-  *os_ << '\n';
+  line_ += '\n';
+  os_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
   ++written_;
   return true;
-}
-
-namespace {
-
-// Finds `"key":` in a flat JSON object and returns the raw value token
-// (string contents without quotes, or the bare number text).
-std::optional<std::string> find_member(std::string_view line,
-                                       std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  std::size_t i = pos + needle.size();
-  if (i >= line.size()) return std::nullopt;
-  if (line[i] == '"') {
-    ++i;
-    std::string out;
-    while (i < line.size() && line[i] != '"') {
-      if (line[i] == '\\' && i + 1 < line.size()) {
-        const char escaped = line[i + 1];
-        switch (escaped) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: out += escaped;
-        }
-        i += 2;
-      } else {
-        out += line[i++];
-      }
-    }
-    if (i >= line.size()) return std::nullopt;  // unterminated
-    return out;
-  }
-  // Bare token (number / true / false / null).
-  std::size_t end = i;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-  return std::string(line.substr(i, end - i));
-}
-
-}  // namespace
-
-std::optional<AlertEvent> parse_alert_line(std::string_view line) {
-  if (line.empty() || line.front() != '{') return std::nullopt;
-  AlertEvent event;
-
-  const auto detector = find_member(line, "detector");
-  const auto ip_text = find_member(line, "ip");
-  const auto time_us = find_member(line, "time_us");
-  const auto target = find_member(line, "target");
-  const auto status = find_member(line, "status");
-  const auto score = find_member(line, "score");
-  const auto reason = find_member(line, "reason");
-  if (!detector || !ip_text || !time_us || !target || !status || !score ||
-      !reason)
-    return std::nullopt;
-
-  const auto ip = httplog::parse_ipv4(*ip_text);
-  if (!ip) return std::nullopt;
-  event.ip = *ip;
-  event.detector = *detector;
-  event.target = *target;
-  event.reason = *reason;
-
-  std::int64_t micros = 0;
-  {
-    const auto* begin = time_us->data();
-    const auto* end = begin + time_us->size();
-    if (std::from_chars(begin, end, micros).ec != std::errc{})
-      return std::nullopt;
-  }
-  event.time = httplog::Timestamp(micros);
-  {
-    const auto* begin = status->data();
-    const auto* end = begin + status->size();
-    if (std::from_chars(begin, end, event.status).ec != std::errc{})
-      return std::nullopt;
-  }
-  event.score = std::atof(score->c_str());
-  return event;
-}
-
-bool AlertLogReader::next(AlertEvent& out) {
-  while (std::getline(*in_, line_)) {
-    ++lines_;
-    auto event = parse_alert_line(line_);
-    if (event) {
-      out = std::move(*event);
-      return true;
-    }
-    ++skipped_;
-  }
-  return false;
 }
 
 }  // namespace divscrape::pipeline

@@ -1,30 +1,20 @@
 // Structured alert logging: the operational output of a deployment.
-// Alerts are written as JSON Lines (one object per alerted request) so
-// SOC tooling can tail, filter and aggregate them; a reader parses the
-// format back for the round-trip tests and offline analysis.
+// Alerts are written as JSON Lines (one object per alerted request, keys
+// detector, ip, time, time_us, target, status, score, reason) so SOC
+// tooling can tail, filter and aggregate them. The format is write-only
+// here: there is no in-repo reader, and the tests and CI read the lines
+// back with a general JSON parser (core::parse_json; python3 in CI).
 #pragma once
 
 #include <cstdint>
-#include <istream>
-#include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "detectors/detector.hpp"
 #include "httplog/record.hpp"
 
 namespace divscrape::pipeline {
-
-/// One emitted alert.
-struct AlertEvent {
-  std::string detector;
-  httplog::Ipv4 ip;
-  httplog::Timestamp time;
-  std::string target;
-  int status = 0;
-  double score = 0.0;
-  std::string reason;
-};
 
 /// Writes alerts as JSONL.
 class AlertLogWriter {
@@ -40,32 +30,8 @@ class AlertLogWriter {
 
  private:
   std::ostream* os_;
+  std::string line_;  ///< each event is formatted here, then written once
   std::uint64_t written_ = 0;
 };
-
-/// Parses the JSONL alert log back. The parser handles exactly the subset
-/// of JSON the writer produces (flat objects, string/number members) and
-/// skips malformed lines, mirroring the CLF decoder's tolerance.
-class AlertLogReader {
- public:
-  explicit AlertLogReader(std::istream& in) : in_(&in) {}
-
-  [[nodiscard]] bool next(AlertEvent& out);
-
-  [[nodiscard]] std::uint64_t lines_read() const noexcept { return lines_; }
-  [[nodiscard]] std::uint64_t lines_skipped() const noexcept {
-    return skipped_;
-  }
-
- private:
-  std::istream* in_;
-  std::string line_;
-  std::uint64_t lines_ = 0;
-  std::uint64_t skipped_ = 0;
-};
-
-/// Parses one alert-log line (exposed for tests).
-[[nodiscard]] std::optional<AlertEvent> parse_alert_line(
-    std::string_view line);
 
 }  // namespace divscrape::pipeline

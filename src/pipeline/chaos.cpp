@@ -10,7 +10,6 @@
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -535,8 +534,8 @@ ChaosReport run_chaos_soak(const ChaosConfig& config) {
 
 bool write_chaos_bench(const ChaosConfig& config, const ChaosReport& report,
                        const std::string& path) {
-  std::ostringstream os;
-  core::JsonWriter json(os);
+  std::string out;
+  core::JsonWriter json(out);
   json.begin_object();
   json.key("schema").value("divscrape.bench_soak.v1");
 
@@ -583,7 +582,8 @@ bool write_chaos_bench(const ChaosConfig& config, const ChaosReport& report,
   json.end_object();
 
   json.end_object();
-  return util::write_file_atomic(path, os.str() + "\n");
+  out += '\n';
+  return util::write_file_atomic(path, out);
 }
 
 }  // namespace divscrape::pipeline

@@ -1,8 +1,5 @@
 #include "pipeline/checkpoint.hpp"
 
-#include <charconv>
-#include <fstream>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
@@ -24,90 +21,69 @@ constexpr std::string_view kSchemaV1 = "divscrape.checkpoint.v1";
 
 constexpr std::string_view kSessionSchema = "divscrape.tail_session.v3";
 
-// Finds `"key":` in a flat JSON object and parses the following bare
-// unsigned number.
-std::optional<std::uint64_t> find_u64(std::string_view json,
-                                      std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = json.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const auto begin = json.data() + pos + needle.size();
-  const auto end = json.data() + json.size();
-  std::uint64_t value = 0;
-  const auto parsed = std::from_chars(begin, end, value);
-  if (parsed.ec != std::errc{}) return std::nullopt;
-  return value;
-}
+/// A checkpoint's scalar fields, in the order the writer emits them.
+struct Field {
+  std::string_view name;
+  std::uint64_t Checkpoint::*member;
+  bool since_v2;  ///< absent from v1 files
+};
+constexpr Field kFields[] = {
+    {"inode", &Checkpoint::inode, false},
+    {"offset", &Checkpoint::offset, false},
+    {"sig_len", &Checkpoint::sig_len, true},
+    {"sig_hash", &Checkpoint::sig_hash, true},
+    {"lines", &Checkpoint::lines, false},
+    {"parsed", &Checkpoint::parsed, false},
+    {"skipped", &Checkpoint::skipped, false},
+    {"rotations", &Checkpoint::rotations, false},
+    {"truncations", &Checkpoint::truncations, false},
+    {"lost_incarnations", &Checkpoint::lost_incarnations, true},
+};
 
-// Finds `"key":"..."` in a flat JSON object. Only safe for values with no
-// escapes — base64 qualifies (its alphabet holds no '"' or '\\').
-std::optional<std::string_view> find_str(std::string_view json,
-                                         std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
-  const auto pos = json.find(needle);
-  if (pos == std::string_view::npos) return std::nullopt;
-  const auto begin = pos + needle.size();
-  const auto close = json.find('"', begin);
-  if (close == std::string_view::npos) return std::nullopt;
-  return json.substr(begin, close - begin);
-}
-
-// The writers build each document in one pass into one string reserved
-// up front: the base64 blob is encoded straight into it (its alphabet
-// needs no JSON escaping) and a file's trailing newline is appended in
-// place, so the multi-megabyte blob is never copied. The bytes are the
-// ones core::JsonWriter produced (compact, members in this order), so
-// the schemas are unchanged; tests/pipeline_checkpoint_test.cpp pins them.
-
-/// Room for a document's fixed members, one log entry's scalar fields, and
-/// the closing newline (numbers are at most 20 digits).
+/// Reserve headroom for a document's fixed members, one log entry's scalar
+/// fields, and the closing newline (numbers are at most 20 digits). With
+/// it each document, blob included, is written without a reallocation.
 constexpr std::size_t kMembersBytes = 512;
 
-void append_u64(std::string& out, std::uint64_t value) {
-  char digits[20];
-  const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
-  out.append(digits, end);
+void write_fields(core::JsonWriter& json, const Checkpoint& cp) {
+  for (const Field& f : kFields) json.key(f.name).value(cp.*f.member);
 }
 
-// The checkpoint's scalar fields, each with its leading comma — shared
-// between the standalone serialization and the per-log embeddings inside
-// a TailSessionState.
-void append_fields(std::string& out, const Checkpoint& cp) {
-  const std::pair<std::string_view, std::uint64_t> fields[] = {
-      {"inode", cp.inode},
-      {"offset", cp.offset},
-      {"sig_len", cp.sig_len},
-      {"sig_hash", cp.sig_hash},
-      {"lines", cp.lines},
-      {"parsed", cp.parsed},
-      {"skipped", cp.skipped},
-      {"rotations", cp.rotations},
-      {"truncations", cp.truncations},
-      {"lost_incarnations", cp.lost_incarnations},
-  };
-  for (const auto& [name, value] : fields) {
-    out += ",\"";
-    out += name;
-    out += "\":";
-    append_u64(out, value);
+/// The one reader of a checkpoint's scalar fields, for the standalone file
+/// and for every log entry of a session file: each field the schema has
+/// (v1, or `v2` and later) must be present as an unsigned integer.
+std::optional<Checkpoint> read_fields(const core::JsonValue& obj, bool v2) {
+  Checkpoint cp;
+  for (const Field& f : kFields) {
+    if (f.since_v2 && !v2) continue;
+    const core::JsonValue* value = obj.find(f.name);
+    if (value == nullptr || !value->is_number() || value->as_double() < 0.0)
+      return std::nullopt;
+    cp.*f.member = value->as_u64();
   }
+  return cp;
 }
 
-// The closing member shared by both documents, then the closing brace.
-void append_state(std::string& out, std::string_view state) {
-  out += ",\"state_b64\":\"";
-  util::base64_append(out, state);
-  out += "\"}";
+/// The decoded state blob (empty when absent), read without copying the
+/// base64 text; nullopt when it does not decode.
+std::optional<std::string> read_state(const core::JsonValue& doc) {
+  const core::JsonValue* b64 = doc.find("state_b64");
+  return util::base64_decode(b64 ? b64->as_string_view() : "");
 }
+
+// Each document is written into one string reserved up front, the blob
+// base64-encoded straight into it and a file's newline appended in place,
+// so the multi-megabyte blob is never copied.
 
 std::string checkpoint_json(const Checkpoint& cp, bool newline) {
   std::string out;
   out.reserve(kMembersBytes + util::base64_size(cp.state.size()));
-  out += "{\"schema\":\"";
-  out += kSchema;
-  out += '"';
-  append_fields(out, cp);
-  append_state(out, cp.state);
+  core::JsonWriter json(out);
+  json.begin_object();
+  json.key("schema").value(kSchema);
+  write_fields(json, cp);
+  json.key("state_b64").value_base64(cp.state);
+  json.end_object();
   if (newline) out += '\n';
   return out;
 }
@@ -115,43 +91,26 @@ std::string checkpoint_json(const Checkpoint& cp, bool newline) {
 std::string session_json(const TailSessionState& session, bool newline) {
   std::size_t size = kMembersBytes + util::base64_size(session.state.size());
   for (const auto& entry : session.logs) {
-    // json_escape grows a byte to at most six ("\u001f").
+    // Escaping grows a byte to at most six ("\u001f").
     size += kMembersBytes + 6 * entry.first.size();
   }
   std::string out;
   out.reserve(size);
-  out += "{\"schema\":\"";
-  out += kSessionSchema;
-  out += "\",\"logs\":[";
-  for (std::size_t i = 0; i < session.logs.size(); ++i) {
-    const auto& [path, cp] = session.logs[i];
-    out += i == 0 ? "{\"path\":\"" : ",{\"path\":\"";
-    out += core::json_escape(path);
-    out += '"';
-    append_fields(out, cp);
-    out += '}';
+  core::JsonWriter json(out);
+  json.begin_object();
+  json.key("schema").value(kSessionSchema);
+  json.key("logs").begin_array();
+  for (const auto& [path, cp] : session.logs) {
+    json.begin_object();
+    json.key("path").value(path);
+    write_fields(json, cp);
+    json.end_object();
   }
-  out += ']';
-  append_state(out, session.state);
+  json.end_array();
+  json.key("state_b64").value_base64(session.state);
+  json.end_object();
   if (newline) out += '\n';
   return out;
-}
-
-// Reads the scalar fields back from a parsed DOM object (TailSessionState
-// embeddings; the standalone path keeps the flat scanner for v1/v2 files).
-Checkpoint checkpoint_from_dom(const core::JsonValue& obj) {
-  Checkpoint cp;
-  cp.inode = obj.u64_or("inode", 0);
-  cp.offset = obj.u64_or("offset", 0);
-  cp.sig_len = obj.u64_or("sig_len", 0);
-  cp.sig_hash = obj.u64_or("sig_hash", 0);
-  cp.lines = obj.u64_or("lines", 0);
-  cp.parsed = obj.u64_or("parsed", 0);
-  cp.skipped = obj.u64_or("skipped", 0);
-  cp.rotations = obj.u64_or("rotations", 0);
-  cp.truncations = obj.u64_or("truncations", 0);
-  cp.lost_incarnations = obj.u64_or("lost_incarnations", 0);
-  return cp;
 }
 
 }  // namespace
@@ -161,46 +120,17 @@ std::string Checkpoint::to_json() const {
 }
 
 std::optional<Checkpoint> Checkpoint::from_json(std::string_view json) {
-  const auto has_schema = [&](std::string_view schema) {
-    return json.find("\"schema\":\"" + std::string(schema) + "\"") !=
-           std::string_view::npos;
-  };
-  const bool v3 = has_schema(kSchema);
-  const bool v2 = v3 || has_schema(kSchemaV2);
-  if (!v2 && !has_schema(kSchemaV1)) return std::nullopt;
-  Checkpoint cp;
-  const auto inode = find_u64(json, "inode");
-  const auto offset = find_u64(json, "offset");
-  const auto lines = find_u64(json, "lines");
-  const auto parsed = find_u64(json, "parsed");
-  const auto skipped = find_u64(json, "skipped");
-  const auto rotations = find_u64(json, "rotations");
-  const auto truncations = find_u64(json, "truncations");
-  if (!inode || !offset || !lines || !parsed || !skipped || !rotations ||
-      !truncations)
-    return std::nullopt;
-  cp.inode = *inode;
-  cp.offset = *offset;
-  cp.lines = *lines;
-  cp.parsed = *parsed;
-  cp.skipped = *skipped;
-  cp.rotations = *rotations;
-  cp.truncations = *truncations;
-  if (v2) {
-    const auto sig_len = find_u64(json, "sig_len");
-    const auto sig_hash = find_u64(json, "sig_hash");
-    const auto lost = find_u64(json, "lost_incarnations");
-    if (!sig_len || !sig_hash || !lost) return std::nullopt;
-    cp.sig_len = *sig_len;
-    cp.sig_hash = *sig_hash;
-    cp.lost_incarnations = *lost;
-  }
-  if (v3) {
+  const auto doc = core::parse_json(json);
+  if (!doc) return std::nullopt;
+  const std::string schema = doc->string_or("schema", "");
+  const bool v3 = schema == kSchema;
+  const bool v2 = v3 || schema == kSchemaV2;
+  if (!v2 && schema != kSchemaV1) return std::nullopt;
+  auto cp = read_fields(*doc, v2);
+  if (cp && v3) {
     // A missing or undecodable blob degrades to a cold (but valid) resume:
     // the ingest offset must survive state-blob damage.
-    if (const auto b64 = find_str(json, "state_b64")) {
-      if (auto bytes = util::base64_decode(*b64)) cp.state = std::move(*bytes);
-    }
+    if (auto bytes = read_state(*doc)) cp->state = std::move(*bytes);
   }
   return cp;
 }
@@ -211,11 +141,9 @@ bool Checkpoint::save(const std::string& path) const {
 }
 
 std::optional<Checkpoint> Checkpoint::load(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::stringstream text;
-  text << in.rdbuf();
-  return from_json(text.str());
+  const auto text = util::read_file(path);
+  if (!text) return std::nullopt;
+  return from_json(*text);
 }
 
 std::string TailSessionState::to_json() const {
@@ -233,10 +161,11 @@ std::optional<TailSessionState> TailSessionState::from_json(
   for (const core::JsonValue& entry : logs->array()) {
     if (!entry.is_object()) return std::nullopt;
     std::string path = entry.string_or("path", "");
-    if (path.empty()) return std::nullopt;
-    session.logs.emplace_back(std::move(path), checkpoint_from_dom(entry));
+    auto cp = read_fields(entry, /*v2=*/true);
+    if (path.empty() || !cp) return std::nullopt;
+    session.logs.emplace_back(std::move(path), std::move(*cp));
   }
-  const auto bytes = util::base64_decode(doc->string_or("state_b64", ""));
+  auto bytes = read_state(*doc);
   if (!bytes) return std::nullopt;
   session.state = std::move(*bytes);
   return session;
@@ -249,11 +178,9 @@ bool TailSessionState::save(const std::string& path) const {
 
 std::optional<TailSessionState> TailSessionState::load(
     const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::stringstream text;
-  text << in.rdbuf();
-  return from_json(text.str());
+  const auto text = util::read_file(path);
+  if (!text) return std::nullopt;
+  return from_json(*text);
 }
 
 }  // namespace divscrape::pipeline

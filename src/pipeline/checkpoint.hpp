@@ -68,14 +68,23 @@
 // the layout older builds wrote through LogTailer + ReplayEngine. Per-log
 // files under a checkpoint dir carry none (TailSessionState holds it).
 //
-// ## Writer
+// ## Writer and reader
 //
-// to_json() and save() build the document in one pass into one string
-// (the base64 blob encoded in place, no stream, no escaped copy). The
-// bytes are exactly those of the streaming core::JsonWriter serialization
-// the v3 schemas were defined with, so this writer carries no schema
-// version of its own: v3 files load whichever writer produced them.
-// tests/pipeline_checkpoint_test.cpp ("CheckpointBytes") pins the bytes.
+// core::JsonWriter writes both documents and core::parse_json reads them;
+// there is no other codec. to_json() and save() reserve the whole document
+// up front and JsonWriter::value_base64 encodes the blob straight into it
+// (no stream, no escaped copy), so a multi-megabyte blob is never copied
+// on the way out. The bytes are exactly the plain JsonWriter serialization
+// the v3 schemas were defined with; tests/pipeline_checkpoint_test.cpp
+// ("CheckpointBytes") pins them.
+//
+// One field reader serves the standalone file and every log entry of a
+// TailSessionState file, by the same rules: each scalar field the schema
+// has must be present as an unsigned integer (v1: inode, offset, lines,
+// parsed, skipped, rotations, truncations; v2 and later also sig_len,
+// sig_hash, lost_incarnations; session entries follow v3). A session file
+// with an incomplete entry is rejected whole, so its blob never restores
+// behind an offset it does not state.
 #pragma once
 
 #include <cstdint>
@@ -124,11 +133,12 @@ struct Checkpoint {
 
   /// Serializes as one flat JSON object (schema divscrape.checkpoint.v3).
   [[nodiscard]] std::string to_json() const;
-  /// Parses v3, v2 and v1 schemas (missing fields default to 0 / empty —
-  /// see the compat matrix above). A v3 state blob that fails base64
-  /// decoding is dropped (state empty, cold resume) rather than rejecting
-  /// the whole checkpoint: a damaged blob must not lose the ingest offset.
-  /// nullopt on malformed input or a schema mismatch.
+  /// Parses v3, v2 and v1 schemas (fields a schema lacks default to 0 /
+  /// empty — see the compat matrix above). A v3 state blob that fails
+  /// base64 decoding is dropped (state empty, cold resume) rather than
+  /// rejecting the whole checkpoint: a damaged blob must not lose the
+  /// ingest offset. nullopt on malformed input, a schema mismatch, or a
+  /// field of the schema that is absent or not an unsigned integer.
   [[nodiscard]] static std::optional<Checkpoint> from_json(
       std::string_view json);
 
@@ -167,6 +177,8 @@ struct TailSessionState {
 
   /// Serializes as JSON (schema divscrape.tail_session.v3).
   [[nodiscard]] std::string to_json() const;
+  /// nullopt on malformed input, a schema mismatch, an undecodable blob,
+  /// or any log entry without a path or a v3 checkpoint field.
   [[nodiscard]] static std::optional<TailSessionState> from_json(
       std::string_view json);
 

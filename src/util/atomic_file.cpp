@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 
 namespace divscrape::util {
@@ -58,6 +59,23 @@ bool write_file_atomic(const std::string& path, std::string_view contents) {
   }
   if (::close(fd) != 0) return false;
   return std::rename(tmp.c_str(), path.c_str()) == 0;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return std::nullopt;
+  std::string text;
+  char chunk[64 * 1024];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n > 0) {
+      text.append(chunk, static_cast<std::size_t>(n));
+    } else if (n == 0 || errno != EINTR) {
+      ::close(fd);
+      if (n < 0) return std::nullopt;
+      return text;
+    }
+  }
 }
 
 }  // namespace divscrape::util

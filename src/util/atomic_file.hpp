@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -15,6 +16,9 @@ namespace divscrape::util {
 /// Returns false (leaving `path` untouched) on any failure.
 [[nodiscard]] bool write_file_atomic(const std::string& path,
                                      std::string_view contents);
+
+/// The whole contents of `path`; nullopt when it cannot be opened or read.
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path);
 
 /// Test seam: makes the NEXT write_file_atomic call fail after writing
 /// `bytes` of the payload, leaving the torn `<path>.tmp` sibling behind —

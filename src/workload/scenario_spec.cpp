@@ -1,8 +1,6 @@
 #include "workload/scenario_spec.hpp"
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "core/json.hpp"
 #include "core/json_parse.hpp"
@@ -254,8 +252,8 @@ bool operator==(const ScenarioSpec& a, const ScenarioSpec& b) noexcept {
 }
 
 std::string ScenarioSpec::to_json() const {
-  std::ostringstream os;
-  core::JsonWriter json(os);
+  std::string out;
+  core::JsonWriter json(out);
   json.begin_object();
   json.key("schema").value(kSchema);
   json.key("name").value(name);
@@ -282,7 +280,7 @@ std::string ScenarioSpec::to_json() const {
   }
   json.end_array();
   json.end_object();
-  return os.str();
+  return out;
 }
 
 std::optional<ScenarioSpec> ScenarioSpec::from_json(std::string_view json,
@@ -352,14 +350,12 @@ bool ScenarioSpec::save(const std::string& path) const {
 
 std::optional<ScenarioSpec> ScenarioSpec::load(const std::string& path,
                                                std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
+  const auto text = util::read_file(path);
+  if (!text) {
     set_error(error, "cannot open " + path);
     return std::nullopt;
   }
-  std::stringstream text;
-  text << in.rdbuf();
-  return from_json(text.str(), error);
+  return from_json(*text, error);
 }
 
 }  // namespace divscrape::workload

@@ -10,12 +10,18 @@
 namespace {
 
 using divscrape::core::JointResults;
-using divscrape::core::json_escape;
 using divscrape::core::JsonWriter;
 using divscrape::httplog::Ipv4;
 using divscrape::httplog::LogRecord;
 using divscrape::httplog::Truth;
 using Verdict = divscrape::detectors::Verdict;
+
+/// `text` as the writer escapes it inside a string value (quotes removed).
+std::string json_escape(std::string_view text) {
+  std::string out;
+  JsonWriter(out).value(text);
+  return out.substr(1, out.size() - 2);
+}
 
 TEST(JsonEscape, ControlAndSpecialCharacters) {
   EXPECT_EQ(json_escape("plain"), "plain");
@@ -23,11 +29,12 @@ TEST(JsonEscape, ControlAndSpecialCharacters) {
   EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(json_escape("a\nb\tc"), "a\\nb\\tc");
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(json_escape("run\x1f" "run\"end"), "run\\u001frun\\\"end");
 }
 
 TEST(JsonWriter, ObjectAndArrayComposition) {
-  std::ostringstream os;
-  JsonWriter json(os);
+  std::string out;
+  JsonWriter json(out);
   json.begin_object();
   json.key("name").value("x");
   json.key("count").value(std::uint64_t{3});
@@ -40,43 +47,53 @@ TEST(JsonWriter, ObjectAndArrayComposition) {
   json.end_object();
   json.end_object();
   EXPECT_TRUE(json.complete());
-  EXPECT_EQ(os.str(),
+  EXPECT_EQ(out,
             R"({"name":"x","count":3,"items":[1,2,3],)"
             R"("nested":{"flag":true,"nothing":null}})");
 }
 
+TEST(JsonWriter, AppendsToTheCallersStringAndEncodesBase64InPlace) {
+  std::string out = "prefix ";
+  JsonWriter json(out);
+  json.begin_array();
+  json.value_base64(std::string("\x00\xff\x10x", 4));
+  json.value_base64("");
+  json.end_array();
+  EXPECT_EQ(out, R"(prefix ["AP8QeA==",""])");
+}
+
 TEST(JsonWriter, NonFiniteNumbersBecomeNull) {
-  std::ostringstream os;
-  JsonWriter json(os);
+  std::string out;
+  JsonWriter json(out);
   json.begin_array();
   json.value(std::nan(""));
   json.value(1.5);
   json.end_array();
-  EXPECT_EQ(os.str(), "[null,1.5]");
+  EXPECT_EQ(out, "[null,1.5]");
 }
 
 TEST(JsonWriter, MisuseThrows) {
   {
-    std::ostringstream os;
-    JsonWriter json(os);
+    std::string out;
+    JsonWriter json(out);
     json.begin_object();
     EXPECT_THROW(json.value(1), std::logic_error);  // value without key
   }
   {
-    std::ostringstream os;
-    JsonWriter json(os);
+    std::string out;
+    JsonWriter json(out);
     json.begin_array();
     EXPECT_THROW(json.key("k"), std::logic_error);  // key inside array
   }
   {
-    std::ostringstream os;
-    JsonWriter json(os);
+    std::string out;
+    JsonWriter json(out);
     json.begin_object();
     EXPECT_THROW(json.end_array(), std::logic_error);  // mismatched close
   }
   {
-    std::ostringstream os;
-    JsonWriter json(os);
+    std::string out;
+    JsonWriter json(out);
     json.value(1);
     EXPECT_THROW(json.value(2), std::logic_error);  // two top-level values
   }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -183,10 +184,12 @@ TEST(TailSessionState, RejectsMalformedInput) {
 
 // --- Writer bytes ---------------------------------------------------------
 //
-// The checkpoint writers build their JSON in one pass into one string. The
-// files must stay byte-identical to what the streaming core::JsonWriter
-// path wrote (the schemas did not change), so that path is kept here as the
-// reference, and a few outputs it produced are pinned as literals.
+// The checkpoint writers encode the state blob straight into the reserved
+// document (JsonWriter::value_base64). The files must stay byte-identical
+// to the plain JsonWriter serialization the schemas were defined with,
+// blob encoded first and written as an ordinary string value, so that
+// route is kept here as the reference, and a few outputs are pinned as
+// literals.
 
 void reference_fields(core::JsonWriter& json, const pipeline::Checkpoint& cp) {
   json.key("inode").value(cp.inode);
@@ -202,19 +205,19 @@ void reference_fields(core::JsonWriter& json, const pipeline::Checkpoint& cp) {
 }
 
 std::string reference_json(const pipeline::Checkpoint& cp) {
-  std::ostringstream os;
-  core::JsonWriter json(os);
+  std::string out;
+  core::JsonWriter json(out);
   json.begin_object();
   json.key("schema").value("divscrape.checkpoint.v3");
   reference_fields(json, cp);
   json.key("state_b64").value(util::base64_encode(cp.state));
   json.end_object();
-  return os.str();
+  return out;
 }
 
 std::string reference_json(const pipeline::TailSessionState& session) {
-  std::ostringstream os;
-  core::JsonWriter json(os);
+  std::string out;
+  core::JsonWriter json(out);
   json.begin_object();
   json.key("schema").value("divscrape.tail_session.v3");
   json.key("logs").begin_array();
@@ -227,7 +230,7 @@ std::string reference_json(const pipeline::TailSessionState& session) {
   json.end_array();
   json.key("state_b64").value(util::base64_encode(session.state));
   json.end_object();
-  return os.str();
+  return out;
 }
 
 // `n` bytes that walk through every byte value, NUL and high bytes included.
@@ -251,6 +254,25 @@ pipeline::Checkpoint numbered_checkpoint(std::uint64_t seed) {
   cp.truncations = seed / 3;
   cp.lost_incarnations = seed / 4;
   return cp;
+}
+
+// A session's log entry is read by the standalone v2+ rules: every member
+// is required (none defaults to 0).
+TEST(TailSessionState, LogEntryNeedsEveryCheckpointMember) {
+  pipeline::TailSessionState session;
+  session.logs.emplace_back("a.log", numbered_checkpoint(1));
+  const std::string json = session.to_json();
+  ASSERT_TRUE(pipeline::TailSessionState::from_json(json).has_value());
+  for (const char* member :
+       {",\"inode\":1001", ",\"offset\":4096", ",\"sig_len\":64",
+        ",\"parsed\":9", ",\"lost_incarnations\":0"}) {
+    std::string missing = json;
+    const auto at = missing.find(member);
+    ASSERT_NE(at, std::string::npos) << member;
+    missing.erase(at, std::strlen(member));
+    EXPECT_FALSE(pipeline::TailSessionState::from_json(missing).has_value())
+        << missing;
+  }
 }
 
 // Every padding case (length mod 3 = 0, 1, 2), short and long blobs.

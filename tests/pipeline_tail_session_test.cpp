@@ -8,7 +8,8 @@
 // a session file hand-built with the documented layout (mode byte +
 // component states) resumes warm, so existing checkpoint dirs keep
 // working; and any failed warm restore drops every half-loaded component
-// and equals a fresh-consumer cold resume from the per-log offsets.
+// and equals a fresh-consumer cold resume from the per-log offsets, as
+// does a session file whose log entry lacks its offset.
 // With one log and one checkpoint file (`tail --checkpoint`): the file is
 // byte for byte what LogTailer + ReplayEngine used to write, such a file
 // resumes warm, and kills, damaged blobs and a replaced log behave as
@@ -40,6 +41,7 @@
 #include "pipeline/tail_session.hpp"
 #include "pipeline/tailer.hpp"
 #include "traffic/stream_writer.hpp"
+#include "util/atomic_file.hpp"
 #include "util/interner.hpp"
 #include "util/state.hpp"
 
@@ -60,7 +62,7 @@ const std::vector<httplog::LogRecord>& records() {
 
 /// Growing logs plus where a session persists, all under one
 /// process-unique directory (ctest runs each case as its own process):
-/// kFiles logs and a checkpoint dir, or with `single_file` one log and one
+/// `files` logs and a checkpoint dir, or with `single_file` one log and one
 /// checkpoint file (`tail --checkpoint`).
 struct Fixture {
   std::string root;
@@ -69,13 +71,14 @@ struct Fixture {
   std::vector<std::string> paths;
   std::vector<std::unique_ptr<traffic::StreamWriter>> writers;
 
-  explicit Fixture(const std::string& tag, bool single = false)
+  explicit Fixture(const std::string& tag, bool single = false,
+                   std::size_t files = kFiles)
       : root(::testing::TempDir() + "divscrape_session_" +
              std::to_string(::getpid()) + "_" + tag),
         cp_dir(root + "/cp"),
         single_file(single) {
     std::filesystem::create_directories(cp_dir);
-    for (std::size_t i = 0; i < (single ? 1 : kFiles); ++i) {
+    for (std::size_t i = 0; i < (single ? 1 : files); ++i) {
       paths.push_back(root + "/vhost" + std::to_string(i) + ".log");
       writers.push_back(std::make_unique<traffic::StreamWriter>(paths.back()));
     }
@@ -372,6 +375,53 @@ void expect_damaged_blob_resumes_cold(const std::string& tag,
   const std::string damaged = cold_run(Outcome::kStateRejected);
   std::remove(fx.session_file().c_str());
   EXPECT_EQ(damaged, cold_run(Outcome::kNoSession));
+}
+
+/// A session-file log entry is read by the same rules as a standalone
+/// checkpoint, so one without its "offset" rejects the session file: the
+/// resume is cold from the per-log checkpoints and ends equal to a resume
+/// with no session file at all. Read as offset 0 (as the embedded entries
+/// once were), the entry passed the inode and signature checks, the blob
+/// restored warm, and that log's records were counted twice.
+void expect_entry_without_offset_resumes_cold(const std::string& tag,
+                                               std::size_t shards) {
+  const std::size_t split = halves().front();
+  Fixture fx(tag, /*single=*/false, /*files=*/2);
+  fx.write_range(0, split);
+  persist_once(fx, shards);
+  auto text = util::read_file(fx.session_file());
+  ASSERT_TRUE(text.has_value());
+  const auto member = text->find("\"offset\":");
+  ASSERT_NE(member, std::string::npos);
+  text->erase(member, text->find(',', member) + 1 - member);
+  ASSERT_TRUE(util::write_file_atomic(fx.session_file(), *text));
+  fx.write_range(split, records().size());
+
+  const auto cold_run = [&] {
+    auto session = fx.session(shards);
+    const auto resumed = session->resume();
+    EXPECT_FALSE(resumed.warm());
+    EXPECT_EQ(resumed.outcome, Outcome::kNoSession);
+    for (std::size_t i = 0; i < resumed.logs.size(); ++i) {
+      EXPECT_EQ(resumed.logs[i].from,
+                pipeline::checkpoint_file_for(fx.cp_dir, fx.paths[i]));
+      EXPECT_TRUE(resumed.logs[i].honored);
+    }
+    (void)session->poll();
+    EXPECT_EQ(ingested(*session), records().size());
+    return core::to_json(session->finish());
+  };
+  const std::string damaged = cold_run();
+  std::remove(fx.session_file().c_str());
+  EXPECT_EQ(damaged, cold_run());
+}
+
+TEST(TailSession, SessionEntryWithoutOffsetResumesColdSequential) {
+  expect_entry_without_offset_resumes_cold("no_offset_seq", 1);
+}
+
+TEST(TailSession, SessionEntryWithoutOffsetResumesColdSharded) {
+  expect_entry_without_offset_resumes_cold("no_offset_shard", 2);
 }
 
 TEST(TailSession, DamagedBlobResumesColdFromFreshConsumerSequential) {

@@ -65,6 +65,7 @@
 //   --smoke             CI-sized run: --scale 0.01 + tight persist cadence
 //   --chaos-seed <n>    fault schedule seed
 //   --rss-limit-mb <n>  RSS high-water bound (default 4096; <= 0 disables)
+//   --gen-threads <n>   generator worker threads (default 4)
 //
 // Tail options (every tail runs on pipeline::TailSession):
 //   --checkpoint <file>   resume from / persist one log's checkpoint file
@@ -167,7 +168,7 @@ struct CliOptions {
   int poll_ms = 200;
   int reorder_ms = 2000;
   std::size_t shards = 1;
-  std::size_t gen_threads = 1;
+  std::size_t gen_threads = 0;  ///< 0 = the command's default (soak 4, else 1)
   std::size_t partitions = 0;  ///< 0 = engine default
   std::uint64_t flush_every = 100000;
   core::KeyValueConfig config;
@@ -185,7 +186,7 @@ int usage() {
       "           [--out <file>] [--out-multi <dir>] [--detect] "
       "[--shards <n>]\n"
       "  soak     [scenario] [--out <dir>] [--bench <file>] [--smoke]\n"
-      "           [--chaos-seed <n>] [--rss-limit-mb <n>]\n"
+      "           [--chaos-seed <n>] [--rss-limit-mb <n>] [--gen-threads <n>]\n"
       "  --config <file>       load key=value configuration\n"
       "  --set k=v             inline config override (repeatable)\n"
       "  --scale <s>           scenario scale, a number > 0\n"
@@ -421,7 +422,7 @@ int cmd_simulate(const CliOptions& opts) {
   }
 
   workload::EngineConfig engine_config;
-  engine_config.gen_threads = opts.gen_threads;
+  if (opts.gen_threads != 0) engine_config.gen_threads = opts.gen_threads;
   if (opts.partitions != 0) engine_config.partitions = opts.partitions;
   // Megasite-class specs only fit in memory lazily; small ones skip the
   // second construction pass (see EngineConfig::lazy_actors).
@@ -734,7 +735,7 @@ int cmd_soak(CliOptions opts) {
   config.spec = std::move(*spec);
   config.work_dir = opts.out_path.empty() ? "soak_run" : opts.out_path;
   config.chaos_seed = opts.chaos_seed;
-  config.gen_threads = opts.gen_threads > 1 ? opts.gen_threads : 4;
+  if (opts.gen_threads != 0) config.gen_threads = opts.gen_threads;
   if (opts.partitions != 0) config.partitions = opts.partitions;
   config.rss_limit_mb = opts.rss_limit_mb;
   config.verbose = true;
@@ -808,7 +809,7 @@ int cmd_score(const CliOptions& opts) {
   if (!spec) return 1;
 
   eval::RunOptions run_options;
-  run_options.gen_threads = opts.gen_threads;
+  run_options.gen_threads = opts.gen_threads != 0 ? opts.gen_threads : 1;
   const auto t0 = std::chrono::steady_clock::now();
   const auto score = eval::score_scenario(*spec, run_options);
   const double wall =
@@ -1107,8 +1108,7 @@ int cmd_export(const CliOptions& opts) {
   if (!spec) return 1;
   const auto pool = pair_from(opts.config);
   const auto out = eval::run_experiment(*spec, pool);
-  core::export_json(out.results, std::cout);
-  std::cout << '\n';
+  std::cout << core::to_json(out.results) << '\n';
   if (!opts.csv_prefix.empty()) {
     {
       std::ofstream f(opts.csv_prefix + "_totals.csv");
