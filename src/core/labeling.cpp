@@ -21,7 +21,7 @@ void Session::add(const httplog::LogRecord& record) {
   if (httplog::is_static_asset(path)) ++assets_;
   if (record.referer != "-" && !record.referer.empty()) ++with_referer_;
   if (record.status >= 400 && record.status < 500) ++errors_4xx_;
-  templates_.add(paths_.template_token(path));
+  templates_.add(paths_.token(path));
 }
 
 double Session::duration_s() const noexcept {

@@ -75,11 +75,11 @@ class Session {
   std::uint64_t assets_ = 0;
   std::uint64_t with_referer_ = 0;
   std::uint64_t errors_4xx_ = 0;
-  // Paths and their templates are interned session-locally: counting exact
-  // 32-bit tokens is bijective with counting the strings themselves (same
-  // entropy) but costs one probe instead of a string copy plus O(log n)
-  // string compares per record.
-  httplog::PathTemplateMemo paths_;
+  // Templates are interned session-locally: counting exact 32-bit tokens is
+  // bijective with counting the strings themselves (same entropy) but costs
+  // one probe instead of a string copy plus O(log n) string compares per
+  // record.
+  httplog::PathTemplateTokenizer paths_;
   stats::Counter<std::uint32_t> templates_;
 };
 

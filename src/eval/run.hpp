@@ -40,7 +40,7 @@ using RecordObserver = pipeline::RecordObserver;
 
 /// Streams `spec` through the given pool (pool order defines result
 /// indices), handing each record and its verdicts to `observe` when set.
-/// The engine resets the pool first and re-stamps each record's UA token
+/// The engine resets the pool first and stamps each record's UA token
 /// from its own interner. The generated stream is byte-identical at any
 /// gen_threads (the engine's contract), so the results are too.
 [[nodiscard]] ExperimentOutput run_experiment(

@@ -50,11 +50,12 @@ struct LogRecord {
   std::string user_agent = "-";     ///< User-Agent header, "-" when absent
 
   // --- sidecar metadata (not part of the CLF wire format) ---
-  /// Interned token for `user_agent`, stamped at ingest (traffic generator,
-  /// replay reader). 0 = not stamped; consumers fall back to interning the
-  /// string themselves. Tokens are only meaningful relative to the single
-  /// interner that minted them, so they never cross process or file
-  /// boundaries (the CLF codec neither writes nor reads this field).
+  /// Interned token for `user_agent`, stamped by the detection consumer
+  /// (ReplayEngine, or DetectionStage ahead of its shards). 0 = not
+  /// stamped; detectors fall back to interning the string themselves.
+  /// Tokens are only meaningful relative to the single interner that
+  /// minted them, so they never cross process or file boundaries (the CLF
+  /// codec neither writes nor reads this field).
   std::uint32_t ua_token = 0;
   Truth truth = Truth::kUnknown;    ///< simulator ground truth
   std::uint32_t actor_id = 0;       ///< simulator actor identity (0 = none)

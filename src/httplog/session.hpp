@@ -3,11 +3,11 @@
 // the UA classification memo behind it.
 //
 // Hot-path note: the User-Agent half of the key is an interned 32-bit token
-// (see util/interner.hpp), not a string. Records stamped at ingest
-// (LogRecord::ua_token != 0) key their state with zero string hashing;
-// unstamped records are interned once by the consumer via ua_key_token(),
-// which marks consumer-minted tokens with kLocalUaTokenBit so they can never
-// collide with ingest-stamped ones.
+// (see util/interner.hpp), not a string. Records stamped by the detection
+// consumer (LogRecord::ua_token != 0) key their state with zero string
+// hashing; unstamped records are interned once by the detector via
+// ua_key_token(), which marks detector-minted tokens with kLocalUaTokenBit
+// so they can never collide with stamped ones.
 #pragma once
 
 #include <cstdint>

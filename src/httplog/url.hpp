@@ -55,69 +55,14 @@ struct QueryParam {
 /// steady state allocation-free (no segment vector, no temporaries).
 void build_path_template(std::string_view path, std::string& out);
 
-// ## Which memo is for what
-//
-// Both classes below map a path to an exact template token (bijective with
-// the template strings, unlike a raw hash, so counting tokens is
-// collision-free). They differ in what they remember:
-//
-//   * PathTemplateMemo interns every distinct *path* and its template, so
-//     a repeated path costs one probe. It suits a short-lived owner whose
-//     path set is small and repetitive: one per labeller session
-//     (core::Session), dropped when the session closes, uncapped, never
-//     checkpointed.
-//   * PathTemplateTokenizer interns only *templates* and rebuilds the
-//     template of each new path into a reused buffer. It suits a
-//     stream-lifetime owner (one per ArcaneDetector): path cardinality
-//     grows with unique-id URLs and most paths are never seen twice, so a
-//     path memo would hit almost never while dominating memory and the
-//     checkpoint. Template cardinality is far smaller, and is capped.
-
-/// Per-session path -> template-token memo: template_token() interns the
-/// path and computes+interns its template once per *distinct* path, so
-/// repeat paths cost one probe. Paths and templates share one token space,
-/// and template tokens rise in the order templates are first seen.
-/// Uncapped; thread-compatible like the interner it wraps.
-class PathTemplateMemo {
- public:
-  /// The template token for `path` (also interns the path itself).
-  /// Consecutive calls with the same path hit a one-entry memo: a memcmp
-  /// instead of a hash.
-  [[nodiscard]] std::uint32_t template_token(std::string_view path) {
-    if (last_path_tok_ != util::StringInterner::kInvalidToken &&
-        path == ids_.lookup(last_path_tok_)) {
-      return template_of_path_[last_path_tok_ - 1];
-    }
-    const std::uint32_t path_tok = ids_.intern(path);
-    if (template_of_path_.size() < ids_.size())
-      template_of_path_.resize(ids_.size(),
-                               util::StringInterner::kInvalidToken);
-    std::uint32_t& slot = template_of_path_[path_tok - 1];
-    if (slot == util::StringInterner::kInvalidToken) {
-      ++distinct_paths_;
-      slot = ids_.intern(path_template(path));
-    }
-    last_path_tok_ = path_tok;
-    return slot;
-  }
-
-  /// Distinct paths ever passed to template_token().
-  [[nodiscard]] std::size_t distinct_paths() const noexcept {
-    return distinct_paths_;
-  }
-
- private:
-  util::StringInterner ids_;  ///< paths and their templates, one token space
-  std::vector<std::uint32_t> template_of_path_;  ///< path token-1 -> template
-  std::size_t distinct_paths_ = 0;
-  /// One-entry template_token() memo (path token of the previous call).
-  std::uint32_t last_path_tok_ = util::StringInterner::kInvalidToken;
-};
-
-/// Stream-lifetime path -> template-token tokenizer (see "Which memo is for
-/// what" above). Each call rebuilds the template into a reused buffer and
-/// looks it up among the interned templates; only template strings are
-/// stored. Thread-compatible.
+/// Path -> template-token tokenizer. A token is exact: bijective with the
+/// template strings, unlike a raw hash, so counting tokens is
+/// collision-free, and tokens rise in the order templates are first seen.
+/// Each call rebuilds the template into a reused buffer and looks it up
+/// among the interned templates; only template strings are stored, since
+/// path cardinality grows with unique-id URLs and most paths are never seen
+/// twice. ArcaneDetector keeps one for the stream (capped, checkpointed),
+/// core::Session one per labeller session (uncapped). Thread-compatible.
 ///
 /// Template cardinality is bounded in practice but not by construction, so
 /// `max_templates` caps the interner: past the cap a template seen before

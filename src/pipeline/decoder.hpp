@@ -5,8 +5,8 @@
 // the CLF parse, and the lines/parsed/skipped accounting, and parses every
 // line straight into RecordBatch slots handed to a caller-supplied
 // callback. It does NOT stamp ua_token, pace, or touch detectors — that is
-// the dispatch stage's job (ReplayEngine::process_batch, or a sharded
-// sink's interner).
+// the dispatch stage's job (ReplayEngine::process_batch, or the
+// DetectionStage interner ahead of the shards).
 //
 // The decoder also owns the one piece of cross-layer bookkeeping a tailer
 // cannot do alone: incarnation-boundary tracking. When a rotation boundary
@@ -34,7 +34,6 @@ struct ReplayStats {
   std::uint64_t lines = 0;
   std::uint64_t parsed = 0;
   std::uint64_t skipped = 0;
-  double wall_seconds = 0.0;
 };
 
 class LineDecoder {
@@ -105,12 +104,7 @@ class LineDecoder {
   }
 
   /// Cumulative accounting across every feed()/finish_stream() call.
-  /// wall_seconds is owned by batch callers (see add_wall_seconds).
   [[nodiscard]] const ReplayStats& stats() const noexcept { return stats_; }
-  /// Batch replay() folds its wall-clock time in here.
-  void add_wall_seconds(double seconds) noexcept {
-    stats_.wall_seconds += seconds;
-  }
 
  private:
   void decode_line(std::string_view line);

@@ -170,7 +170,7 @@ class MultiTailer {
     return inputs_.at(file)->tailer.path();
   }
 
-  /// Aggregate decode accounting across all files (wall_seconds unused).
+  /// Aggregate decode accounting across all files.
   [[nodiscard]] ReplayStats stats() const;
   [[nodiscard]] std::size_t buffered_records() const noexcept {
     return buffered_;

@@ -1,6 +1,5 @@
 #include "pipeline/replay.hpp"
 
-#include <chrono>
 #include <utility>
 
 namespace divscrape::pipeline {
@@ -62,15 +61,10 @@ bool ReplayEngine::load_state(util::StateReader& r) {
 
 ReplayStats ReplayEngine::replay(std::istream& in) {
   const ReplayStats before = decoder_.stats();
-  const auto wall0 = std::chrono::steady_clock::now();
   decoder_.feed_stream(in);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
-          .count();
-  decoder_.add_wall_seconds(wall);
   const ReplayStats& now = decoder_.stats();
   return {now.lines - before.lines, now.parsed - before.parsed,
-          now.skipped - before.skipped, wall};
+          now.skipped - before.skipped};
 }
 
 }  // namespace divscrape::pipeline

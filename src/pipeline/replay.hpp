@@ -10,16 +10,14 @@
 //     a final line without a trailing newline is flushed as a complete line
 //     (a closed log file's last line is done growing, however it ended).
 //     The `--alerts` JSONL writer is the observer.
-//   * eval::run_experiment and `divscrape_cli simulate --detect` (one
-//     shard): process_batch(batch) over WorkloadEngine::run_batched's
-//     batches. Generated records arrive stamped by the generator; the
-//     engine re-stamps them from its own interner (one probe per record),
-//     and the token space is not observable in results.
-//   * TailSession with one shard: process_batch over MultiTailer's merged
-//     batches, and decoder() for a single LogTailer. The engine stamps and
-//     dispatches exactly as it does for records it parsed itself, so
-//     "N decoders + merge + engine" equals "one engine fed the merged
-//     bytes".
+//   * eval::run_experiment: process_batch(batch) over
+//     WorkloadEngine::run_batched's batches, which arrive unstamped.
+//   * DetectionStage with one shard (every one-shard `tail` and `simulate
+//     --detect`): process_batch over MultiTailer's merged or the
+//     generator's batches. The engine stamps and dispatches exactly as it
+//     does for records it parsed itself, so "N decoders + merge + engine"
+//     equals "one engine fed the merged bytes".
+//   * decoder() for a single LogTailer.
 //
 // Incremental byte ingest for live tailing goes through decoder(): its
 // feed(chunk) accepts arbitrary byte chunks (torn anywhere, including
@@ -71,7 +69,7 @@ class ReplayEngine {
 
   /// Replays every parseable record of the stream through the pool,
   /// including an unterminated final line. Returns the stats delta for
-  /// this stream (wall_seconds covers just this call).
+  /// this stream.
   ReplayStats replay(std::istream& in);
 
   /// Batch-level ingest: stamps the UA token, dispatches every record of
@@ -84,8 +82,7 @@ class ReplayEngine {
   void process_batch(RecordBatch& batch);
 
   /// Cumulative framing/parsing accounting across every replay() and
-  /// decoder() ingest on this engine. wall_seconds accumulates batch
-  /// replay() time only; decoder().feed() callers own their clock.
+  /// decoder() ingest on this engine.
   [[nodiscard]] const ReplayStats& stats() const noexcept {
     return decoder_.stats();
   }

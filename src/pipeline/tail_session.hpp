@@ -3,14 +3,13 @@
 // soak drive it, so the soak's kill-and-resume oracle covers the code the
 // CLI ships.
 //
-// Ingest is the MultiTailer batch sink; the consumer is the sequential
-// ReplayEngine, or with shards > 1 a ShardedPipeline fed by a caller-side
-// StringInterner. Under `checkpoint_dir` a persist writes one
-// checkpoint_file_for() file per log, then tail_session.state.json last
-// (TailSessionState; its blob is one mode byte — 0 = engine, 1 = interner
-// + shards — then that mode's component states). Under `checkpoint_file`
-// it writes the one log's Checkpoint v3 with the bare engine blob as
-// `state`: the single-file layout of older builds, byte for byte.
+// A MultiTailer feeds one DetectionStage (a ReplayEngine, or with
+// shards > 1 a ShardedPipeline behind the stage's own UA interner). Under
+// `checkpoint_dir` a persist writes one checkpoint_file_for() file per
+// log, then tail_session.state.json last (TailSessionState; its blob is
+// the stage's state with its mode byte). Under `checkpoint_file` it writes
+// the one log's Checkpoint v3 with the bare engine blob as `state`: the
+// single-file layout of older builds, byte for byte.
 //
 // resume() is warm only when every offset embedded in the session (or
 // checkpoint) file is honored AND the blob restores completely. Anything
@@ -25,8 +24,8 @@
 
 #include "core/joiner.hpp"
 #include "httplog/timestamp.hpp"
+#include "pipeline/detection_stage.hpp"
 #include "pipeline/multi_tailer.hpp"
-#include "pipeline/sharded.hpp"
 
 namespace divscrape::pipeline {
 
@@ -73,9 +72,6 @@ struct TailResume {
 
 class TailSession {
  public:
-  /// Records per MultiTailer -> consumer handoff.
-  static constexpr std::size_t kBatchRecords = 1024;
-
   explicit TailSession(TailSessionConfig config);
   ~TailSession();
 
@@ -95,21 +91,28 @@ class TailSession {
   /// Flushes and returns the final results; the session is spent after.
   [[nodiscard]] core::JointResults finish();
 
-  /// The sequential engine's running results; nullptr when sharded
-  /// (per-shard results merge only in finish()).
-  [[nodiscard]] const core::JointResults* live_results() const noexcept;
-  [[nodiscard]] const MultiTailer& tailer() const noexcept;
-  /// Records each shard evaluated in this incarnation (see
-  /// ShardedPipeline::shard_processed()); empty when sequential.
-  [[nodiscard]] std::vector<std::uint64_t> shard_processed() const;
+  /// The consumer, for live_results() and shard_processed().
+  [[nodiscard]] const DetectionStage& stage() const noexcept {
+    return *stage_;
+  }
+  [[nodiscard]] const MultiTailer& tailer() const noexcept { return *tailer_; }
 
  private:
-  struct Ingest;
+  /// (Re)builds the stage and the tailer feeding it: what a kill takes
+  /// down and a failed restore rebuilds together.
+  void build();
+  /// Warm restore from the offsets embedded in the session file — never
+  /// the per-log files, which may describe a newer cut — and the blob only
+  /// behind fully honored offsets: a replaced file restarts at 0 and
+  /// would replay records the blob already counted. On false the caller
+  /// rebuilds, so a partial restore is harmless.
+  [[nodiscard]] bool restore(const TailSessionState& session, TailResume& out);
 
   TailSessionConfig config_;
   std::string session_path_;  ///< empty = nothing resumed or persisted
   std::vector<std::string> checkpoint_paths_;  ///< per log, in tail order
-  std::unique_ptr<Ingest> ingest_;
+  std::unique_ptr<DetectionStage> stage_;
+  std::unique_ptr<MultiTailer> tailer_;  ///< its sink references stage_
 };
 
 }  // namespace divscrape::pipeline

@@ -64,14 +64,6 @@ class Actor {
   [[nodiscard]] virtual StepResult step(httplog::Timestamp now,
                                         httplog::LogRecord& out) = 0;
 
-  /// Monotonic counter of User-Agent identity changes. Actors whose UA is
-  /// fixed for life keep the default 0; actors that rotate their UA (e.g.
-  /// per-session rotation) must bump it on every change. The generator
-  /// caches the interned ua_token per actor and only re-probes the interner
-  /// when this value moves — the per-record interner probe was the single
-  /// largest cost of generation.
-  [[nodiscard]] virtual std::uint32_t ua_epoch() const noexcept { return 0; }
-
  protected:
   Actor() = default;
 };

@@ -21,12 +21,10 @@ std::size_t TrafficGenerator::place_actor(std::unique_ptr<Actor> actor,
     const std::size_t slot = free_slots_.back();
     free_slots_.pop_back();
     actors_[slot] = std::move(actor);
-    ua_cache_[slot] = UaTokenCache{};  // stale token must not leak across
     vhost_of_[slot] = vhost;
     return slot;
   }
   actors_.push_back(std::move(actor));
-  ua_cache_.emplace_back();
   vhost_of_.push_back(vhost);
   return actors_.size() - 1;
 }
@@ -80,11 +78,6 @@ bool TrafficGenerator::next(httplog::LogRecord& out) {
 
     auto& actor = actors_[e.actor_idx];
     if (!actor) continue;  // already retired (defensive)
-    // The epoch must be read *before* step(): a bot that rotates identity
-    // at session end does so inside step(), after filling `out` with the
-    // pre-rotation UA — the post-step epoch would pin the old token to the
-    // new UA.
-    const std::uint32_t epoch = actor->ua_epoch();
     const StepResult result = actor->step(e.time, out);
     const bool emit = result.emitted && e.time < end_time_;
     if (result.next && *result.next < end_time_) {
@@ -98,16 +91,6 @@ bool TrafficGenerator::next(httplog::LogRecord& out) {
       --live_actors_;
     }
     if (emit) {
-      // Identical token assignment to per-record interning: an actor's
-      // first record (and first record after a UA rotation) still probes —
-      // exactly the calls that could mint — while the cached fast path
-      // returns what intern() would have returned anyway.
-      auto& cache = ua_cache_[e.actor_idx];
-      if (cache.token == 0 || cache.epoch != epoch) {
-        cache.token = ua_tokens_.intern(out.user_agent);
-        cache.epoch = epoch;
-      }
-      out.ua_token = cache.token;
       out.vhost = vhost_of_[e.actor_idx];
       ++emitted_;
       return true;

@@ -19,7 +19,6 @@
 
 #include "httplog/record.hpp"
 #include "traffic/actor.hpp"
-#include "util/interner.hpp"
 
 namespace divscrape::traffic {
 
@@ -70,11 +69,8 @@ class TrafficGenerator {
   void add_lazy_actor(std::uint64_t cookie, httplog::Timestamp start);
 
   /// Produces the next record in global time order; false when exhausted.
-  /// Every emitted record is stamped with an interned `ua_token` so the
-  /// whole detection stack downstream keys its per-client state without
-  /// hashing the UA string again. The token is cached per actor and only
-  /// re-interned when the actor's ua_epoch() moves (UA rotation), so the
-  /// steady-state cost is an integer compare instead of a string probe.
+  /// Records leave unstamped (`ua_token == 0`): the detection consumer
+  /// mints UA tokens.
   [[nodiscard]] bool next(httplog::LogRecord& out);
 
   [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
@@ -112,23 +108,14 @@ class TrafficGenerator {
   /// Places an actor in a pooled slot (free-list reuse) and returns it.
   std::size_t place_actor(std::unique_ptr<Actor> actor, std::uint32_t vhost);
 
-  /// Cached interned token of an actor's current UA; epoch mirrors the
-  /// actor's ua_epoch() at caching time. token 0 = not cached yet.
-  struct UaTokenCache {
-    std::uint32_t token = 0;
-    std::uint32_t epoch = 0;
-  };
-
   httplog::Timestamp end_time_;
   std::vector<std::unique_ptr<Actor>> actors_;   ///< null after retirement
-  std::vector<UaTokenCache> ua_cache_;           ///< parallel to actors_
   std::vector<std::uint32_t> vhost_of_;          ///< parallel to actors_
   std::vector<std::size_t> free_slots_;          ///< retired slot pool
   std::vector<std::uint64_t> lazy_cookies_;      ///< deferred registrations
   Materializer materializer_;
   std::vector<ArrivalProcess> arrivals_;
   std::vector<Event> heap_;
-  util::StringInterner ua_tokens_;  ///< mints LogRecord::ua_token stamps
   std::uint64_t emitted_ = 0;
   std::size_t live_actors_ = 0;
   std::uint64_t actors_created_ = 0;

@@ -127,10 +127,8 @@ void ScraperBot::begin_session() {
   session_remaining_ =
       static_cast<std::uint64_t>(rng_.geometric(1.0 / mean));
   if (profile_.rotate_ip_per_session) current_ip_ = sample_clean_ip(rng_);
-  if (profile_.rotate_ua_per_session) {
+  if (profile_.rotate_ua_per_session)
     current_ua_ = std::string(sample_browser_ua(rng_));
-    ++ua_epoch_;  // invalidates the generator's cached ua_token
-  }
 }
 
 double ScraperBot::next_gap_s() {

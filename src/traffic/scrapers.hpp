@@ -112,10 +112,6 @@ class ScraperBot final : public Actor {
   [[nodiscard]] StepResult step(httplog::Timestamp now,
                                 httplog::LogRecord& out) override;
 
-  [[nodiscard]] std::uint32_t ua_epoch() const noexcept override {
-    return ua_epoch_;
-  }
-
   [[nodiscard]] const BotProfile& profile() const noexcept { return profile_; }
 
  private:
@@ -134,7 +130,6 @@ class ScraperBot final : public Actor {
   // Current identity (rebound per session when rotation is enabled).
   httplog::Ipv4 current_ip_;
   std::string current_ua_;
-  std::uint32_t ua_epoch_ = 0;  ///< bumped on every UA rotation
   bool asset_pending_ = false;  ///< mimicry: next emission is an asset
 };
 

@@ -577,7 +577,6 @@ WorkloadEngine::WorkloadEngine(ScenarioSpec spec, EngineConfig config)
     parts_.push_back(std::make_unique<Partition>());
     parts_.back()->index = p;
   }
-  token_remap_.resize(config_.partitions);
 }
 
 WorkloadEngine::~WorkloadEngine() {
@@ -744,19 +743,6 @@ void WorkloadEngine::merge_window(int buf, const EmitFn& emit) {
     heap.pop_back();
     auto& buffer = parts_[head.part]->buffers[buf];
     auto& record = buffer[head.idx];
-    // Partition-local ua_token -> engine-global token space: an O(1)
-    // table lookup per record; the interner is probed once per distinct
-    // (partition, token) pair.
-    auto& remap = token_remap_[head.part];
-    const std::uint32_t local = record.ua_token;
-    if (local == 0) {
-      record.ua_token = ua_tokens_.intern(record.user_agent);
-    } else {
-      if (local >= remap.size()) remap.resize(local + 1, 0);
-      if (remap[local] == 0)
-        remap[local] = ua_tokens_.intern(record.user_agent);
-      record.ua_token = remap[local];
-    }
     emit(record);
     ++emitted_;
     if (head.idx + 1 < buffer.size()) {

@@ -32,15 +32,8 @@
 // The result is byte-identical output for a given (spec, partitions)
 // regardless of gen_threads — the determinism contract the
 // workload tests pin at 1/2/4 threads — in bounded memory (two windows of
-// records), never materializing the stream.
-//
-// ## Token stamping
-//
-// Each partition's generator stamps ua_tokens from its own interner;
-// partition-local tokens are remapped to one engine-global token space
-// during the merge via a per-partition lookup table (O(1) per record, no
-// re-probing), so sinks can feed detectors directly with consistent
-// tokens.
+// records), never materializing the stream. Records leave unstamped
+// (`ua_token == 0`): the detection consumer mints UA tokens.
 #pragma once
 
 #include <atomic>
@@ -54,7 +47,6 @@
 #include "pipeline/record_batch.hpp"
 #include "traffic/generator.hpp"
 #include "traffic/site.hpp"
-#include "util/interner.hpp"
 #include "workload/scenario_spec.hpp"
 
 namespace divscrape::workload {
@@ -127,10 +119,6 @@ class WorkloadEngine {
   [[nodiscard]] const ScenarioSpec& spec() const noexcept { return spec_; }
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
-  /// Distinct User-Agent strings across the merged stream so far.
-  [[nodiscard]] std::size_t distinct_user_agents() const noexcept {
-    return ua_tokens_.size();
-  }
   /// Actors actually constructed across all partitions (spawned humans +
   /// materialized or eager scripted actors).
   [[nodiscard]] std::uint64_t actors_created() const noexcept;
@@ -171,8 +159,6 @@ class WorkloadEngine {
   /// what the lazy materializer maps a cookie (global ordinal) back to a
   /// (vhost, group kind, member) identity with.
   std::vector<ActorGroup> groups_;
-  util::StringInterner ua_tokens_;  ///< engine-global token space
-  std::vector<std::vector<std::uint32_t>> token_remap_;  ///< per partition
   std::uint64_t emitted_ = 0;
   bool ran_ = false;
   std::atomic<bool> stop_{false};

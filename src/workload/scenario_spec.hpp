@@ -110,8 +110,8 @@
 // implementation detail with a hard guarantee: for any spec, lazy and eager
 // materialization produce byte-identical output at every thread count
 // (per-actor RNG streams are seeded by global ordinal, and the event heap
-// orders by time only, so slot identity never influences emission or
-// ua_token minting order). Megasite-class specs (>= 1M distinct actors)
+// orders by time only, so slot identity never influences emission order).
+// Megasite-class specs (>= 1M distinct actors)
 // rely on this plus `site.zipf_table_cap` to keep memory flat.
 #pragma once
 

@@ -307,7 +307,7 @@ TEST(UaDifferential, EdgeCasesMatchTheReference) {
       "Mozilla",
       "Mozilla/5.0 (Linux; Android 8.0) Chr\xc3\xb6me/64 caf\xc3\xa9",
       "\xff\xfe\x80 curl/7 \x00 tail",
-      std::string("Mozilla/5.0 \x00 Chrome/61", 26),
+      std::string("Mozilla/5.0 \x00 Chrome/61", 23),
       "\xc4\xb0" "BOT",  // non-ASCII bytes before the marker
       "Mozilla/5.0 \xe2\x82\xac Firefox/45.0",
       std::string(600, 'a') + "Bot",  // longer than the stack buffer

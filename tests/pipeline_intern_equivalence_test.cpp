@@ -10,14 +10,20 @@
 //      amadeus_like through the WorkloadEngine at its default EngineConfig
 //      (8 partitions). The same run today must serialize to the identical
 //      bytes. Parity with the seed's string-keyed detector path is proof 2.
-//   2. Stamped vs unstamped: scrubbing ua_token (forcing every detector
-//      through its local-interner fallback) must not change results.
+//   2. Stamped vs unstamped: generated records arrive unstamped (every
+//      detector takes its local-interner fallback); stamping a copy from
+//      one test-side interner must not change results.
 //   3. Sharded vs sequential at 1/2/8 shards through process_batch():
 //      one worker evaluating every record, and several workers each
 //      evaluating their own records of every shared batch.
+//   4. DetectionStage at 1/2/4 shards over generated batches equals
+//      run_experiment, and every shard's detectors see each record stamped
+//      from the stage's one token space.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -28,8 +34,10 @@
 #include "detectors/arcane.hpp"
 #include "detectors/sentinel.hpp"
 #include "eval/run.hpp"
+#include "pipeline/detection_stage.hpp"
 #include "pipeline/record_batch.hpp"
 #include "pipeline/sharded.hpp"
+#include "util/interner.hpp"
 #include "workload/catalog.hpp"
 #include "workload/engine.hpp"
 
@@ -72,9 +80,10 @@ TEST(InternEquivalence, GoldenParityWithSeedStringKeyedPath) {
 }
 
 TEST(InternEquivalence, StampedAndUnstampedRunsAreIdentical) {
-  auto stamped = test::catalog_records("amadeus_like", 0.02);
-  auto unstamped = stamped;
-  for (auto& r : unstamped) r.ua_token = 0;  // force local-intern fallback
+  const auto unstamped = test::catalog_records("amadeus_like", 0.02);
+  auto stamped = unstamped;
+  util::StringInterner ua_tokens;
+  for (auto& r : stamped) r.ua_token = ua_tokens.intern(r.user_agent);
 
   const auto a = run_pool(stamped);
   const auto b = run_pool(unstamped);
@@ -119,6 +128,89 @@ TEST(InternEquivalence, RunShardedMovePathMatchesSequential) {
       sharded.batch_size(), &sharded.batch_pool());
   EXPECT_EQ(core::to_json(sharded.finish()),
             core::to_json(sequential.results));
+}
+
+/// Records the UA token of every record it evaluates (never alerts). Each
+/// shard's pool gets its own spy, so no two threads share a log.
+class TokenSpy final : public detectors::Detector {
+ public:
+  struct Log {
+    std::map<std::uint32_t, std::string> ua_of;  ///< token -> its UA
+    std::uint64_t records = 0;
+    std::uint64_t unstamped = 0;
+    std::uint64_t conflicts = 0;  ///< a token seen with a second UA
+  };
+
+  explicit TokenSpy(Log* log) : log_(log) {}
+
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "token_spy";
+  }
+
+  [[nodiscard]] detectors::Verdict evaluate(
+      const httplog::LogRecord& record) override {
+    ++log_->records;
+    if (record.ua_token == 0) {
+      ++log_->unstamped;
+    } else {
+      const auto [it, fresh] =
+          log_->ua_of.emplace(record.ua_token, record.user_agent);
+      if (!fresh && it->second != record.user_agent) ++log_->conflicts;
+    }
+    return {};
+  }
+
+  void reset() override {}
+
+ private:
+  Log* log_;
+};
+
+std::vector<std::unique_ptr<detectors::Detector>> spied_pair(
+    TokenSpy::Log* log) {
+  auto pool = paper_pair();
+  pool.push_back(std::make_unique<TokenSpy>(log));
+  return pool;
+}
+
+TEST(DetectionStage, MatchesRunExperimentAndStampsOneTokenPerUa) {
+  const auto scenario = test::catalog_spec("amadeus_like", 0.02);
+  TokenSpy::Log reference_log;
+  const auto reference =
+      eval::run_experiment(scenario, spied_pair(&reference_log));
+  ASSERT_GT(reference.records, 1000u);
+
+  for (const std::size_t shards : {1u, 2u, 4u}) {
+    std::deque<TokenSpy::Log> logs;  // one per shard, stable addresses
+    pipeline::DetectionStage stage(
+        [&logs] { return spied_pair(&logs.emplace_back()); }, shards);
+    workload::WorkloadEngine engine(scenario);
+    (void)engine.run_batched(
+        [&stage](pipeline::RecordBatch&& batch) {
+          stage.process_batch(std::move(batch));
+        },
+        pipeline::DetectionStage::kBatchRecords, &stage.batch_pool());
+    EXPECT_EQ(core::to_json(stage.finish()),
+              core::to_json(reference.results))
+        << "shards=" << shards;
+
+    // Across shards a token names one UA and a UA has one token.
+    ASSERT_EQ(logs.size(), shards);
+    std::uint64_t records = 0;
+    std::map<std::uint32_t, std::string> ua_of;
+    std::map<std::string, std::uint32_t> token_of;
+    for (const auto& log : logs) {
+      records += log.records;
+      EXPECT_EQ(log.unstamped, 0u) << "shards=" << shards;
+      EXPECT_EQ(log.conflicts, 0u) << "shards=" << shards;
+      for (const auto& [token, ua] : log.ua_of) {
+        EXPECT_EQ(ua_of.emplace(token, ua).first->second, ua);
+        EXPECT_EQ(token_of.emplace(ua, token).first->second, token);
+      }
+    }
+    EXPECT_EQ(records, reference.records) << "shards=" << shards;
+    EXPECT_EQ(ua_of.size(), reference_log.ua_of.size()) << "shards=" << shards;
+  }
 }
 
 }  // namespace

@@ -226,8 +226,8 @@ TEST(ReplayEngine, ObserverSeesEveryRecordWithItsVerdicts) {
   // The observer is how analyze writes --alerts and how run_experiment
   // feeds the scorer: one call per dispatched record, with the verdict row
   // the joiner folded in, and the record already stamped by the engine.
-  // Generated records carry the generator's tokens, so they are scrubbed
-  // first: a token seen by the observer was stamped by the engine.
+  // Generated records arrive unstamped, so every token the observer sees
+  // was minted by the engine: one per UA.
   const auto pool = make_paper_pair();
   std::uint64_t calls = 0;
   std::vector<std::uint64_t> alerts(pool.size(), 0);
@@ -249,10 +249,8 @@ TEST(ReplayEngine, ObserverSeesEveryRecordWithItsVerdicts) {
         }
       });
   divscrape::workload::WorkloadEngine generator(smoke(0.05));
-  const std::uint64_t fed = generator.run_batched([&](RecordBatch&& batch) {
-    for (auto& record : batch) record.ua_token = 0;
-    engine.process_batch(batch);
-  });
+  const std::uint64_t fed = generator.run_batched(
+      [&](RecordBatch&& batch) { engine.process_batch(batch); });
 
   const auto& results = engine.results();
   ASSERT_GT(fed, 0u);

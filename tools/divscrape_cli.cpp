@@ -50,8 +50,9 @@
 //   --out-multi <dir>   write one CLF log per vhost under <dir> (the
 //                       deployment shape `tail` ingests); SIGINT flushes
 //                       and closes every log cleanly
-//   --detect            feed the stream to the sentinel+arcane pair (one
-//                       ReplayEngine) and print the joint summary
+//   --detect            feed the stream to the sentinel+arcane pair (the
+//                       DetectionStage `tail` builds) and print the joint
+//                       summary
 //   --shards <n>        with --detect: sharded detection on n workers;
 //                       every worker reads each RecordBatch and evaluates
 //                       the records of its own /24s
@@ -131,8 +132,8 @@
 #include "pipeline/alert_log.hpp"
 #include "pipeline/chaos.hpp"
 #include "pipeline/decoder.hpp"
+#include "pipeline/detection_stage.hpp"
 #include "pipeline/replay.hpp"
-#include "pipeline/sharded.hpp"
 #include "pipeline/tail_session.hpp"
 #include "stats/association.hpp"
 #include "traffic/actor.hpp"
@@ -431,10 +432,7 @@ int cmd_simulate(const CliOptions& opts) {
 
   // Compose the sink: an optional CLF writer (file, per-vhost directory,
   // or stdout when neither --out nor --detect asked for anything else)
-  // plus an optional detector pair: a ReplayEngine, or with --shards > 1 a
-  // ShardedPipeline, the choice TailSession makes. The sharded path takes
-  // the generator's tokens as they are (globally consistent); the engine
-  // re-stamps from its own interner.
+  // plus an optional detector pair: the DetectionStage every tail builds.
   std::unique_ptr<traffic::StreamWriter> file_writer;
   if (!opts.out_path.empty()) {
     file_writer = std::make_unique<traffic::StreamWriter>(
@@ -458,18 +456,12 @@ int cmd_simulate(const CliOptions& opts) {
       opts.out_path.empty() && opts.out_multi_dir.empty() && !opts.detect;
   httplog::LogWriter stdout_writer(std::cout);
 
-  std::vector<std::unique_ptr<detectors::Detector>> pool;
-  std::unique_ptr<pipeline::ReplayEngine> replay;
-  std::unique_ptr<pipeline::ShardedPipeline> sharded;
-  pipeline::BatchPool batch_pool;
-  if (opts.detect && opts.shards > 1) {
-    sharded = std::make_unique<pipeline::ShardedPipeline>(
-        [&opts] { return pair_from(opts.config); }, opts.shards,
-        /*batch_size=*/1024, /*max_backlog=*/16 * 1024);
-  } else if (opts.detect) {
-    pool = pair_from(opts.config);
-    replay = std::make_unique<pipeline::ReplayEngine>(pool);
+  std::unique_ptr<pipeline::DetectionStage> stage;
+  if (opts.detect) {
+    stage = std::make_unique<pipeline::DetectionStage>(
+        [&opts] { return pair_from(opts.config); }, opts.shards);
   }
+  pipeline::BatchPool batch_pool;
 
   // A long generation run must be interruptible without shearing a log
   // mid-line: SIGINT requests a cooperative stop at the next record
@@ -488,32 +480,29 @@ int cmd_simulate(const CliOptions& opts) {
           }
           if (stdout_log) stdout_writer.write(record);
         }
-        if (sharded) {
-          sharded->process_batch(std::move(batch));
-          return;
+        if (stage) {
+          stage->process_batch(std::move(batch));
+        } else {
+          batch_pool.recycle(std::move(batch));
         }
-        if (replay) replay->process_batch(batch);
-        batch_pool.recycle(std::move(batch));
       },
-      /*batch_records=*/1024,
-      sharded ? &sharded->batch_pool() : &batch_pool);
+      pipeline::DetectionStage::kBatchRecords,
+      stage ? &stage->batch_pool() : &batch_pool);
   if (file_writer) file_writer->flush();
   for (auto& writer : vhost_writers) writer->flush();
   std::optional<core::JointResults> results;
-  if (sharded) results = sharded->finish();
-  if (replay) results = replay->results();
+  if (stage) results = stage->finish();
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
   std::fprintf(stderr,
                "simulated \"%s\" scale %.3g: %s records, %zu vhosts, %zu "
-               "distinct UAs, %zu gen threads x %zu partitions, %.2fs "
-               "(%s records/s)\n",
+               "gen threads x %zu partitions, %.2fs (%s records/s)\n",
                engine.spec().name.c_str(), engine.spec().scale,
                core::with_thousands(records).c_str(),
-               engine.spec().vhosts.size(), engine.distinct_user_agents(),
-               engine.config().gen_threads, engine.config().partitions, wall,
+               engine.spec().vhosts.size(), engine.config().gen_threads,
+               engine.config().partitions, wall,
                core::with_thousands(static_cast<std::uint64_t>(
                                         wall > 0.0 ? records / wall : 0))
                    .c_str());
@@ -669,7 +658,7 @@ int cmd_tail(const CliOptions& opts) {
         tailer.stats().parsed - last_flush_parsed >= opts.flush_every) {
       last_flush_parsed = tailer.stats().parsed;
       session->persist();
-      if (const auto* live = session->live_results())
+      if (const auto* live = session->stage().live_results())
         flush_results(*live, opts.results_path);
     }
     if (!opts.follow) break;  // one drain: batch-catch-up semantics
@@ -710,7 +699,7 @@ int cmd_tail(const CliOptions& opts) {
   std::printf("\n");
   const auto results = session->finish();
   flush_results(results, opts.results_path);
-  const auto per_shard = session->shard_processed();
+  const auto per_shard = session->stage().shard_processed();
   for (std::size_t s = 0; s < per_shard.size(); ++s) {
     std::printf("shard %zu: %s records\n", s,
                 core::with_thousands(per_shard[s]).c_str());
