@@ -2,16 +2,6 @@
 
 namespace divscrape::core {
 
-std::string_view to_string(AlertCell c) noexcept {
-  switch (c) {
-    case AlertCell::kBoth: return "both";
-    case AlertCell::kNeither: return "neither";
-    case AlertCell::kFirstOnly: return "first-only";
-    case AlertCell::kSecondOnly: return "second-only";
-  }
-  return "?";
-}
-
 void ContingencyTable::observe(bool first_alert, bool second_alert) noexcept {
   if (first_alert && second_alert)
     ++counts_.both;
@@ -28,14 +18,6 @@ void ContingencyTable::merge(const ContingencyTable& other) noexcept {
   counts_.only_first += other.counts_.only_first;
   counts_.only_second += other.counts_.only_second;
   counts_.neither += other.counts_.neither;
-}
-
-AlertCell ContingencyTable::cell(bool first_alert,
-                                 bool second_alert) noexcept {
-  if (first_alert && second_alert) return AlertCell::kBoth;
-  if (first_alert) return AlertCell::kFirstOnly;
-  if (second_alert) return AlertCell::kSecondOnly;
-  return AlertCell::kNeither;
 }
 
 DiversityMetrics DiversityMetrics::from(

@@ -10,16 +10,6 @@
 
 namespace divscrape::core {
 
-/// Which of the two tools alerted on a request (Table 2's four rows).
-enum class AlertCell : std::uint8_t {
-  kBoth,
-  kNeither,
-  kFirstOnly,   ///< in the paper's layout: "Distil only"
-  kSecondOnly,  ///< "Arcane only"
-};
-
-[[nodiscard]] std::string_view to_string(AlertCell c) noexcept;
-
 /// Streaming 2x2 contingency table over two detectors' verdicts.
 class ContingencyTable {
  public:
@@ -33,6 +23,7 @@ class ContingencyTable {
   [[nodiscard]] std::uint64_t neither() const noexcept {
     return counts_.neither;
   }
+  /// "Distil only" in the paper's layout; second_only() is "Arcane only".
   [[nodiscard]] std::uint64_t first_only() const noexcept {
     return counts_.only_first;
   }
@@ -48,9 +39,6 @@ class ContingencyTable {
   [[nodiscard]] std::uint64_t second_total() const noexcept {
     return counts_.both + counts_.only_second;
   }
-
-  [[nodiscard]] static AlertCell cell(bool first_alert,
-                                      bool second_alert) noexcept;
 
   void save_state(util::StateWriter& w) const {
     w.u64(counts_.both);

@@ -166,12 +166,6 @@ JsonWriter& JsonWriter::value(bool flag) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null() {
-  before_value();
-  *out_ += "null";
-  return *this;
-}
-
 JsonWriter& JsonWriter::value_base64(std::string_view bytes) {
   before_value();
   *out_ += '"';

@@ -60,7 +60,6 @@ class JsonWriter {
   JsonWriter& value(std::int64_t number);
   JsonWriter& value(int number) { return value(std::int64_t{number}); }
   JsonWriter& value(bool flag);
-  JsonWriter& null();
   /// Writes raw `bytes` as a base64 string (util::base64_append, padded),
   /// encoded in place. Its alphabet needs no escaping.
   JsonWriter& value_base64(std::string_view bytes);

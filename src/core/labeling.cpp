@@ -5,9 +5,47 @@
 #include <unordered_map>
 
 #include "httplog/session.hpp"
+#include "util/hash.hpp"
 #include "util/interner.hpp"
 
 namespace divscrape::core {
+
+namespace {
+
+/// Marks tokens minted by a consumer-local interner (for records that were
+/// not stamped at ingest). Keeps the two token spaces disjoint so a local
+/// token can never alias an ingest-stamped one.
+constexpr std::uint32_t kLocalUaTokenBit = 0x8000'0000u;
+/// Marks capped-fallback tokens derived by hashing instead of interning.
+/// Disjoint from exact local tokens (those are < kMaxLocalUaTokens).
+constexpr std::uint32_t kHashedUaTokenBit = 0x4000'0000u;
+/// UA cardinality is attacker-controlled (scrapers rotate UAs), so local
+/// interners stop growing here; further distinct UAs fall back to hashed
+/// tokens — bounded memory at the cost of possible (hash-collision) client
+/// merging past this many distinct UAs, which a string-keyed map would
+/// have paid for in unbounded key storage instead.
+constexpr std::size_t kMaxLocalUaTokens = std::size_t{1} << 18;
+
+/// The session-key token for a record: the ingest-stamped token when
+/// present, otherwise `local`'s token for the UA string (tagged with
+/// kLocalUaTokenBit). One string hash for unstamped records, zero for
+/// stamped ones.
+[[nodiscard]] std::uint32_t ua_key_token(const httplog::LogRecord& record,
+                                         util::StringInterner& local) {
+  if (record.ua_token != util::StringInterner::kInvalidToken)
+    return record.ua_token;
+  std::uint32_t token = local.find(record.user_agent);
+  if (token == util::StringInterner::kInvalidToken) {
+    if (local.size() >= kMaxLocalUaTokens) {
+      return (util::fnv1a32(record.user_agent) & ~kLocalUaTokenBit) |
+             kLocalUaTokenBit | kHashedUaTokenBit;
+    }
+    token = local.intern(record.user_agent);
+  }
+  return token | kLocalUaTokenBit;
+}
+
+}  // namespace
 
 void Session::add(const httplog::LogRecord& record) {
   if (count_ == 0) {
@@ -146,8 +184,7 @@ LabelingResult HeuristicLabeler::label(
       }
       last_sweep = clock;
     }
-    const httplog::SessionKey key{record.ip,
-                                  httplog::ua_key_token(record, local_uas)};
+    const httplog::SessionKey key{record.ip, ua_key_token(record, local_uas)};
     auto [it, fresh] = open.try_emplace(key);
     if (!fresh && expired(it->second)) {
       close(it->second);

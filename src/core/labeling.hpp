@@ -150,6 +150,14 @@ class HeuristicLabeler {
   /// The declared-bot question: self-identified crawlers are labelled
   /// *benign* (matching the paper's framing, where "malicious" means
   /// scraping abuse, not automation per se).
+  ///
+  /// The client key is (IP, UA token). The labeller reads raw logs with no
+  /// detection consumer ahead of it, so it mints the tokens itself: a
+  /// record's stamped token when it has one, else a labeller-local token
+  /// tagged apart from stamped ones. Local tokens stop at 2^18 distinct
+  /// UAs; past that a UA gets a hashed token, so two such UAs from one IP
+  /// may share a session on a hash collision (bounded memory against
+  /// attacker-controlled UA rotation).
   LabelingResult label(std::vector<httplog::LogRecord>& records) const;
 
   /// Session-level verdict (exposed for tests and tuning).

@@ -52,7 +52,6 @@ void ArcaneDetector::ClientState::drop_template(std::uint32_t token) {
 
 void ArcaneDetector::reset() {
   clients_.clear();
-  local_uas_.clear();
   ua_info_.clear();
   paths_.clear();
   evaluations_ = 0;
@@ -149,7 +148,7 @@ bool ArcaneDetector::save_state(util::StateWriter& w) const {
   util::put_tag(w, kArcaneMagic, kArcaneVersion);
   put_config(w, config_);
   w.u64(evaluations_);
-  local_uas_.save_state(w);
+  put_empty_ua_section(w);
   paths_.save_state(w);
 
   std::vector<std::pair<httplog::SessionKey, const ClientState*>> clients;
@@ -202,7 +201,7 @@ bool ArcaneDetector::load_state(util::StateReader& r) {
   if (!util::check_tag(r, kArcaneMagic, kArcaneVersion)) return false;
   if (!config_matches(r, config_)) return fail();
   evaluations_ = r.u64();
-  if (!local_uas_.load_state(r)) return fail();
+  if (!check_empty_ua_section(r)) return fail();
   if (!paths_.load_state(r)) return fail();
 
   const std::uint64_t client_count = r.u64();
@@ -251,8 +250,7 @@ Verdict ArcaneDetector::evaluate(const httplog::LogRecord& record) {
   const Timestamp now = record.time;
   maybe_sweep(now);
 
-  const httplog::SessionKey key{record.ip,
-                                httplog::ua_key_token(record, local_uas_)};
+  const httplog::SessionKey key{record.ip, record.ua_token};
   if (last_state_ == nullptr || key != last_key_) {
     last_state_ = &clients_[key];
     last_key_ = key;

@@ -34,7 +34,6 @@
 #include "detectors/detector.hpp"
 #include "httplog/session.hpp"
 #include "httplog/url.hpp"
-#include "util/interner.hpp"
 
 namespace divscrape::detectors {
 
@@ -80,10 +79,10 @@ class ArcaneDetector final : public Detector {
 
   /// Warm-checkpoint dump/restore: every live behavioural window (sorted by
   /// session key), the interned path templates (live entries reference
-  /// their tokens, so they transfer in full), the local UA interner, and
-  /// the sweep counter. A config fingerprint guards mistuned restores.
-  /// The "ARCN" v1 blob carried a path memo instead of the templates; it
-  /// is rejected (cold restart).
+  /// their tokens, so they transfer in full), the empty UA section (see
+  /// put_empty_ua_section()), and the sweep counter. A config fingerprint
+  /// guards mistuned restores. The "ARCN" v1 blob carried a path memo
+  /// instead of the templates; it is rejected (cold restart).
   [[nodiscard]] bool save_state(util::StateWriter& w) const override;
   [[nodiscard]] bool load_state(util::StateReader& r) override;
 
@@ -157,7 +156,6 @@ class ArcaneDetector final : public Detector {
   std::unordered_map<httplog::SessionKey, ClientState,
                      httplog::SessionKeyHash>
       clients_;
-  util::StringInterner local_uas_;  ///< fallback for unstamped records
   /// A new client's UA flags come from here: one classification per
   /// distinct UA, not per client (a megasite day has ~100k clients over a
   /// few dozen UAs). A memo, not state; reset() and load_state() clear it.

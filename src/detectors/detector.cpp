@@ -18,4 +18,19 @@ std::string_view to_string(AlertReason r) noexcept {
   return "?";
 }
 
+namespace {
+constexpr std::uint32_t kUaSectionMagic = 0x494E544Eu;  // "INTN"
+}  // namespace
+
+void put_empty_ua_section(util::StateWriter& w) {
+  util::put_tag(w, kUaSectionMagic, 1);
+  w.u64(0);
+}
+
+bool check_empty_ua_section(util::StateReader& r) {
+  if (!util::check_tag(r, kUaSectionMagic, 1)) return false;
+  if (r.u64() != 0) r.fail();
+  return r.ok();
+}
+
 }  // namespace divscrape::detectors

@@ -55,6 +55,14 @@ class Detector {
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
   /// Judges one record. Records must arrive in non-decreasing time order.
+  ///
+  /// Records arrive stamped: the consumer (ReplayEngine, DetectionStage)
+  /// sets `record.ua_token` from its one interner, and a detector keys its
+  /// per-UA state by that token and interns nothing. An unstamped record
+  /// (`ua_token == 0`) is still judged, as token 0: the built-in detectors'
+  /// UA classification runs uncached, so Sentinel (keyed by IP) gives the
+  /// stamped verdicts; Arcane keys it as (ip, 0), so every unstamped UA
+  /// from one IP shares one client, which keeps the first one's UA flags.
   [[nodiscard]] virtual Verdict evaluate(const httplog::LogRecord& record) = 0;
 
   /// Drops all accumulated state (fresh deployment).
@@ -79,5 +87,13 @@ class Detector {
  protected:
   Detector() = default;
 };
+
+/// The UA-interner section of the built-in "SNTL" and "ARCN" blobs. Their
+/// detectors key by stamped tokens and hold no interner, and every writer
+/// has left the section empty, so it is the "INTN" v1 tag and a count of
+/// 0: kept so blobs stay byte-identical and older checkpoints resume warm.
+void put_empty_ua_section(util::StateWriter& w);
+/// Reads that section; false (the reader failed) unless it is empty.
+[[nodiscard]] bool check_empty_ua_section(util::StateReader& r);
 
 }  // namespace divscrape::detectors

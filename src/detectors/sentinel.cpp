@@ -56,24 +56,9 @@ int SentinelDetector::IpState::count_since(Timestamp cutoff) const noexcept {
 void SentinelDetector::reset() {
   ips_.clear();
   subnets_.clear();
-  local_uas_.clear();
   ua_info_.clear();
   evaluations_ = 0;
   now_ = Timestamp{0};
-}
-
-std::size_t SentinelDetector::flagged_ips() const noexcept {
-  std::size_t n = 0;
-  for (const auto& [ip, state] : ips_)
-    if (now_ < state.flagged_until) ++n;
-  return n;
-}
-
-std::size_t SentinelDetector::flagged_subnets() const noexcept {
-  std::size_t n = 0;
-  for (const auto& [net, state] : subnets_)
-    if (now_ < state.flagged_until) ++n;
-  return n;
 }
 
 void SentinelDetector::flag_ip(IpState& state, httplog::Ipv4 ip,
@@ -147,7 +132,7 @@ bool SentinelDetector::save_state(util::StateWriter& w) const {
   put_config(w, config_);
   w.u64(evaluations_);
   w.i64(now_.micros());
-  local_uas_.save_state(w);
+  put_empty_ua_section(w);
 
   std::vector<std::pair<httplog::Ipv4, const IpState*>> ips;
   ips.reserve(ips_.size());
@@ -189,7 +174,7 @@ bool SentinelDetector::load_state(util::StateReader& r) {
   if (!config_matches(r, config_)) return fail();
   evaluations_ = r.u64();
   now_ = Timestamp{r.i64()};
-  if (!local_uas_.load_state(r)) return fail();
+  if (!check_empty_ua_section(r)) return fail();
 
   const std::uint64_t ip_count = r.u64();
   for (std::uint64_t i = 0; r.ok() && i < ip_count; ++i) {
@@ -222,8 +207,7 @@ Verdict SentinelDetector::evaluate(const httplog::LogRecord& record) {
   now_ = now;
   maybe_sweep(now);
 
-  const auto& ua = ua_info_.get(httplog::ua_key_token(record, local_uas_),
-                                record.user_agent);
+  const auto& ua = ua_info_.get(record.ua_token, record.user_agent);
   // Good-bot allowlist: declared crawlers pass (verified out-of-band in
   // real deployments).
   if (ua.family == UaFamily::kDeclaredBot) return {};

@@ -33,7 +33,6 @@
 #include "httplog/ip.hpp"
 #include "httplog/session.hpp"
 #include "httplog/timestamp.hpp"
-#include "util/interner.hpp"
 
 namespace divscrape::detectors {
 
@@ -65,7 +64,8 @@ class SentinelDetector final : public Detector {
   void reset() override;
 
   /// Warm-checkpoint dump/restore: the reputation maps (sorted for
-  /// deterministic bytes), the local UA interner, and the sweep counters.
+  /// deterministic bytes), the empty UA section (see
+  /// put_empty_ua_section()), and the sweep counters.
   /// The UA classification cache (httplog::UaInfoCache) is a recomputable
   /// memo and is NOT serialized; reset() and load_state() clear it. A
   /// config fingerprint guards restores into a differently tuned instance.
@@ -75,9 +75,6 @@ class SentinelDetector final : public Detector {
   [[nodiscard]] const SentinelConfig& config() const noexcept {
     return config_;
   }
-  /// Currently-flagged IP count (diagnostics).
-  [[nodiscard]] std::size_t flagged_ips() const noexcept;
-  [[nodiscard]] std::size_t flagged_subnets() const noexcept;
 
  private:
   /// Per-IP arrival times over the sustained window, as a flat ring (PR 9;
@@ -126,9 +123,8 @@ class SentinelDetector final : public Detector {
   SentinelConfig config_;
   std::unordered_map<httplog::Ipv4, IpState, httplog::Ipv4Hash> ips_;
   std::unordered_map<httplog::Ipv4, SubnetState, httplog::Ipv4Hash> subnets_;
-  util::StringInterner local_uas_;
   /// UA classification once per distinct UA, not once per record (see
-  /// httplog::UaInfoCache for the stamped/local split and the cap).
+  /// httplog::UaInfoCache for the cap).
   httplog::UaInfoCache ua_info_;
   std::uint64_t evaluations_ = 0;
   httplog::Timestamp now_{0};

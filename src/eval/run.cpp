@@ -27,7 +27,7 @@ ExperimentOutput run_experiment(
         replay.process_batch(batch);
         batch_pool.recycle(std::move(batch));
       },
-      /*batch_records=*/1024, &batch_pool);
+      pipeline::kBatchRecords, &batch_pool);
   const auto t1 = std::chrono::steady_clock::now();
   return {replay.results(), records,
           std::chrono::duration<double>(t1 - t0).count()};

@@ -346,15 +346,6 @@ ClfError ClfParser::parse(std::string_view line_in, LogRecord& out) {
   return ClfError::kNone;
 }
 
-ClfParseResult parse_clf(std::string_view line) {
-  ClfParser parser;
-  ClfParseResult result;
-  result.record.emplace();
-  result.error = parser.parse(line, *result.record);
-  if (result.error != ClfError::kNone) result.record.reset();
-  return result;
-}
-
 // ---------------------------------------------------------------------------
 // Formatter
 // ---------------------------------------------------------------------------

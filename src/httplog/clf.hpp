@@ -12,14 +12,14 @@
 //
 // ## Round-trip contract
 //
-//   * format_clf(parse_clf(line)) == line for every accepted line (byte
+//   * format_clf(parse(line)) == line for every accepted line (byte
 //     stability): parse keeps the wire's tokens verbatim — the literal "-"
 //     in ident/user, the %b dash-vs-"0" distinction (LogRecord::bytes_dash)
 //     — and format writes them back unchanged. The two deliberate
 //     exceptions: a non-UTC timezone re-renders as its UTC equivalent
 //     (Timestamp stores UTC), and bytes after the closing user-agent quote
 //     are dropped (parse ignores trailing junk).
-//   * parse_clf(format_clf(rec)) equals rec on every wire field for records
+//   * parse(format_clf(rec)) equals rec on every wire field for records
 //     whose fields are representable. The canonical "absent" ident/user is
 //     "-" (the LogRecord default); an empty string cannot be written to the
 //     wire, so format_clf normalizes record -> wire: "" is emitted as "-"
@@ -29,7 +29,7 @@
 //
 // ## Two parser implementations
 //
-// parse_clf() is the production fast path: memchr/SWAR field splitting over
+// ClfParser is the production fast path: memchr/SWAR field splitting over
 // the caller's buffer, an escape-free fast lane for quoted fields, and no
 // per-field heap traffic until the line is accepted. parse_clf_reference()
 // is the original field-by-field implementation, kept as the oracle the
@@ -71,9 +71,9 @@ struct ClfParseResult {
   [[nodiscard]] bool ok() const noexcept { return record.has_value(); }
 };
 
-/// Streaming CLF decoder — the per-stream form of parse_clf() that the
-/// ingest hot path (pipeline::LineDecoder) uses. Two things make it faster
-/// than the free function on a real log:
+/// Streaming CLF decoder — the one production parser, which the ingest hot
+/// path (pipeline::LineDecoder) holds per stream. Two things make it fast
+/// on a real log:
 ///
 ///   * a per-second timestamp memo: CLF time has one-second resolution, so
 ///     consecutive records overwhelmingly repeat the previous record's
@@ -91,8 +91,7 @@ class ClfParser {
   /// Parses one line into `out`, reusing its string capacity. Returns
   /// kNone on success; on failure `out` is left in an unspecified (but
   /// valid) state. All sidecar fields of `out` are reset to their defaults
-  /// on success — a parsed record is indistinguishable from one returned
-  /// by parse_clf().
+  /// on success — a reused `out` is indistinguishable from a fresh one.
   ClfError parse(std::string_view line, LogRecord& out);
 
  private:
@@ -118,13 +117,8 @@ class ClfFormatter {
   char time_chars_[Timestamp::kClfChars];
 };
 
-/// Parses one combined-log-format line (no trailing newline required).
-/// Stateless wrapper over ClfParser — per-stream callers should hold a
-/// ClfParser and keep its timestamp memo warm.
-[[nodiscard]] ClfParseResult parse_clf(std::string_view line);
-
 /// The original straight-line parser, retained as the differential-testing
-/// oracle for parse_clf() (see the header comment). Not for production use:
+/// oracle for ClfParser (see the header comment). Not for production use:
 /// it allocates per field and decodes every timestamp from scratch.
 [[nodiscard]] ClfParseResult parse_clf_reference(std::string_view line);
 

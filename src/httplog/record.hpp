@@ -40,7 +40,7 @@ struct LogRecord {
   /// %b dash sentinel. Apache logs "-" for a no-body response and "0" for a
   /// zero-length body; both parse to bytes == 0, so this flag carries the
   /// wire distinction: format_clf writes "-" only when bytes == 0 AND
-  /// bytes_dash is set. parse_clf sets it to match the wire exactly
+  /// bytes_dash is set. The parser sets it to match the wire exactly
   /// (literal "0" clears it), making parse -> format byte-stable. Defaults
   /// true so a default 0 keeps logging "-" (the Apache convention and this
   /// repo's historical output); set bytes = 0, bytes_dash = false for a

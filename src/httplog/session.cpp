@@ -2,19 +2,14 @@
 
 namespace divscrape::httplog {
 
-const UserAgentInfo& UaInfoCache::get(std::uint32_t key,
+const UserAgentInfo& UaInfoCache::get(std::uint32_t token,
                                       std::string_view user_agent) {
-  const bool local = (key & kLocalUaTokenBit) != 0;
-  // A hashed token keeps kHashedUaTokenBit, which lies above the cap.
-  static_assert(kHashedUaTokenBit > kMaxLocalUaTokens);
-  const std::uint32_t token = key & ~kLocalUaTokenBit;
-  if (token == 0 || token > kMaxLocalUaTokens) {
+  if (token == 0 || token > kMaxTokens) {
     uncached_ = classify_user_agent(user_agent);
     return uncached_;
   }
-  auto& cache = local ? local_ : stamped_;
-  if (cache.size() < token) cache.resize(token);
-  Entry& entry = cache[token - 1];
+  if (entries_.size() < token) entries_.resize(token);
+  Entry& entry = entries_[token - 1];
   if (!entry.valid) {
     entry.info = classify_user_agent(user_agent);
     entry.valid = true;
@@ -22,9 +17,6 @@ const UserAgentInfo& UaInfoCache::get(std::uint32_t key,
   return entry.info;
 }
 
-void UaInfoCache::clear() noexcept {
-  stamped_.clear();
-  local_.clear();
-}
+void UaInfoCache::clear() noexcept { entries_.clear(); }
 
 }  // namespace divscrape::httplog

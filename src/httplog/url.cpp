@@ -71,20 +71,6 @@ std::optional<std::string> query_value(std::string_view query,
   return std::nullopt;
 }
 
-std::vector<std::string> path_segments(std::string_view path) {
-  std::vector<std::string> segments;
-  std::size_t start = 0;
-  while (start < path.size()) {
-    const auto slash = path.find('/', start);
-    const auto len =
-        slash == std::string_view::npos ? path.size() - start : slash - start;
-    if (len > 0) segments.emplace_back(path.substr(start, len));
-    if (slash == std::string_view::npos) break;
-    start = slash + 1;
-  }
-  return segments;
-}
-
 std::string path_extension(std::string_view path) {
   const auto slash = path.rfind('/');
   const auto last =
@@ -129,13 +115,6 @@ void build_path_template(std::string_view path, std::string& out) {
     start = slash + 1;
   }
   if (out.size() > 1) out.pop_back();  // drop trailing slash
-}
-
-std::string path_template(std::string_view path) {
-  std::string out;
-  out.reserve(path.size() + 1);
-  build_path_template(path, out);
-  return out;
 }
 
 }  // namespace divscrape::httplog

@@ -32,9 +32,6 @@ struct QueryParam {
 [[nodiscard]] std::optional<std::string> query_value(std::string_view query,
                                                      std::string_view key);
 
-/// '/'-separated non-empty path segments of a path ("/a/b/" -> {"a","b"}).
-[[nodiscard]] std::vector<std::string> path_segments(std::string_view path);
-
 /// Lowercased extension of the final segment, without the dot; empty when
 /// none ("/a/app.min.js" -> "js").
 [[nodiscard]] std::string path_extension(std::string_view path);
@@ -44,15 +41,12 @@ struct QueryParam {
 /// don't — a key behavioural signal.
 [[nodiscard]] bool is_static_asset(std::string_view path) noexcept;
 
-/// A normalized "template" of the path: numeric segments are replaced by
-/// "{n}" so that /offer/123 and /offer/987 collapse to /offer/{n}. Scrapers
-/// sweeping a catalogue produce very low template entropy. Empty segments
-/// are dropped ("/a//b/" -> "/a/b").
-[[nodiscard]] std::string path_template(std::string_view path);
-
-/// The builder behind path_template(): writes the template of `path` into
-/// `out`, replacing its contents. Reusing one `out` across calls makes the
-/// steady state allocation-free (no segment vector, no temporaries).
+/// Writes a normalized "template" of `path` into `out`, replacing its
+/// contents: numeric segments are replaced by "{n}" so that /offer/123 and
+/// /offer/987 collapse to /offer/{n}. Scrapers sweeping a catalogue produce
+/// very low template entropy. Empty segments are dropped ("/a//b/" ->
+/// "/a/b"). Reusing one `out` across calls makes the steady state
+/// allocation-free (no segment vector, no temporaries).
 void build_path_template(std::string_view path, std::string& out);
 
 /// Path -> template-token tokenizer. A token is exact: bijective with the

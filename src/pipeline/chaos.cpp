@@ -112,7 +112,7 @@ class ShadowSource {
             [this](RecordBatch&& batch) {
               for (auto& record : batch) queue_.push_back(std::move(record));
             },
-            /*batch_records=*/1024) {}
+            kBatchRecords) {}
 
   bool next(httplog::LogRecord& out) {
     while (queue_.empty()) {
@@ -290,8 +290,6 @@ void SoakRun::on_second_boundary(std::int64_t sec) {
   if (sec - last_poll_sec_ >= kPollIntervalS) {
     (void)live_->poll();
     last_poll_sec_ = sec;
-    const auto rss = static_cast<std::uint64_t>(util::current_rss_kb());
-    if (rss > report_.rss_peak_kb) report_.rss_peak_kb = rss;
   }
   if (live_->tailer().stats().parsed - last_persist_parsed_ >=
       config_.persist_every_records) {
@@ -427,7 +425,6 @@ void SoakRun::finish(double wall_seconds) {
   // in the loop.
   const auto ref_pool = detectors::make_paper_pair();
   ReplayEngine ref_engine(ref_pool);
-  constexpr std::size_t kMergedBatch = 1024;
   RecordBatch merged;
   std::vector<std::unique_ptr<ShadowSource>> sources;
   std::vector<std::optional<httplog::LogRecord>> heads;
@@ -448,7 +445,7 @@ void SoakRun::finish(double wall_seconds) {
     }
     if (best < 0) break;
     merged.append_slot() = std::move(*heads[best]);
-    if (merged.size() == kMergedBatch) {
+    if (merged.size() == kBatchRecords) {
       ref_engine.process_batch(merged);
       merged.clear();
     }
@@ -480,6 +477,9 @@ void SoakRun::finish(double wall_seconds) {
     report_.duplicate_records =
         report_.live_records - report_.reference_records;
   }
+  // The process high-water, read after the reference pass: it covers
+  // every phase (polls, persists, kills, finish), not just sampled ones.
+  report_.rss_peak_kb = static_cast<std::uint64_t>(util::peak_rss_kb());
   report_.rss_within_limit =
       config_.rss_limit_mb <= 0.0 ||
       static_cast<double>(report_.rss_peak_kb) <= config_.rss_limit_mb * 1024.0;

@@ -85,7 +85,9 @@ struct ChaosReport {
   std::uint64_t duplicate_records = 0;  ///< live - reference (when > 0)
   bool results_identical = false;  ///< live JSON == batch-replay JSON
 
-  std::uint64_t rss_peak_kb = 0;  ///< current-RSS high-water during the run
+  /// The process's peak RSS (getrusage ru_maxrss), read once as the run
+  /// ends, so it covers every phase and anything the process did before.
+  std::uint64_t rss_peak_kb = 0;
   bool rss_within_limit = false;
   double wall_seconds = 0.0;
   double records_per_s = 0.0;  ///< generated records / wall

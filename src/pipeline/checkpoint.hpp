@@ -63,6 +63,13 @@
 // A v1 sharded blob must not restore: its clients sit on the shards the
 // old routing chose, not those the current routing sends them to.
 //
+// "SNTL" v1 and "ARCN" v2 keep a UA-interner section ("INTN" v1) from when
+// each detector interned unstamped records itself. Detectors now take
+// stamped records only and hold no interner, so the section is reserved
+// and always written empty: the same bytes every shipped writer wrote, so
+// those checkpoints resume warm. A blob whose section is not empty (a
+// detector of that time that saw unstamped records) is rejected: cold.
+//
 // TailSession writes every checkpoint. A single-file v3 blob (`tail
 // --checkpoint`) is the bare ReplayEngine::save_state blob, no mode byte:
 // the layout older builds wrote through LogTailer + ReplayEngine. Per-log

@@ -9,8 +9,7 @@ namespace divscrape::pipeline {
 DetectionStage::DetectionStage(const PoolFactory& factory,
                                std::size_t shards) {
   if (shards > 1) {
-    sharded_ = std::make_unique<ShardedPipeline>(factory, shards, kBatchRecords,
-                                                 /*max_backlog=*/16 * 1024);
+    sharded_ = std::make_unique<ShardedPipeline>(factory, shards);
   } else {
     pool_ = factory();
     engine_ = std::make_unique<ReplayEngine>(pool_);

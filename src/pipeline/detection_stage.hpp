@@ -27,9 +27,6 @@ namespace divscrape::pipeline {
 
 class DetectionStage {
  public:
-  /// Records per producer -> stage batch.
-  static constexpr std::size_t kBatchRecords = 1024;
-
   /// `shards` >= 1; the factory builds one detector pool per shard.
   DetectionStage(const PoolFactory& factory, std::size_t shards);
   ~DetectionStage();

@@ -37,8 +37,8 @@ MultiTailer::MultiTailer(std::vector<std::string> paths, BatchSink sink,
   const bool pass_through = paths.size() == 1;
   const std::size_t decode_batch =
       pass_through ? batch_records_
-      : cap > 0    ? std::min(cap, kQueueBatchRecords)
-                   : kQueueBatchRecords;
+      : cap > 0    ? std::min(cap, kBatchRecords)
+                   : kBatchRecords;
   BatchPool* decode_pool =
       pass_through && batch_pool_ ? batch_pool_ : &queue_pool_;
   inputs_.reserve(paths.size());

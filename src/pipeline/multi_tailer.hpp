@@ -197,8 +197,6 @@ class MultiTailer {
   }
 
  private:
-  /// Records per queued decode batch (the merge's unit of buffering).
-  static constexpr std::size_t kQueueBatchRecords = 1024;
   /// Deterministic merge key (timestamp, file index); ties within one log
   /// keep file order.
   using MergeKey = std::pair<std::int64_t, std::uint32_t>;

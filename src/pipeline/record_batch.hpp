@@ -46,6 +46,16 @@
 
 namespace divscrape::pipeline {
 
+/// Records per batch at every seam that fills one: the decoders, the
+/// generator's run_batched(), the multi-log merge, the detection stage and
+/// the shard rings. It is one decision, so a batch keeps its size from
+/// stage to stage. A thousand records make the per-batch costs above (a
+/// lock, a ring slot, a handoff) noise per record, while one batch (about
+/// 0.5 MB of records and string arena) stays small next to a shard's
+/// backlog. Batching is unobservable in results and checkpoints: every
+/// producer flushes its partial batch at each feed or window boundary.
+inline constexpr std::size_t kBatchRecords = 1024;
+
 class RecordBatch {
  public:
   RecordBatch() = default;

@@ -4,13 +4,6 @@
 
 namespace divscrape::pipeline {
 
-namespace {
-/// Granularity of the engine's internal parse->dispatch batches. Purely an
-/// execution knob: the decoder flushes partial batches at every feed()
-/// boundary, so batching is unobservable in results and checkpoints.
-constexpr std::size_t kReplayBatchRecords = 1024;
-}  // namespace
-
 ReplayEngine::ReplayEngine(
     const std::vector<std::unique_ptr<detectors::Detector>>& pool,
     RecordObserver observe)
@@ -21,7 +14,7 @@ ReplayEngine::ReplayEngine(
             process_batch(batch);
             batch_pool_.recycle(std::move(batch));
           },
-          kReplayBatchRecords, &batch_pool_) {
+          kBatchRecords, &batch_pool_) {
   for (const auto& detector : pool) detector->reset();
 }
 

@@ -67,6 +67,9 @@ using PoolFactory =
 
 class ShardedPipeline {
  public:
+  /// The default `max_backlog`: sixteen batches of kBatchRecords per shard.
+  static constexpr std::size_t kDefaultMaxBacklog = 16 * 1024;
+
   /// `shards` >= 1. The factory is invoked `shards` times up front.
   ///
   /// `batch_size` is the records-per-batch granularity producers fill.
@@ -81,8 +84,8 @@ class ShardedPipeline {
   /// retired dispatcher tier: it must be 1, anything else throws
   /// std::invalid_argument. Leave it defaulted.
   ShardedPipeline(PoolFactory factory, std::size_t shards,
-                  std::size_t batch_size = 1024,
-                  std::size_t max_backlog = 16 * 1024,
+                  std::size_t batch_size = kBatchRecords,
+                  std::size_t max_backlog = kDefaultMaxBacklog,
                   std::size_t dispatchers = 1);
   ~ShardedPipeline();
 

@@ -32,7 +32,7 @@ void TailSession::build() {
   tailer_ = std::make_unique<MultiTailer>(
       config_.paths,
       [this](RecordBatch&& batch) { stage_->process_batch(std::move(batch)); },
-      DetectionStage::kBatchRecords, tail_config, &stage_->batch_pool());
+      kBatchRecords, tail_config, &stage_->batch_pool());
 }
 
 bool TailSession::restore(const TailSessionState& session, TailResume& out) {

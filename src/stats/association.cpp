@@ -8,6 +8,13 @@ namespace {
 
 double as_d(std::uint64_t v) noexcept { return static_cast<double>(v); }
 
+/// Upper-tail probability of a chi-square distribution with 1 d.o.f.
+double chi_square1_sf(double x) noexcept {
+  if (x <= 0.0) return 1.0;
+  // For 1 d.o.f., P(X > x) = erfc(sqrt(x/2)).
+  return std::erfc(std::sqrt(x / 2.0));
+}
+
 }  // namespace
 
 double q_statistic(const PairedCounts& pc) noexcept {
@@ -59,12 +66,6 @@ McNemarResult mcnemar_test(const PairedCounts& pc) noexcept {
 double double_fault(const PairedCounts& fault_counts) noexcept {
   const auto n = fault_counts.total();
   return n == 0 ? 0.0 : as_d(fault_counts.both) / as_d(n);
-}
-
-double chi_square1_sf(double x) noexcept {
-  if (x <= 0.0) return 1.0;
-  // For 1 d.o.f., P(X > x) = erfc(sqrt(x/2)).
-  return std::erfc(std::sqrt(x / 2.0));
 }
 
 }  // namespace divscrape::stats

@@ -56,9 +56,6 @@ struct McNemarResult {
 /// observation; this quantifies it.
 [[nodiscard]] McNemarResult mcnemar_test(const PairedCounts& pc) noexcept;
 
-/// Upper-tail probability of a chi-square distribution with 1 d.o.f.
-[[nodiscard]] double chi_square1_sf(double x) noexcept;
-
 /// Double-fault measure over a *fault* table (cells = simultaneous
 /// incorrectness): the fraction of cases where both raters were wrong at
 /// once, both/n. The classical lower bound on what any 2-tool adjudication

@@ -18,7 +18,6 @@ ZipfDistribution::ZipfDistribution(std::size_t n, double s,
     total += std::pow(static_cast<double>(k), -s);
     if (k <= tabled) cdf_[k - 1] = total;
   }
-  total_ = total;
   for (auto& c : cdf_) c /= total;
   if (tabled == n) cdf_.back() = 1.0;  // guard against accumulated rounding
 }
@@ -49,25 +48,12 @@ std::size_t ZipfDistribution::sample(Rng& rng) const noexcept {
   return std::min(std::max<std::size_t>(rank, cdf_.size() + 1), n_);
 }
 
-double ZipfDistribution::pmf(std::size_t k) const noexcept {
-  if (k < 1 || k > n_) return 0.0;
-  if (k <= cdf_.size()) {
-    const double lo = k == 1 ? 0.0 : cdf_[k - 2];
-    return cdf_[k - 1] - lo;
-  }
-  return std::pow(static_cast<double>(k), -s_) / total_;
-}
-
 LogNormalDistribution::LogNormalDistribution(double median,
                                              double sigma) noexcept
     : mu_(std::log(median)), sigma_(sigma) {}
 
 double LogNormalDistribution::sample(Rng& rng) const noexcept {
   return rng.lognormal(mu_, sigma_);
-}
-
-double LogNormalDistribution::median() const noexcept {
-  return std::exp(mu_);
 }
 
 }  // namespace divscrape::stats

@@ -41,16 +41,10 @@ class ZipfDistribution {
   /// Number of ranks with an exact CDF entry (== size() when uncapped).
   [[nodiscard]] std::size_t table_size() const noexcept { return cdf_.size(); }
 
-  /// Probability mass of rank k (1-based). Exact for tabled ranks; for
-  /// capped tail ranks this is the true Zipf mass k^-s / H(n, s), which the
-  /// continuous tail sampler only approximates rank-by-rank.
-  [[nodiscard]] double pmf(std::size_t k) const noexcept;
-
  private:
   std::vector<double> cdf_;
   std::size_t n_;
   double s_;
-  double total_;  // full harmonic normalizer H(n, s)
 };
 
 /// Log-normal parameterized by the *target* median and a shape sigma, which
@@ -61,7 +55,6 @@ class LogNormalDistribution {
   LogNormalDistribution(double median, double sigma) noexcept;
 
   [[nodiscard]] double sample(Rng& rng) const noexcept;
-  [[nodiscard]] double median() const noexcept;
   [[nodiscard]] double sigma() const noexcept { return sigma_; }
 
  private:

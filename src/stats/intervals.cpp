@@ -18,13 +18,4 @@ ProportionInterval wilson_interval(std::uint64_t successes,
   return {p, std::max(0.0, center - margin), std::min(1.0, center + margin)};
 }
 
-ProportionInterval wald_interval(std::uint64_t successes, std::uint64_t trials,
-                                 double z) noexcept {
-  if (trials == 0) return {};
-  const double n = static_cast<double>(trials);
-  const double p = static_cast<double>(successes) / n;
-  const double margin = z * std::sqrt(p * (1.0 - p) / n);
-  return {p, std::max(0.0, p - margin), std::min(1.0, p + margin)};
-}
-
 }  // namespace divscrape::stats

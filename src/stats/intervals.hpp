@@ -15,16 +15,11 @@ struct ProportionInterval {
 };
 
 /// Wilson score interval. `z` defaults to 1.96 (95%). Well-behaved for
-/// proportions near 0/1 and small n, unlike the Wald interval.
+/// proportions near 0/1 and small n, unlike the Wald (normal-approximation)
+/// interval, which collapses to zero width there.
 /// Returns {0,0,0} when trials == 0.
 [[nodiscard]] ProportionInterval wilson_interval(std::uint64_t successes,
                                                  std::uint64_t trials,
                                                  double z = 1.96) noexcept;
-
-/// Normal-approximation (Wald) interval, clamped to [0, 1]; provided for
-/// comparison and for tests that verify Wilson dominates it near extremes.
-[[nodiscard]] ProportionInterval wald_interval(std::uint64_t successes,
-                                               std::uint64_t trials,
-                                               double z = 1.96) noexcept;
 
 }  // namespace divscrape::stats

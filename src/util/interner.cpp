@@ -90,11 +90,6 @@ std::uint32_t StringInterner::find(std::string_view text) const noexcept {
   }
 }
 
-std::string_view StringInterner::lookup(std::uint32_t token) const noexcept {
-  if (token == kInvalidToken || token > strings_.size()) return {};
-  return strings_[token - 1];
-}
-
 void StringInterner::clear() {
   strings_.clear();
   table_.clear();

@@ -49,10 +49,6 @@ class StringInterner {
   /// Never allocates; lets callers bound an interner's growth.
   [[nodiscard]] std::uint32_t find(std::string_view text) const noexcept;
 
-  /// The string behind a token; empty view for kInvalidToken or tokens
-  /// this interner never minted.
-  [[nodiscard]] std::string_view lookup(std::uint32_t token) const noexcept;
-
   /// Number of distinct strings interned (== the highest token).
   [[nodiscard]] std::size_t size() const noexcept { return strings_.size(); }
   [[nodiscard]] bool empty() const noexcept { return strings_.empty(); }

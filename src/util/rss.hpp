@@ -1,10 +1,10 @@
-// Process-memory sampling for soak watermarks and bench telemetry.
+// Process-memory readings for the soak's RSS gate and bench telemetry.
 //
-// peak RSS (getrusage ru_maxrss) is a lifetime high-water mark and cannot
-// detect mid-run growth or post-catch-up shrink; the soak harness needs the
-// *current* resident set. On Linux that is /proc/self/statm (resident pages
-// times the page size); elsewhere we fall back to the lifetime peak, which
-// keeps watermark checks conservative rather than silently disabled.
+// peak RSS (getrusage ru_maxrss) is the lifetime high-water mark: the soak
+// gate and the benches read it once at the end, so no phase can peak
+// unseen between samples. It cannot show mid-run growth or a later shrink;
+// for that, current RSS is /proc/self/statm on Linux (resident pages times
+// the page size), falling back to the lifetime peak elsewhere.
 #pragma once
 
 #include <cstdint>

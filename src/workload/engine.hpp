@@ -105,7 +105,7 @@ class WorkloadEngine {
   /// &pipeline.batch_pool()) to close the arena loop. Callable exactly
   /// once (shares run()'s once-only contract); returns records emitted.
   std::uint64_t run_batched(const BatchSink& sink,
-                            std::size_t batch_records = 1024,
+                            std::size_t batch_records = pipeline::kBatchRecords,
                             pipeline::BatchPool* pool = nullptr);
 
   /// Cooperative cancellation (signal-handler driven): run() stops merging
@@ -120,7 +120,9 @@ class WorkloadEngine {
   [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::uint64_t emitted() const noexcept { return emitted_; }
   /// Actors actually constructed across all partitions (spawned humans +
-  /// materialized or eager scripted actors).
+  /// materialized or eager scripted actors). This and peak_live_actors()
+  /// are kept for tests: they are the only observable of lazy actors'
+  /// memory bound.
   [[nodiscard]] std::uint64_t actors_created() const noexcept;
   /// Sum of per-partition concurrently-live high-water marks — the bound
   /// on resident actor state (distinct-actor count does not appear here;

@@ -43,13 +43,13 @@ TEST(JsonWriter, ObjectAndArrayComposition) {
   json.end_array();
   json.key("nested").begin_object();
   json.key("flag").value(true);
-  json.key("nothing").null();
+  json.key("empty").value("");
   json.end_object();
   json.end_object();
   EXPECT_TRUE(json.complete());
   EXPECT_EQ(out,
             R"({"name":"x","count":3,"items":[1,2,3],)"
-            R"("nested":{"flag":true,"nothing":null}})");
+            R"("nested":{"flag":true,"empty":""}})");
 }
 
 TEST(JsonWriter, AppendsToTheCallersStringAndEncodesBase64InPlace) {

@@ -15,7 +15,6 @@
 
 namespace {
 
-using divscrape::core::AlertCell;
 using divscrape::core::ConfusionMatrix;
 using divscrape::core::ContingencyTable;
 using divscrape::core::DiversityMetrics;
@@ -43,10 +42,18 @@ TEST(Contingency, CellsAndMargins) {
 }
 
 TEST(Contingency, CellClassification) {
-  EXPECT_EQ(ContingencyTable::cell(true, true), AlertCell::kBoth);
-  EXPECT_EQ(ContingencyTable::cell(true, false), AlertCell::kFirstOnly);
-  EXPECT_EQ(ContingencyTable::cell(false, true), AlertCell::kSecondOnly);
-  EXPECT_EQ(ContingencyTable::cell(false, false), AlertCell::kNeither);
+  // Each verdict pair lands in exactly its own cell.
+  const auto cell_of = [](bool first, bool second) {
+    ContingencyTable t;
+    t.observe(first, second);
+    return std::array<std::uint64_t, 4>{t.both(), t.first_only(),
+                                        t.second_only(), t.neither()};
+  };
+  EXPECT_EQ(cell_of(true, true), (std::array<std::uint64_t, 4>{1, 0, 0, 0}));
+  EXPECT_EQ(cell_of(true, false), (std::array<std::uint64_t, 4>{0, 1, 0, 0}));
+  EXPECT_EQ(cell_of(false, true), (std::array<std::uint64_t, 4>{0, 0, 1, 0}));
+  EXPECT_EQ(cell_of(false, false),
+            (std::array<std::uint64_t, 4>{0, 0, 0, 1}));
 }
 
 TEST(Contingency, MergeAdds) {

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "detectors/arcane.hpp"
+#include "stamp.hpp"
 #include "util/state.hpp"
 
 namespace {
@@ -32,7 +34,7 @@ LogRecord req(Ipv4 ip, double t_s, std::string target,
   r.target = std::move(target);
   r.status = status;
   r.referer = referer;
-  return r;
+  return divscrape::test::stamped(std::move(r));
 }
 
 TEST(Arcane, SilentDuringWarmup) {
@@ -215,6 +217,29 @@ TEST(Arcane, ClientsKeyedByIpAndUa) {
           "Mozilla/5.0 (Macintosh) AppleWebKit/604.5.6 (KHTML, like Gecko) "
           "Version/11.0.3 Safari/604.5.6"));
   EXPECT_FALSE(v.alert);
+}
+
+// The detector.hpp contract for unstamped records (ua_token == 0): Arcane
+// keys them as (ip, 0), so every unstamped UA from one IP is one client,
+// and a fresh UA continues that client's window instead of starting cold.
+// Stamped, the same traffic is two clients (ClientsKeyedByIpAndUa).
+TEST(Arcane, UnstampedUasFromOneIpShareOneClient) {
+  const auto unstamped = [](LogRecord r) {
+    r.ua_token = 0;
+    return r;
+  };
+  ArcaneDetector arcane;
+  const Ipv4 ip(11, 11, 11, 11);
+  for (int i = 0; i < 40; ++i) {
+    (void)arcane.evaluate(
+        unstamped(req(ip, i * 2.0, "/offers/" + std::to_string(i))));
+  }
+  const auto v = arcane.evaluate(unstamped(
+      req(ip, 100.0, "/offers/5",
+          "Mozilla/5.0 (Macintosh) AppleWebKit/604.5.6 (KHTML, like Gecko) "
+          "Version/11.0.3 Safari/604.5.6")));
+  EXPECT_TRUE(v.alert);
+  EXPECT_EQ(arcane.tracked_clients(), 1u);
 }
 
 TEST(Arcane, ScoreCappedAtOne) {

@@ -3,7 +3,11 @@
 // escalation signatures the reproduction depends on.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "catalog_stream.hpp"
 #include "detectors/sentinel.hpp"
+#include "stamp.hpp"
 #include "util/state.hpp"
 
 namespace {
@@ -28,7 +32,7 @@ LogRecord req(Ipv4 ip, double t_s, const char* ua = kBrowserUa) {
   r.time = Timestamp(static_cast<std::int64_t>(t_s * 1e6));
   r.user_agent = ua;
   r.target = "/offers/1";
-  return r;
+  return divscrape::test::stamped(std::move(r));
 }
 
 TEST(Sentinel, ScriptUaAlertsImmediately) {
@@ -127,7 +131,9 @@ TEST(Sentinel, SubnetEscalationSweepsNeighbours) {
   // But an address in a different /24 does not.
   const auto other = sentinel.evaluate(req(Ipv4(45, 140, 1, 200), t + 2.0));
   EXPECT_FALSE(other.alert);
-  EXPECT_GE(sentinel.flagged_subnets(), 1u);
+  // The /24 stays flagged for its next newcomer too.
+  EXPECT_EQ(sentinel.evaluate(req(Ipv4(45, 140, 0, 201), t + 3.0)).reason,
+            AlertReason::kSubnetReputation);
 }
 
 TEST(Sentinel, SubnetEscalationRequiresThresholdIps) {
@@ -194,7 +200,41 @@ TEST(Sentinel, ResetClearsState) {
   EXPECT_TRUE(sentinel.evaluate(req(ip, t + 60.0)).alert);
   sentinel.reset();
   EXPECT_FALSE(sentinel.evaluate(req(ip, t + 120.0)).alert);
-  EXPECT_EQ(sentinel.flagged_ips(), 0u);
+  // Byte for byte what a fresh detector holds after the same request.
+  SentinelDetector fresh;
+  (void)fresh.evaluate(req(ip, t + 120.0));
+  divscrape::util::StateWriter a;
+  divscrape::util::StateWriter b;
+  ASSERT_TRUE(sentinel.save_state(a));
+  ASSERT_TRUE(fresh.save_state(b));
+  EXPECT_EQ(a.take(), b.take());
+}
+
+// The detector.hpp contract for unstamped records (ua_token == 0): token 0
+// classifies the UA uncached and Sentinel keys its state by IP, so an
+// unstamped stream gets the stamped stream's verdicts, record for record.
+TEST(Sentinel, UnstampedStreamGetsTheStampedVerdicts) {
+  const auto records =
+      divscrape::test::stamped(divscrape::test::catalog_records("smoke"));
+  SentinelDetector stamped;
+  SentinelDetector unstamped;
+  std::size_t alerts = 0;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    LogRecord bare = records[i];
+    bare.ua_token = 0;
+    const auto want = stamped.evaluate(records[i]);
+    const auto got = unstamped.evaluate(bare);
+    ASSERT_EQ(got.alert, want.alert) << "record " << i;
+    ASSERT_EQ(got.reason, want.reason) << "record " << i;
+    ASSERT_EQ(got.score, want.score) << "record " << i;
+    alerts += want.alert;
+  }
+  EXPECT_GT(alerts, 0u);
+  divscrape::util::StateWriter a;
+  divscrape::util::StateWriter b;
+  ASSERT_TRUE(stamped.save_state(a));
+  ASSERT_TRUE(unstamped.save_state(b));
+  EXPECT_EQ(a.take(), b.take());
 }
 
 TEST(Sentinel, ScoreGradedBelowThreshold) {

@@ -1,4 +1,4 @@
-// Differential fuzz for the CLF fast path: parse_clf() (SWAR splitter,
+// Differential fuzz for the CLF fast path: ClfParser (SWAR splitter,
 // escape fast lane, timestamp memo) must agree with parse_clf_reference()
 // (the straight-line oracle, clf.hpp) on every input — same verdict, same
 // error category, byte-equal records. The corpus is generated valid lines,
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "catalog_stream.hpp"
+#include "clf_line.hpp"
 #include "httplog/clf.hpp"
 #include "httplog/record.hpp"
 #include "stats/rng.hpp"
@@ -24,7 +25,7 @@ using divscrape::httplog::ClfFormatter;
 using divscrape::httplog::ClfParser;
 using divscrape::httplog::format_clf;
 using divscrape::httplog::LogRecord;
-using divscrape::httplog::parse_clf;
+using divscrape::test::parse_clf;
 using divscrape::httplog::parse_clf_reference;
 using divscrape::httplog::Truth;
 

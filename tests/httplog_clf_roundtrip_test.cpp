@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "catalog_stream.hpp"
+#include "clf_line.hpp"
 #include "detectors/registry.hpp"
 #include "httplog/clf.hpp"
 #include "httplog/record.hpp"
@@ -23,7 +24,7 @@ namespace {
 using divscrape::httplog::ClfError;
 using divscrape::httplog::format_clf;
 using divscrape::httplog::LogRecord;
-using divscrape::httplog::parse_clf;
+using divscrape::test::parse_clf;
 using divscrape::httplog::Truth;
 
 constexpr std::int64_t kMicrosPerSecond = 1'000'000;

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "clf_line.hpp"
 #include "httplog/clf.hpp"
 #include "httplog/io.hpp"
 #include "pipeline/decoder.hpp"
@@ -19,7 +20,7 @@ using divscrape::httplog::format_clf;
 using divscrape::httplog::HttpMethod;
 using divscrape::httplog::Ipv4;
 using divscrape::httplog::LogRecord;
-using divscrape::httplog::parse_clf;
+using divscrape::test::parse_clf;
 using divscrape::httplog::Timestamp;
 
 TEST(Clf, ParsesCanonicalLine) {

@@ -6,9 +6,6 @@
 namespace {
 
 using divscrape::httplog::classify_user_agent;
-using divscrape::httplog::kHashedUaTokenBit;
-using divscrape::httplog::kLocalUaTokenBit;
-using divscrape::httplog::kMaxLocalUaTokens;
 using divscrape::httplog::UaFamily;
 using divscrape::httplog::UaInfoCache;
 
@@ -27,32 +24,19 @@ TEST(UaInfoCache, StampedTokensAreClassifiedOnce) {
   EXPECT_EQ(cache.get(1, kCurlUa).family, UaFamily::kBrowser);
 }
 
-// Local and stamped token spaces are independent: local token 3 is not
-// stamped token 3.
-TEST(UaInfoCache, LocalTokensHaveTheirOwnCache) {
-  UaInfoCache cache;
-  EXPECT_EQ(cache.get(3, kCurlUa).family, UaFamily::kScriptClient);
-  EXPECT_EQ(cache.get(3 | kLocalUaTokenBit, kChromeUa).family,
-            UaFamily::kBrowser);
-  EXPECT_EQ(cache.get(3 | kLocalUaTokenBit, kCurlUa).family,
-            UaFamily::kBrowser);
-  EXPECT_EQ(cache.get(3, kChromeUa).family, UaFamily::kScriptClient);
-}
-
-// Hashed tokens (a full local interner), stamped tokens past the cap and
-// the invalid token 0 are classified directly on every call: the same key
-// with another string gives that string's classification.
+// Tokens past the cap and the unstamped token 0 are classified directly on
+// every call: the same token with another string gives that string's
+// classification.
 TEST(UaInfoCache, HashedAndPastCapTokensAreNeverCached) {
   UaInfoCache cache;
-  const std::uint32_t hashed = kLocalUaTokenBit | kHashedUaTokenBit | 77;
-  const auto past_cap = static_cast<std::uint32_t>(kMaxLocalUaTokens + 1);
-  for (const std::uint32_t key : {hashed, past_cap, std::uint32_t{0}}) {
+  const std::uint32_t past_cap = UaInfoCache::kMaxTokens + 1;
+  for (const std::uint32_t key : {past_cap, std::uint32_t{0}}) {
     EXPECT_EQ(cache.get(key, kCurlUa).family, UaFamily::kScriptClient);
     EXPECT_EQ(cache.get(key, kChromeUa).family, UaFamily::kBrowser);
     EXPECT_EQ(cache.get(key, kCurlUa).family, UaFamily::kScriptClient);
   }
   // The last token under the cap is still cached.
-  const auto at_cap = static_cast<std::uint32_t>(kMaxLocalUaTokens);
+  const std::uint32_t at_cap = UaInfoCache::kMaxTokens;
   EXPECT_EQ(cache.get(at_cap, kCurlUa).family, UaFamily::kScriptClient);
   EXPECT_EQ(cache.get(at_cap, kChromeUa).family, UaFamily::kScriptClient);
 }
@@ -60,11 +44,10 @@ TEST(UaInfoCache, HashedAndPastCapTokensAreNeverCached) {
 TEST(UaInfoCache, ClearForgetsEveryToken) {
   UaInfoCache cache;
   (void)cache.get(2, kCurlUa);
-  (void)cache.get(2 | kLocalUaTokenBit, kCurlUa);
+  (void)cache.get(5, kCurlUa);
   cache.clear();
   EXPECT_EQ(cache.get(2, kChromeUa).family, UaFamily::kBrowser);
-  EXPECT_EQ(cache.get(2 | kLocalUaTokenBit, kChromeUa).family,
-            UaFamily::kBrowser);
+  EXPECT_EQ(cache.get(5, kChromeUa).family, UaFamily::kBrowser);
 }
 
 // Every field of the cached result is classify_user_agent's.
@@ -76,15 +59,12 @@ TEST(UaInfoCache, ResultsEqualDirectClassification) {
   std::uint32_t token = 1;
   for (const char* ua : uas) {
     const auto want = classify_user_agent(ua);
-    for (const std::uint32_t key : {token, token | kLocalUaTokenBit}) {
-      const auto got = cache.get(key, ua);
-      EXPECT_EQ(got.family, want.family) << ua;
-      EXPECT_EQ(got.browser_major, want.browser_major) << ua;
-      EXPECT_EQ(got.declared_bot, want.declared_bot) << ua;
-      EXPECT_EQ(got.stale_fingerprint, want.stale_fingerprint) << ua;
-      EXPECT_EQ(got.scripted, want.scripted) << ua;
-    }
-    ++token;
+    const auto got = cache.get(token++, ua);
+    EXPECT_EQ(got.family, want.family) << ua;
+    EXPECT_EQ(got.browser_major, want.browser_major) << ua;
+    EXPECT_EQ(got.declared_bot, want.declared_bot) << ua;
+    EXPECT_EQ(got.stale_fingerprint, want.stale_fingerprint) << ua;
+    EXPECT_EQ(got.scripted, want.scripted) << ua;
   }
 }
 

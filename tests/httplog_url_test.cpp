@@ -15,10 +15,15 @@ namespace {
 using divscrape::httplog::is_static_asset;
 using divscrape::httplog::parse_query;
 using divscrape::httplog::path_extension;
-using divscrape::httplog::path_segments;
-using divscrape::httplog::path_template;
 using divscrape::httplog::query_value;
 using divscrape::httplog::url_decode;
+
+/// The template of `path` built into a fresh string.
+std::string path_template(std::string_view path) {
+  std::string out;
+  divscrape::httplog::build_path_template(path, out);
+  return out;
+}
 
 TEST(UrlDecode, BasicEscapes) {
   EXPECT_EQ(url_decode("a%20b"), "a b");
@@ -50,10 +55,10 @@ TEST(Query, ValueLookup) {
 }
 
 TEST(PathSegments, SkipsEmpties) {
-  EXPECT_EQ(path_segments("/a/b/c"),
-            (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(path_segments("/a//b/"), (std::vector<std::string>{"a", "b"}));
-  EXPECT_TRUE(path_segments("/").empty());
+  // Empty segments never reach a template.
+  EXPECT_EQ(path_template("/a/b/c"), "/a/b/c");
+  EXPECT_EQ(path_template("/a//b/"), "/a/b");
+  EXPECT_EQ(path_template("/"), "/");
 }
 
 TEST(PathExtension, Lowercased) {
@@ -172,8 +177,23 @@ TEST(PathTemplateTokenizer, StateRoundTripKeepsTokens) {
   EXPECT_EQ(again.take(), blob);
 }
 
-/// The segment-vector implementation path_template() had before the
-/// buffer builder: the differential oracle for build_path_template().
+/// '/'-separated non-empty segments of a path ("/a/b/" -> {"a","b"}).
+std::vector<std::string> path_segments(std::string_view path) {
+  std::vector<std::string> segments;
+  std::size_t start = 0;
+  while (start < path.size()) {
+    const auto slash = path.find('/', start);
+    const auto len =
+        slash == std::string_view::npos ? path.size() - start : slash - start;
+    if (len > 0) segments.emplace_back(path.substr(start, len));
+    if (slash == std::string_view::npos) break;
+    start = slash + 1;
+  }
+  return segments;
+}
+
+/// The segment-vector implementation the template had before the buffer
+/// builder: the differential oracle for build_path_template().
 std::string reference_template(std::string_view path) {
   std::string out = "/";
   for (const auto& seg : path_segments(path)) {
@@ -187,8 +207,8 @@ std::string reference_template(std::string_view path) {
   return out;
 }
 
-/// Checks the builder against the oracle, through path_template() and
-/// through one buffer reused (dirty) across every path.
+/// Checks the builder against the oracle, into a fresh string and into one
+/// buffer reused (dirty) across every path.
 void expect_builder_matches_reference(const std::vector<std::string>& paths) {
   std::string reused = "stale contents from an earlier, longer template";
   for (const auto& path : paths) {

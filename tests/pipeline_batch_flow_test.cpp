@@ -23,6 +23,7 @@
 #include "pipeline/record_batch.hpp"
 #include "pipeline/sharded.hpp"
 #include "pipeline/spsc_ring.hpp"
+#include "stamp.hpp"
 #include "traffic/stream_writer.hpp"
 
 namespace {
@@ -44,6 +45,11 @@ httplog::LogRecord make_record(int i) {
   r.bytes_dash = false;
   r.user_agent = "Mozilla/5.0 (X11; Linux x86_64) Gecko/20100101 Firefox/115.0";
   return r;
+}
+
+/// make_record(i), stamped: what a ShardedPipeline's detectors take.
+httplog::LogRecord stamped_record(int i) {
+  return test::stamped(make_record(i));
 }
 
 TEST(RecordBatchTest, AppendRollbackClearKeepSlots) {
@@ -228,7 +234,7 @@ TEST(ShardedBatchFlow, BacklogStaysWithinConfiguredBound) {
                            /*shards=*/2, kBatch, kMaxBacklog);
   RecordBatch batch = pipeline.batch_pool().acquire();
   for (int i = 0; i < 5000; ++i) {
-    batch.append_slot() = make_record(i);
+    batch.append_slot() = stamped_record(i);
     if (batch.size() == kBatch) {
       pipeline.process_batch(std::move(batch));
       batch = pipeline.batch_pool().acquire();
@@ -250,7 +256,7 @@ TEST(ShardedBatchFlow, BatchSizeIsNotObservableInResults) {
                              /*shards=*/3, batch_size);
     RecordBatch batch = pipeline.batch_pool().acquire();
     for (int i = 0; i < 2000; ++i) {
-      batch.append_slot() = make_record(i);
+      batch.append_slot() = stamped_record(i);
       // Hand over at awkward, varying batch boundaries.
       if (batch.size() == 1 + static_cast<std::size_t>(i % 5)) {
         pipeline.process_batch(std::move(batch));
@@ -294,7 +300,7 @@ std::string sequential_json(const std::vector<httplog::LogRecord>& records) {
 TEST(ShardedBroadcast, OneSubnetIsEvaluatedByOneShardOnly) {
   std::vector<httplog::LogRecord> records;
   for (int i = 0; i < 3000; ++i) {
-    records.push_back(make_record(i));
+    records.push_back(stamped_record(i));
     records.back().ip = httplog::Ipv4(10, 0, 3, 1 + i % 200);
   }
   constexpr std::size_t kShards = 4;
@@ -311,7 +317,7 @@ TEST(ShardedBroadcast, OneSubnetIsEvaluatedByOneShardOnly) {
 
 TEST(ShardedBroadcast, EmptyBatchesChangeNothing) {
   std::vector<httplog::LogRecord> records;
-  for (int i = 0; i < 500; ++i) records.push_back(make_record(i));
+  for (int i = 0; i < 500; ++i) records.push_back(stamped_record(i));
   ShardedPipeline pipeline([] { return detectors::make_paper_pair(); },
                            /*shards=*/3, /*batch_size=*/20);
   pipeline.process_batch(pipeline.batch_pool().acquire());
@@ -332,7 +338,7 @@ TEST(ShardedBroadcast, EveryBatchIsRecycledExactlyOnce) {
   for (int b = 0; b < 1000; ++b) {
     RecordBatch batch = pipeline.batch_pool().acquire();
     for (int i = 0; i < static_cast<int>(kBatch); ++i)
-      batch.append_slot() = make_record(b * static_cast<int>(kBatch) + i);
+      batch.append_slot() = stamped_record(b * static_cast<int>(kBatch) + i);
     pipeline.process_batch(std::move(batch));
   }
   pipeline.drain();

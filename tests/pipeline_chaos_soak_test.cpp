@@ -8,6 +8,8 @@
 // just on the smoke scenario so the whole suite stays seconds-fast.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -100,6 +102,23 @@ TEST(ChaosSoak, RssLimitViolationFailsTheRun) {
   EXPECT_TRUE(report.results_identical);
   EXPECT_EQ(report.lost_records, 0u);
   EXPECT_EQ(report.duplicate_records, 0u);
+}
+
+// The gate reads the process's peak RSS once, as the run ends, so no phase
+// can peak unseen between live polls. A peak that no poll could sample
+// (here, one that is gone before the run starts) is still reported.
+TEST(ChaosSoak, RssPeakCoversPeaksBetweenPolls) {
+  constexpr std::size_t kSpikeBytes = std::size_t{192} << 20;
+  auto* spike = static_cast<char*>(std::malloc(kSpikeBytes));
+  ASSERT_NE(spike, nullptr);
+  std::memset(spike, 1, kSpikeBytes);  // resident, not just mapped
+  asm volatile("" : : "r"(spike) : "memory");  // keep the writes
+  std::free(spike);
+
+  auto config = smoke_config("rss_peak");
+  const auto report = pipeline::run_chaos_soak(config);
+  EXPECT_GE(report.rss_peak_kb, kSpikeBytes / 1024);
+  EXPECT_TRUE(report.passed);
 }
 
 TEST(ChaosSoak, BenchDocumentWritesMachineReadableJson) {

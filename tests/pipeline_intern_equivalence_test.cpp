@@ -1,22 +1,20 @@
 // Interned-token equivalence: the tentpole claim of the interning PR is
 // that keying detector state by interned u32 tokens changes *nothing*
 // observable — JointResults must be byte-identical to the seed's
-// string-keyed path, for stamped and unstamped records, sequential and
-// sharded.
+// string-keyed path, sequential and sharded. Detectors take stamped
+// records only (detectors/detector.hpp), so every record handed to one
+// here is stamped from one token space first (tests/stamp.hpp).
 //
 // Three proofs:
 //   1. Golden parity: tests/data/golden_amadeus_s005_paper_pair.json is
 //      the output of `divscrape_cli export --scale 0.05`, the catalog
 //      amadeus_like through the WorkloadEngine at its default EngineConfig
 //      (8 partitions). The same run today must serialize to the identical
-//      bytes. Parity with the seed's string-keyed detector path is proof 2.
-//   2. Stamped vs unstamped: generated records arrive unstamped (every
-//      detector takes its local-interner fallback); stamping a copy from
-//      one test-side interner must not change results.
-//   3. Sharded vs sequential at 1/2/8 shards through process_batch():
+//      bytes.
+//   2. Sharded vs sequential at 1/2/8 shards through process_batch():
 //      one worker evaluating every record, and several workers each
 //      evaluating their own records of every shared batch.
-//   4. DetectionStage at 1/2/4 shards over generated batches equals
+//   3. DetectionStage at 1/2/4 shards over generated batches equals
 //      run_experiment, and every shard's detectors see each record stamped
 //      from the stage's one token space.
 #include <gtest/gtest.h>
@@ -37,7 +35,7 @@
 #include "pipeline/detection_stage.hpp"
 #include "pipeline/record_batch.hpp"
 #include "pipeline/sharded.hpp"
-#include "util/interner.hpp"
+#include "stamp.hpp"
 #include "workload/catalog.hpp"
 #include "workload/engine.hpp"
 
@@ -79,19 +77,9 @@ TEST(InternEquivalence, GoldenParityWithSeedStringKeyedPath) {
   EXPECT_EQ(core::to_json(out.results), expected);
 }
 
-TEST(InternEquivalence, StampedAndUnstampedRunsAreIdentical) {
-  const auto unstamped = test::catalog_records("amadeus_like", 0.02);
-  auto stamped = unstamped;
-  util::StringInterner ua_tokens;
-  for (auto& r : stamped) r.ua_token = ua_tokens.intern(r.user_agent);
-
-  const auto a = run_pool(stamped);
-  const auto b = run_pool(unstamped);
-  EXPECT_EQ(core::to_json(a), core::to_json(b));
-}
-
 TEST(InternEquivalence, ShardedMatchesSequentialCopyAndMove) {
-  const auto records = test::catalog_records("amadeus_like", 0.02);
+  const auto records =
+      test::stamped(test::catalog_records("amadeus_like", 0.02));
   const std::string sequential = core::to_json(run_pool(records));
 
   for (const std::size_t shards : {1u, 2u, 8u}) {
@@ -121,9 +109,10 @@ TEST(InternEquivalence, RunShardedMovePathMatchesSequential) {
 
   pipeline::ShardedPipeline sharded([] { return paper_pair(); }, 4);
   workload::WorkloadEngine engine(scenario);
+  test::Stamper stamp;
   (void)engine.run_batched(
-      [&sharded](pipeline::RecordBatch&& batch) {
-        sharded.process_batch(std::move(batch));
+      [&](pipeline::RecordBatch&& batch) {
+        sharded.process_batch(std::move(stamp.all(batch)));
       },
       sharded.batch_size(), &sharded.batch_pool());
   EXPECT_EQ(core::to_json(sharded.finish()),
@@ -189,7 +178,7 @@ TEST(DetectionStage, MatchesRunExperimentAndStampsOneTokenPerUa) {
         [&stage](pipeline::RecordBatch&& batch) {
           stage.process_batch(std::move(batch));
         },
-        pipeline::DetectionStage::kBatchRecords, &stage.batch_pool());
+        pipeline::kBatchRecords, &stage.batch_pool());
     EXPECT_EQ(core::to_json(stage.finish()),
               core::to_json(reference.results))
         << "shards=" << shards;

@@ -3,7 +3,9 @@
 // EVERY (shards, batch size) combination, as promised by the
 // correctness comment in src/pipeline/sharded.hpp — the combination is an
 // execution knob, never an observable. The stream enters through the one
-// ingest seam: LineDecoder batch mode -> process_batch. Both sides consume the serialized-then-reparsed stream so they see
+// ingest seam: LineDecoder batch mode -> process_batch, stamped from one
+// token space as DetectionStage does. Both sides consume the
+// serialized-then-reparsed stream so they see
 // byte-identical records (ground truth is sidecar metadata and does not
 // survive the wire).
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "pipeline/decoder.hpp"
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
+#include "stamp.hpp"
 #include "util/state.hpp"
 
 namespace {
@@ -144,8 +147,9 @@ TEST_P(ShardEquivalenceTest, BatchSeamMatchesSequentialReplay) {
   const auto [shards, batch] = GetParam();
 
   ShardedPipeline pipeline([] { return make_paper_pair(); }, shards, batch);
+  divscrape::test::Stamper stamp;
   LineDecoder decoder(
-      [&pipeline](RecordBatch&& b) { pipeline.process_batch(std::move(b)); },
+      [&](RecordBatch&& b) { pipeline.process_batch(std::move(stamp.all(b))); },
       batch, &pipeline.batch_pool());
   (void)decoder.feed(scenario_clf_text());
   (void)decoder.finish_stream();
@@ -176,7 +180,8 @@ class ShardedSaveStateTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ShardedSaveStateTest, ParallelSaveEqualsOneByOneDump) {
   const std::size_t shards = GetParam();
-  const auto records = divscrape::test::catalog_records("smoke");
+  const auto records =
+      divscrape::test::stamped(divscrape::test::catalog_records("smoke"));
   ASSERT_GT(records.size(), 4096u);
 
   ShardedPipeline pipeline([] { return make_paper_pair(); }, shards, 512);

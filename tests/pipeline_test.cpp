@@ -14,6 +14,7 @@
 #include "httplog/io.hpp"
 #include "pipeline/replay.hpp"
 #include "pipeline/sharded.hpp"
+#include "stamp.hpp"
 #include "workload/catalog.hpp"
 #include "workload/engine.hpp"
 
@@ -34,13 +35,15 @@ divscrape::workload::ScenarioSpec smoke(double days) {
 }
 
 /// Generates the whole scenario into pooled batches of the pipeline's
-/// batch size and hands each to process_batch(); returns the record count.
+/// batch size, stamps each as DetectionStage does and hands it to
+/// process_batch(); returns the record count.
 std::uint64_t feed_scenario(const divscrape::workload::ScenarioSpec& spec,
                             ShardedPipeline& pipeline) {
   divscrape::workload::WorkloadEngine engine(spec);
+  divscrape::test::Stamper stamp;
   return engine.run_batched(
-      [&pipeline](RecordBatch&& batch) {
-        pipeline.process_batch(std::move(batch));
+      [&](RecordBatch&& batch) {
+        pipeline.process_batch(std::move(stamp.all(batch)));
       },
       pipeline.batch_size(), &pipeline.batch_pool());
 }

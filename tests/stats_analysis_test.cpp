@@ -23,7 +23,6 @@ using divscrape::stats::PairedCounts;
 using divscrape::stats::phi_coefficient;
 using divscrape::stats::q_statistic;
 using divscrape::stats::shannon_entropy;
-using divscrape::stats::wald_interval;
 using divscrape::stats::wilson_interval;
 
 TEST(Counter, CountsAndOrdering) {
@@ -102,12 +101,13 @@ TEST(Wilson, ExtremesStayInUnitInterval) {
 }
 
 TEST(Wilson, NarrowerThanWaldNearExtremes) {
-  // At p-hat = 1 the Wald interval degenerates to [1, 1]; Wilson stays
-  // honest (nonzero width). This is why the reports use Wilson.
-  const auto wald = wald_interval(50, 50);
+  // At p-hat = 1 the Wald interval p +- z * sqrt(p(1 - p) / n) degenerates
+  // to [1, 1]; Wilson stays honest (nonzero width). This is why the
+  // reports use Wilson.
   const auto wilson = wilson_interval(50, 50);
-  EXPECT_DOUBLE_EQ(wald.lo, 1.0);
+  EXPECT_DOUBLE_EQ(wilson.point, 1.0);
   EXPECT_LT(wilson.lo, 1.0);
+  EXPECT_DOUBLE_EQ(wilson.hi, 1.0);
 }
 
 TEST(Association, PerfectAgreement) {
@@ -167,10 +167,14 @@ TEST(McNemar, NoDiscordance) {
 }
 
 TEST(ChiSquare1, KnownQuantiles) {
-  using divscrape::stats::chi_square1_sf;
-  EXPECT_NEAR(chi_square1_sf(3.841), 0.05, 0.002);
-  EXPECT_NEAR(chi_square1_sf(6.635), 0.01, 0.001);
-  EXPECT_EQ(chi_square1_sf(0.0), 1.0);
+  // McNemar's p is the 1-d.o.f. chi-square tail at its statistic; these
+  // discordant cells put the statistic next to the 5% and 1% quantiles
+  // (3.841 and 6.635).
+  // (|25 - 12| - 1)^2 / 37 = 3.892
+  EXPECT_NEAR(mcnemar_test(PairedCounts{0, 25, 12, 0}).p_value, 0.05, 0.002);
+  // (|44 - 22| - 1)^2 / 66 = 6.682
+  EXPECT_NEAR(mcnemar_test(PairedCounts{0, 44, 22, 0}).p_value, 0.01, 0.001);
+  EXPECT_EQ(mcnemar_test(PairedCounts{0, 5, 5, 0}).p_value, 1.0);
 }
 
 TEST(DoubleFault, ZeroWhenAtLeastOneToolAlwaysRight) {

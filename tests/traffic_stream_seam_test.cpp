@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 
+#include "clf_line.hpp"
 #include "httplog/clf.hpp"
 #include "traffic/stream_writer.hpp"
 
@@ -41,7 +42,7 @@ constexpr const char* kWireLine =
     "\"GET /search?q=fares HTTP/1.1\" 200 5120 \"-\" \"Mozilla/5.0\"";
 
 httplog::LogRecord sample_record() {
-  auto parsed = httplog::parse_clf(kWireLine);
+  auto parsed = test::parse_clf(kWireLine);
   EXPECT_TRUE(parsed.ok());
   return *parsed.record;
 }

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "catalog_stream.hpp"
+#include "clf_line.hpp"
 #include "httplog/clf.hpp"
 #include "httplog/url.hpp"
 #include "httplog/useragent.hpp"
@@ -15,7 +16,7 @@
 
 namespace {
 
-using divscrape::httplog::parse_clf;
+using divscrape::test::parse_clf;
 using divscrape::httplog::Timestamp;
 using divscrape::httplog::Truth;
 using divscrape::test::catalog_records;

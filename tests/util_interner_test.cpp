@@ -1,5 +1,5 @@
 // StringInterner tests: token stability, dense allocation-ordered ids,
-// round-trip lookup, growth behaviour, and per-instance independence (the
+// find() agreeing with intern(), growth behaviour, and per-instance independence (the
 // per-shard deployment depends on instances never sharing token space
 // semantics).
 #include <gtest/gtest.h>
@@ -42,15 +42,16 @@ TEST(StringInterner, RoundTripLookup) {
   std::vector<std::uint32_t> tokens;
   for (const auto& s : strings) tokens.push_back(interner.intern(s));
   for (std::size_t i = 0; i < strings.size(); ++i) {
-    EXPECT_EQ(interner.lookup(tokens[i]), strings[i]);
+    EXPECT_EQ(interner.find(strings[i]), tokens[i]);
   }
 }
 
 TEST(StringInterner, InvalidAndUnknownTokensLookupEmpty) {
   StringInterner interner;
   (void)interner.intern("x");
-  EXPECT_EQ(interner.lookup(StringInterner::kInvalidToken), "");
-  EXPECT_EQ(interner.lookup(999), "");
+  EXPECT_EQ(interner.find(""), StringInterner::kInvalidToken);
+  EXPECT_EQ(interner.find("y"), StringInterner::kInvalidToken);
+  EXPECT_EQ(interner.size(), 1u);  // no token past 1 was minted
 }
 
 TEST(StringInterner, NeverReturnsInvalidToken) {
@@ -69,7 +70,7 @@ TEST(StringInterner, SurvivesGrowthPastInitialTable) {
   EXPECT_EQ(interner.size(), 5000u);
   for (int i = 0; i < 5000; ++i) {
     EXPECT_EQ(interner.intern("key-" + std::to_string(i)), tokens[i]);
-    EXPECT_EQ(interner.lookup(tokens[i]), "key-" + std::to_string(i));
+    EXPECT_EQ(interner.find("key-" + std::to_string(i)), tokens[i]);
   }
 }
 
@@ -82,8 +83,8 @@ TEST(StringInterner, InstancesAreIndependent) {
   EXPECT_EQ(a.intern("two"), 2u);
   EXPECT_EQ(b.intern("two"), 1u);  // b has never seen "one"
   EXPECT_EQ(b.intern("one"), 2u);
-  EXPECT_EQ(a.lookup(1), "one");
-  EXPECT_EQ(b.lookup(1), "two");
+  EXPECT_EQ(a.find("one"), 1u);
+  EXPECT_EQ(b.find("two"), 1u);
 }
 
 TEST(StringInterner, FindNeverInserts) {
@@ -102,7 +103,7 @@ TEST(StringInterner, ClearForgetsEverything) {
   (void)interner.intern("b");
   interner.clear();
   EXPECT_EQ(interner.size(), 0u);
-  EXPECT_EQ(interner.lookup(1), "");
+  EXPECT_EQ(interner.find("a"), StringInterner::kInvalidToken);
   EXPECT_EQ(interner.intern("b"), 1u);  // dense ids restart
 }
 
@@ -126,7 +127,7 @@ TEST(HashCombine, OrderAndValueSensitive) {
 // Probe-hash stress: keys that differ only after a long shared prefix (so
 // only the last word mixed into the hash differs), and keys of every length
 // 0-40 (every tail size of the word-at-a-time hash). Tokens must stay dense
-// and first-seen ordered, find()/lookup() must agree, and save_state must
+// and first-seen ordered, find() must agree with intern(), and save_state must
 // round-trip to the identical token assignment.
 TEST(StringInterner, StressSharedPrefixesAndEveryLength) {
   std::vector<std::string> keys;
@@ -152,7 +153,6 @@ TEST(StringInterner, StressSharedPrefixesAndEveryLength) {
   for (std::size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(interner.intern(keys[i]), i + 1);
     EXPECT_EQ(interner.find(keys[i]), i + 1);
-    EXPECT_EQ(interner.lookup(static_cast<std::uint32_t>(i + 1)), keys[i]);
   }
   EXPECT_EQ(interner.find(prefix + "x"), StringInterner::kInvalidToken);
 

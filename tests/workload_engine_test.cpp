@@ -13,6 +13,7 @@
 #include "core/joiner.hpp"
 #include "detectors/registry.hpp"
 #include "httplog/clf.hpp"
+#include "stamp.hpp"
 #include "traffic/stream_writer.hpp"
 #include "workload/catalog.hpp"
 #include "workload/engine.hpp"
@@ -299,15 +300,17 @@ TEST(WorkloadEngine, RejectsInvalidConfig) {
 
 TEST(WorkloadEngine, DetectorsAlertOnCatalogSmoke) {
   // The basis of the CI simulate smoke: the smoke scenario must produce
-  // alerts from both detectors when fed directly (engine-stamped tokens).
+  // alerts from both detectors when fed directly (test-stamped tokens).
   const auto pool = detectors::make_paper_pair();
   for (const auto& detector : pool) detector->reset();
   core::AlertJoiner joiner(pool);
   workload::EngineConfig config;
   config.gen_threads = 2;
   workload::WorkloadEngine engine(smoke_spec(), config);
-  (void)engine.run(
-      [&joiner](httplog::LogRecord&& record) { (void)joiner.process(record); });
+  test::Stamper stamp;
+  (void)engine.run([&](httplog::LogRecord&& record) {
+    (void)joiner.process(stamp(record));
+  });
   const auto& results = joiner.results();
   ASSERT_EQ(results.detector_count(), 2u);
   EXPECT_GT(results.alerts(0), 0u);

@@ -65,7 +65,7 @@
 //   --bench <file>      machine-readable report (default BENCH_soak.json)
 //   --smoke             CI-sized run: --scale 0.01 + tight persist cadence
 //   --chaos-seed <n>    fault schedule seed
-//   --rss-limit-mb <n>  RSS high-water bound (default 4096; <= 0 disables)
+//   --rss-limit-mb <n>  process peak-RSS bound (default 4096; <= 0 disables)
 //   --gen-threads <n>   generator worker threads (default 4)
 //
 // Tail options (every tail runs on pipeline::TailSession):
@@ -486,7 +486,7 @@ int cmd_simulate(const CliOptions& opts) {
           batch_pool.recycle(std::move(batch));
         }
       },
-      pipeline::DetectionStage::kBatchRecords,
+      pipeline::kBatchRecords,
       stage ? &stage->batch_pool() : &batch_pool);
   if (file_writer) file_writer->flush();
   for (auto& writer : vhost_writers) writer->flush();
@@ -767,7 +767,7 @@ int cmd_soak(CliOptions opts) {
       static_cast<unsigned long long>(report.checkpoints_persisted));
   std::printf(
       "  exactly-once: %llu lost, %llu duplicated; results %s reference; "
-      "peak RSS %.1f MiB (%s %.0f MiB limit); %.1fs wall "
+      "process peak RSS %.1f MiB (%s %.0f MiB limit); %.1fs wall "
       "(%s records/s); report: %s\n",
       static_cast<unsigned long long>(report.lost_records),
       static_cast<unsigned long long>(report.duplicate_records),
@@ -1133,7 +1133,7 @@ int cmd_label(const CliOptions& opts) {
       [&records](pipeline::RecordBatch&& batch) {
         for (auto& record : batch) records.push_back(std::move(record));
       },
-      1024);
+      pipeline::kBatchRecords);
   decoder.feed_stream(in);
   core::HeuristicLabeler labeler;
   const auto result = labeler.label(records);
